@@ -9,7 +9,6 @@ from .did import GattEstimate, estimate_gatt, placebo_pretrend
 from .frechet import FrechetResult, frechet_mean, group_means
 from .geometry import (
     Geodesic,
-    GeodesicClass,
     concatenate,
     distance,
     geodesic_difference,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GattEstimate",
     "Geodesic",
-    "GeodesicClass",
     "GroupTimeCell",
     "GroupTimeGatt",
     "FrechetResult",

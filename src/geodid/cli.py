@@ -14,7 +14,12 @@ from .errors import (
     ParseError,
 )
 from .simulate import SimConfig, configs_for_sizes, run_monte_carlo
-from .staggered import COMPARISON_NEVER, COMPARISON_NOT_YET, estimate_all_cells
+from .staggered import (
+    COMPARISON_NEVER,
+    COMPARISON_NOT_YET,
+    FORM_RECURSIVE,
+    estimate_all_cells,
+)
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -62,7 +67,9 @@ def build_parser():
     p_stg.add_argument(
         "--comparison", choices=["never", "notyet"], default="never"
     )
-    p_stg.add_argument("--force-recursive", action="store_true")
+    p_stg.add_argument(
+        "--force-recursive", action="store_const", const=FORM_RECURSIVE, dest="estimator_form"
+    )
     p_stg.add_argument("--out", default=None)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo convergence study")
@@ -114,7 +121,7 @@ def _cmd_staggered(args):
         panel,
         delta=args.delta,
         comparison=comparison,
-        force_recursive=args.force_recursive,
+        estimator_form=args.estimator_form,
     )
     _emit(
         gio.staggered_to_jsonable(results, panel.space_id, args.delta, args.comparison),
@@ -124,6 +131,9 @@ def _cmd_staggered(args):
 
 
 def _cmd_simulate(args):
+    sizes = _int_list(args.n)
+    if not sizes:
+        raise ParseError("--n expects at least one sample size")
     base = SimConfig(
         space=args.space,
         q=args.q,
@@ -141,9 +151,9 @@ def _cmd_simulate(args):
         p12=args.p12,
         p21=args.p21,
         p22=args.p22,
-        n=max(4, _int_list(args.n)[0]),
+        n=sizes[0],
     )
-    report = run_monte_carlo(configs_for_sizes(base, _int_list(args.n)))
+    report = run_monte_carlo(configs_for_sizes(base, sizes))
     _emit(gio.report_to_jsonable(report), args.out)
     if args.errors_csv:
         gio.write_errors_csv(report, args.errors_csv)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGroupError, InvariantViolationError
-from .frechet import frechet_mean
+from .frechet import group_means
 from .geometry import Geodesic, distance, transport
 
 
@@ -22,7 +22,6 @@ class GattEstimate:
     effect: Geodesic
     magnitude: float
     means: dict
-    counterfactual_start: object
 
 
 def estimate_gatt(panel):
@@ -43,15 +42,13 @@ def estimate_gatt(panel):
     means = {}
     for d, mask in ((0, ~treated), (1, treated)):
         for t in (0, 1):
-            points = [panel.outcomes[i][t] for i in np.flatnonzero(mask)]
-            means[(d, t)] = frechet_mean(points).mean
+            means[(d, t)] = group_means(panel, t, mask).mean
     counterfactual = transport(means[(0, 0)], means[(0, 1)], means[(1, 0)])
     effect = Geodesic(counterfactual, means[(1, 1)])
     return GattEstimate(
         effect=effect,
         magnitude=distance(effect.start, effect.end),
         means=means,
-        counterfactual_start=counterfactual,
     )
 
 

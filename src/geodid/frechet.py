@@ -1,36 +1,23 @@
-"""Empirical Frechet means per space.
+"""Empirical Frechet means.
 
-Closed forms exist for the Wasserstein space (mean of quantile functions) and
-the Frobenius space (entrywise matrix mean). The sphere uses iterative
-tangent-space averaging.
+Each space backend computes its own mean: closed forms for the Wasserstein
+space (mean of quantile functions) and the Frobenius space (entrywise matrix
+mean), iterative tangent-space averaging on the sphere.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGroupError, NonConvergenceError
-from .geometry import backend_of, distance
-from .spaces import matrix as _matrix
-from .spaces import sphere as _sphere
-from .spaces import wasserstein as _wasserstein
-from .spaces.wasserstein import QuantileCurve, pav_projection
-
-SPHERE_TOL = 1e-10
-SPHERE_MAX_ITER = 200
+from .errors import EmptyGroupError
+from .geometry import backend_of
 
 
 @dataclass(frozen=True)
 class FrechetResult:
     mean: object
-    objective: float
     iterations: int
     converged: bool
-
-
-def _objective(points, weights, mean):
-    d2 = np.array([distance(p, mean) ** 2 for p in points])
-    return float(np.average(d2, weights=weights))
 
 
 def frechet_mean(points, weights=None):
@@ -46,55 +33,8 @@ def frechet_mean(points, weights=None):
             raise ValueError("weights and points must have equal length")
         if np.any(weights < 0) or weights.sum() <= 0:
             raise ValueError("weights must be nonnegative with positive sum")
-    backend = backend_of(*points)
-    if backend is _wasserstein:
-        return _wasserstein_mean(points, weights)
-    if backend is _matrix:
-        return _matrix_mean(points, weights)
-    return _sphere_mean(points, weights)
-
-
-def _wasserstein_mean(points, weights):
-    values = np.average([p.values for p in points], axis=0, weights=weights)
-    if np.any(np.diff(values) < -1e-10):
-        values = pav_projection(values)
-    mean = QuantileCurve(values)
-    return FrechetResult(mean, _objective(points, weights, mean), 0, True)
-
-
-def _matrix_mean(points, weights):
-    entries = np.average([p.entries for p in points], axis=0, weights=weights)
-    kinds = {p.kind for p in points}
-    kind = kinds.pop() if len(kinds) == 1 else _matrix.KIND_FREE
-    mean = _matrix._result(entries, kind)
-    return FrechetResult(mean, _objective(points, weights, mean), 0, True)
-
-
-def _sphere_mean(points, weights):
-    coords = np.array([p.coords for p in points])
-    w = weights / weights.sum()
-    extrinsic = w @ coords
-    if np.linalg.norm(extrinsic) < 1e-8:
-        # near-degenerate configuration; start from the first point instead
-        current = points[0]
-    else:
-        current = _sphere._finish(extrinsic)
-    for iteration in range(1, SPHERE_MAX_ITER + 1):
-        tangent = np.zeros(current.dim)
-        for point, wi in zip(points, w):
-            tangent += wi * _sphere.log_map(current, point)
-        step = float(np.linalg.norm(tangent))
-        current = _sphere.exp_map(current, tangent)
-        if step < SPHERE_TOL:
-            return FrechetResult(
-                current, _objective(points, w, current), iteration, True
-            )
-    raise NonConvergenceError(
-        f"sphere mean did not converge in {SPHERE_MAX_ITER} iterations "
-        f"(last step {step:.3e})",
-        iterations=SPHERE_MAX_ITER,
-        last_step=step,
-    )
+    mean, iterations = backend_of(*points).mean(points, weights)
+    return FrechetResult(mean, iterations, True)
 
 
 def group_means(panel, period, selector):

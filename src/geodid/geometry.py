@@ -2,7 +2,8 @@
 
 Geodesics are stored as endpoint pairs and evaluated on demand; every backend
 has closed-form interpolation. Differences between geodesics and the quotient
-metric are built on top of the per-space transport maps.
+metric are built on top of the per-space transport maps. `_BACKENDS` is the
+one table that maps a space id to the module implementing it.
 """
 
 from dataclasses import dataclass, field
@@ -20,10 +21,6 @@ _BACKENDS = {
     "frobenius": _matrix,
 }
 
-# spaces whose transport map satisfies the path-independence identity
-# Gamma_{zeta,beta} o Gamma_{alpha,zeta} == Gamma_{alpha,beta}
-PATH_INDEPENDENT_SPACES = frozenset({"wasserstein", "frobenius"})
-
 
 def backend_of(*points):
     space = points[0].space_id
@@ -37,10 +34,7 @@ def backend_of(*points):
 
 def distance(a, b):
     """Native metric of the points' common space."""
-    backend = backend_of(a, b)
-    if backend is _wasserstein:
-        return _wasserstein.w2_distance(a, b)
-    return backend.distance(a, b)
+    return backend_of(a, b).distance(a, b)
 
 
 def transport(alpha, beta, omega):
@@ -49,7 +43,8 @@ def transport(alpha, beta, omega):
 
 
 def is_path_independent(space_id):
-    return space_id in PATH_INDEPENDENT_SPACES
+    """Whether transports along consecutive geodesics compose to the direct one."""
+    return _BACKENDS[space_id].PATH_INDEPENDENT
 
 
 @dataclass(frozen=True)
@@ -80,10 +75,6 @@ class Geodesic:
         return self.evaluate(t)
 
 
-def evaluate_geodesic(g, t):
-    return g.evaluate(t)
-
-
 def reverse(g):
     return Geodesic(g.end, g.start)
 
@@ -110,23 +101,3 @@ def quotient_distance(g1, g2, reference):
     z1 = transport(g1.start, g1.end, reference)
     z2 = transport(g2.start, g2.end, reference)
     return distance(z1, z2)
-
-
-@dataclass(frozen=True)
-class GeodesicClass:
-    """Equivalence class of a geodesic, tied to the reference point of its metric."""
-
-    representative: Geodesic
-    reference_point: object
-
-    def __post_init__(self):
-        backend_of(self.representative.start, self.reference_point)
-
-    def distance_to(self, other):
-        if distance(self.reference_point, other.reference_point) > POINT_TOL:
-            raise SpaceMismatchError(
-                "quotient distance requires a common reference point"
-            )
-        return quotient_distance(
-            self.representative, other.representative, self.reference_point
-        )

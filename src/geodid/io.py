@@ -17,14 +17,12 @@ from .errors import (
     MissingOutcomeError,
     ParseError,
 )
+from .geometry import _BACKENDS, backend_of
 from .panel import PanelDataset
-from .spaces.matrix import SymmetricMatrixPoint, KIND_FREE
-from .spaces.sphere import UnitCompositionPoint, embed_composition, unembed
-from .spaces.wasserstein import QuantileCurve, quantile_from_samples
+from .spaces.wasserstein import FORMAT_SAMPLES
 
 SCHEMA_VERSION = 1
 
-FORMAT_SAMPLES = "samples-csv"
 FORMAT_QUANTILE = "quantile-csv"
 FORMAT_COMPOSITION = "composition-csv"
 FORMAT_MATRIX_CSV = "matrix-csv"
@@ -55,31 +53,10 @@ def _read_numbers_csv(path):
         raise MissingOutcomeError(f"cannot read {path}: {exc}") from None
 
 
-def _build_point(space, data, manifest, where):
-    try:
-        if space == "wasserstein":
-            fmt = manifest.get("format", FORMAT_QUANTILE)
-            flat = np.asarray(data, dtype=float).ravel()
-            if fmt == FORMAT_SAMPLES:
-                return quantile_from_samples(
-                    flat, manifest.get("grid_size", 100)
-                )
-            return QuantileCurve(flat)
-        if space == "sphere":
-            return embed_composition(np.asarray(data, dtype=float).ravel())
-        return SymmetricMatrixPoint(
-            np.asarray(data, dtype=float),
-            kind=manifest.get("matrix_kind", KIND_FREE),
-        )
-    except InvariantViolationError as exc:
-        raise InvariantViolationError(f"{where}: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: {exc}") from None
-
-
-def _load_outcome(space, spec, manifest, base_dir, where):
+def _load_outcome(backend, spec, manifest, base_dir, where):
     if spec is None:
         raise MissingOutcomeError(f"{where}: outcome missing")
+    data = spec
     if isinstance(spec, str):
         path = Path(base_dir) / spec
         fmt = manifest.get("format", FORMAT_INLINE)
@@ -97,8 +74,12 @@ def _load_outcome(space, spec, manifest, base_dir, where):
                 data = [x for row in rows for x in row]
             else:
                 data = rows
-        return _build_point(space, data, manifest, where)
-    return _build_point(space, spec, manifest, where)
+    try:
+        return backend.from_data(data, manifest)
+    except InvariantViolationError as exc:
+        raise InvariantViolationError(f"{where}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def load_panel(manifest_path):
@@ -111,37 +92,44 @@ def load_panel(manifest_path):
         raise ParseError(f"cannot read manifest: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{manifest_path}: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{manifest_path}: manifest must be a JSON object")
 
     space = manifest.get("space")
-    if space not in _SPACE_FORMATS:
+    if not isinstance(space, str) or space not in _SPACE_FORMATS:
         raise ParseError(f"unknown or missing space {space!r}")
     fmt = manifest.get("format", FORMAT_INLINE)
-    if fmt not in _SPACE_FORMATS[space]:
+    if not isinstance(fmt, str) or fmt not in _SPACE_FORMATS[space]:
         raise ParseError(f"format {fmt!r} is not valid for space {space!r}")
     units = manifest.get("units")
-    if not units:
-        raise ParseError("manifest has no units")
+    if not units or not isinstance(units, list):
+        raise ParseError("manifest needs a non-empty 'units' array")
     periods = manifest.get("periods")
     if periods is None:
         raise ParseError("manifest lacks 'periods'")
+    if type(periods) is not int or periods < 1:
+        raise ParseError(f"'periods' must be a positive integer, got {periods!r}")
 
+    backend = _BACKENDS[space]
     base_dir = manifest_path.parent
     outcomes, treatment, ids = [], [], []
     for k, unit in enumerate(units):
+        if not isinstance(unit, dict):
+            raise ParseError(f"unit {k}: record must be a JSON object")
         uid = unit.get("id", f"unit{k}")
         treat = unit.get("treatment")
-        if treat is None or len(treat) != periods:
+        if not isinstance(treat, list) or len(treat) != periods:
             raise ParseError(
                 f"unit {uid}: treatment must list {periods} indicators"
             )
         outs = unit.get("outcomes")
-        if outs is None or len(outs) != periods:
+        if not isinstance(outs, list) or len(outs) != periods:
             raise MissingOutcomeError(
                 f"unit {uid}: expected {periods} outcomes, got "
-                f"{0 if outs is None else len(outs)}"
+                f"{len(outs) if isinstance(outs, list) else 0}"
             )
         row = [
-            _load_outcome(space, spec, manifest, base_dir, f"unit {uid} period {t}")
+            _load_outcome(backend, spec, manifest, base_dir, f"unit {uid} period {t}")
             for t, spec in enumerate(outs)
         ]
         outcomes.append(tuple(row))
@@ -150,22 +138,20 @@ def load_panel(manifest_path):
     return PanelDataset(tuple(outcomes), np.array(treatment), unit_ids=tuple(ids))
 
 
-def save_panel(panel, manifest_path, fmt=FORMAT_INLINE, matrix_kind=None):
+def save_panel(panel, manifest_path, fmt=FORMAT_INLINE):
     """Write a panel back to a manifest (plus per-cell data files if not inline)."""
     manifest_path = Path(manifest_path)
     space = panel.space_id
     if fmt not in _SPACE_FORMATS[space] or fmt == FORMAT_SAMPLES:
         raise ValueError(f"cannot save space {space!r} in format {fmt!r}")
+    backend = _BACKENDS[space]
     manifest = {
         "space": space,
         "periods": panel.n_periods,
         "format": fmt,
         "units": [],
+        **backend.manifest_fields(panel.outcomes[0][0]),
     }
-    if space == "wasserstein":
-        manifest["grid_size"] = panel.outcomes[0][0].grid_size
-    if space == "frobenius":
-        manifest["matrix_kind"] = matrix_kind or panel.outcomes[0][0].kind
     base_dir = manifest_path.parent
     for i in range(panel.n_units):
         uid = str(panel._name(i))
@@ -175,8 +161,7 @@ def save_panel(panel, manifest_path, fmt=FORMAT_INLINE, matrix_kind=None):
             "outcomes": [],
         }
         for t in range(panel.n_periods):
-            point = panel.outcomes[i][t]
-            data = _point_data(point)
+            data = backend.to_data(panel.outcomes[i][t])
             if fmt == FORMAT_INLINE:
                 record["outcomes"].append(data)
                 continue
@@ -188,14 +173,6 @@ def save_panel(panel, manifest_path, fmt=FORMAT_INLINE, matrix_kind=None):
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=1)
     return manifest_path
-
-
-def _point_data(point):
-    if point.space_id == "wasserstein":
-        return [float(x) for x in point.values]
-    if point.space_id == "sphere":
-        return [float(x) for x in unembed(point)]
-    return [[float(x) for x in row] for row in point.entries]
 
 
 def _write_data_file(path, data, fmt):
@@ -212,19 +189,7 @@ def _write_data_file(path, data, fmt):
 
 def point_to_jsonable(point):
     """Serialize a point; floats round-trip exactly through json."""
-    if point.space_id == "wasserstein":
-        return {"space": "wasserstein", "quantiles": [float(x) for x in point.values]}
-    if point.space_id == "sphere":
-        return {
-            "space": "sphere",
-            "coords": [float(x) for x in point.coords],
-            "shares": [float(x) for x in unembed(point)],
-        }
-    return {
-        "space": "frobenius",
-        "kind": point.kind,
-        "entries": [[float(x) for x in row] for row in point.entries],
-    }
+    return backend_of(point).to_jsonable(point)
 
 
 def gatt_to_jsonable(estimate, space):

@@ -25,7 +25,11 @@ class PanelDataset:
 
     def __post_init__(self):
         outcomes = tuple(tuple(row) for row in self.outcomes)
-        treatment = np.asarray(self.treatment, dtype=int)
+        treatment = np.asarray(self.treatment)
+        # checked before the cast to int, which would truncate 0.5 to 0
+        if not np.isin(treatment, (0, 1)).all():
+            raise InvariantViolationError("treatment indicators must be 0 or 1")
+        treatment = treatment.astype(int, copy=False)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "treatment", treatment)
         n = len(outcomes)
@@ -37,8 +41,6 @@ class PanelDataset:
                 f"treatment shape {treatment.shape} does not match "
                 f"{n} units x {periods} periods"
             )
-        if not np.isin(treatment, (0, 1)).all():
-            raise InvariantViolationError("treatment indicators must be 0 or 1")
         if np.any(treatment[:, 0] != 0):
             bad = int(np.flatnonzero(treatment[:, 0])[0])
             raise InvariantViolationError(

@@ -58,6 +58,8 @@ class SimConfig:
             raise ValueError("need at least 4 units")
         if self.q < 1:
             raise ValueError("need at least one Monte Carlo run")
+        if self.sample_size_per_dist < 2:
+            raise ValueError("need at least 2 samples per distribution")
         for p in (self.p11, self.p12, self.p21, self.p22):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("edge probabilities must lie in [0, 1]")

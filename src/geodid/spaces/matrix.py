@@ -22,6 +22,7 @@ PSD_TOL = 1e-8
 KIND_LAPLACIAN = "laplacian"
 KIND_COVARIANCE = "covariance"
 KIND_FREE = "free"
+PATH_INDEPENDENT = True
 
 
 def _kind_ok(entries, kind):
@@ -114,7 +115,27 @@ def laplacian_from_adjacency(weights):
     return SymmetricMatrixPoint(lap, kind=KIND_LAPLACIAN)
 
 
-def random_point(rng, size=4, scale=1.0):
-    """Random symmetric matrix (kind 'free'), for property tests."""
-    a = rng.normal(0.0, scale, (size, size))
-    return SymmetricMatrixPoint(0.5 * (a + a.T))
+def mean(points, weights):
+    """Weighted Frechet mean: the entrywise average, of the points' common kind if any."""
+    entries = np.average([p.entries for p in points], axis=0, weights=weights)
+    kinds = {p.kind for p in points}
+    kind = kinds.pop() if len(kinds) == 1 else KIND_FREE
+    return _result(entries, kind), 0
+
+
+def from_data(data, manifest):
+    return SymmetricMatrixPoint(
+        np.asarray(data, dtype=float), kind=manifest.get("matrix_kind", KIND_FREE)
+    )
+
+
+def to_data(point):
+    return [[float(x) for x in row] for row in point.entries]
+
+
+def to_jsonable(point):
+    return {"space": "frobenius", "kind": point.kind, "entries": to_data(point)}
+
+
+def manifest_fields(point):
+    return {"matrix_kind": point.kind}

@@ -8,12 +8,17 @@ import numpy as np
 from ..errors import (
     DegenerateTangentError,
     InvariantViolationError,
+    NonConvergenceError,
     OrthantExitWarning,
     SpaceMismatchError,
 )
 
 UNIT_TOL = 1e-10
 ORTHANT_SLACK = 1e-12
+# Gamma_{zeta,beta} o Gamma_{alpha,zeta} != Gamma_{alpha,beta}: staggered cells recurse
+PATH_INDEPENDENT = False
+MEAN_TOL = 1e-10
+MEAN_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,44 @@ def exp_map(base, tangent):
     return _finish(coords)
 
 
-def random_point(rng, dim=3):
-    """Random point in the interior of the positive orthant, for property tests."""
-    shares = rng.dirichlet(np.full(dim, 5.0))
-    shares = np.clip(shares, 1e-6, None)
-    return embed_composition(shares / shares.sum())
+def mean(points, weights):
+    """Weighted Karcher mean by unit-step tangent-space averaging."""
+    coords = np.array([p.coords for p in points])
+    w = weights / weights.sum()
+    extrinsic = w @ coords
+    if np.linalg.norm(extrinsic) < 1e-8:
+        # near-degenerate configuration; start from the first point instead
+        current = points[0]
+    else:
+        current = _finish(extrinsic)
+    for iteration in range(1, MEAN_MAX_ITER + 1):
+        tangent = np.zeros(current.dim)
+        for point, wi in zip(points, w):
+            tangent += wi * log_map(current, point)
+        step = float(np.linalg.norm(tangent))
+        current = exp_map(current, tangent)
+        if step < MEAN_TOL:
+            return current, iteration
+    raise NonConvergenceError(
+        f"sphere mean did not converge in {MEAN_MAX_ITER} iterations "
+        f"(last step {step:.3e})",
+        iterations=MEAN_MAX_ITER,
+        last_step=step,
+    )
+
+
+def from_data(data, manifest):
+    return embed_composition(np.asarray(data, dtype=float).ravel())
+
+
+def to_data(point):
+    return [float(x) for x in unembed(point)]
+
+
+def to_jsonable(point):
+    coords = [float(x) for x in point.coords]
+    return {"space": "sphere", "coords": coords, "shares": to_data(point)}
+
+
+def manifest_fields(point):
+    return {}

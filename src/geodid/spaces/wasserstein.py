@@ -17,6 +17,9 @@ from ..errors import (
 
 POINT_TOL = 1e-10
 DEFAULT_GRID_SIZE = 100
+PATH_INDEPENDENT = True
+# manifest format whose data are raw draws, not quantile values
+FORMAT_SAMPLES = "samples-csv"
 
 
 def midpoint_grid(m):
@@ -86,7 +89,7 @@ def _check_same_grid(*curves):
             )
 
 
-def w2_distance(a, b):
+def distance(a, b):
     """Wasserstein-2 distance via midpoint-rule quadrature of the quantile gap."""
     _check_same_grid(a, b)
     diff = a.values - b.values
@@ -97,6 +100,14 @@ def interpolate(a, b, t):
     """Point at fraction t of the geodesic from a to b (linear in quantile space)."""
     _check_same_grid(a, b)
     return QuantileCurve((1.0 - t) * a.values + t * b.values)
+
+
+def mean(points, weights):
+    """Weighted Frechet mean: the average quantile function, kept monotone."""
+    values = np.average([p.values for p in points], axis=0, weights=weights)
+    if np.any(np.diff(values) < -1e-10):
+        values = pav_projection(values)
+    return QuantileCurve(values), 0
 
 
 def cdf_eval(curve, x):
@@ -155,10 +166,20 @@ def quantile_from_samples(samples, grid_size=DEFAULT_GRID_SIZE):
     return QuantileCurve(values)
 
 
-def random_curve(rng, grid_size=DEFAULT_GRID_SIZE, loc_scale=2.0):
-    """Random strictly increasing curve (Gaussian family), for property tests."""
-    from scipy.stats import norm
+def from_data(data, manifest):
+    flat = np.asarray(data, dtype=float).ravel()
+    if manifest.get("format") == FORMAT_SAMPLES:
+        return quantile_from_samples(flat, manifest.get("grid_size", DEFAULT_GRID_SIZE))
+    return QuantileCurve(flat)
 
-    mu = rng.normal(0.0, loc_scale)
-    sigma = 0.3 + rng.uniform(0.0, loc_scale)
-    return QuantileCurve(mu + sigma * norm.ppf(midpoint_grid(grid_size)))
+
+def to_data(curve):
+    return [float(x) for x in curve.values]
+
+
+def to_jsonable(curve):
+    return {"space": "wasserstein", "quantiles": to_data(curve)}
+
+
+def manifest_fields(curve):
+    return {"grid_size": curve.grid_size}

@@ -4,16 +4,16 @@ Two comparison schemes are supported: the never-treated cohort and the
 not-yet-treated cohort. The default estimator transports the treated group's
 baseline mean forward one period at a time along the comparison cohort's
 trend; spaces with a path-independent transport map admit a single-transport
-shortcut that is used automatically unless recursion is forced.
+shortcut that is used unless the cell asks for the recursive form.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EmptyCohortError, InadmissibleCellError
-from .frechet import frechet_mean
+from .frechet import group_means
 from .geometry import Geodesic, distance, geodesic_difference, is_path_independent, transport
 from .panel import NEVER_TREATED
 
@@ -92,7 +92,7 @@ def enumerate_cells(panel, delta=0, comparison=COMPARISON_NEVER):
 
 
 def _cohort_mask(panel, cell):
-    labels = np.array([g if g != NEVER_TREATED else np.inf for g in panel.group_labels])
+    labels = np.array(panel.group_labels, dtype=float)
     if cell.comparison == COMPARISON_NEVER:
         return np.isinf(labels)
     # not yet treated by t + delta, and not in group g
@@ -107,31 +107,27 @@ def _cohort_mean(panel, mask, period, cell):
             f"at period {period}",
             period=period,
         )
-    points = [panel.outcomes[i][period] for i in np.flatnonzero(mask)]
-    return frechet_mean(points).mean
+    return group_means(panel, period, mask).mean
 
 
 def _treated_mean(panel, cell, period):
-    labels = np.array([g if g != NEVER_TREATED else np.inf for g in panel.group_labels])
-    mask = labels == cell.g
+    mask = np.array(panel.group_labels, dtype=float) == cell.g
     if not mask.any():
         raise EmptyCohortError(
             f"no units in group g={cell.g}", period=period
         )
-    points = [panel.outcomes[i][period] for i in np.flatnonzero(mask)]
-    return frechet_mean(points).mean
+    return group_means(panel, period, mask).mean
 
 
-def estimate_group_time_gatt(panel, cell, force_recursive=False):
-    """Group-time effect for one admissible cell."""
+def estimate_group_time_gatt(panel, cell):
+    """Group-time effect for one admissible cell, in the cell's `estimator_form`
+    (None: the shortcut on path-independent spaces, else the recursion)."""
     if not cell_admissible(panel, cell):
         raise InadmissibleCellError(
             f"cell (g={cell.g}, t={cell.t}, delta={cell.delta}, "
             f"{cell.comparison}) is not admissible for this panel"
         )
     form = cell.estimator_form
-    if force_recursive:
-        form = FORM_RECURSIVE
     if form is None:
         form = (
             FORM_SHORTCUT
@@ -177,9 +173,9 @@ def estimate_group_time_gatt(panel, cell, force_recursive=False):
     )
 
 
-def estimate_all_cells(panel, delta=0, comparison=COMPARISON_NEVER, force_recursive=False):
-    """Estimate every admissible cell; returns a list of GroupTimeGatt."""
+def estimate_all_cells(panel, delta=0, comparison=COMPARISON_NEVER, estimator_form=None):
+    """Estimate every admissible cell in `estimator_form`; returns a list of GroupTimeGatt."""
     return [
-        estimate_group_time_gatt(panel, cell, force_recursive=force_recursive)
+        estimate_group_time_gatt(panel, replace(cell, estimator_form=estimator_form))
         for cell in enumerate_cells(panel, delta=delta, comparison=comparison)
     ]

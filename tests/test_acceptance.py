@@ -5,6 +5,7 @@ single pass/fail line (visible with `pytest -s` or in failure output).
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,12 +21,16 @@ from geodid.geometry import (
 )
 from geodid.panel import PanelDataset
 from geodid.simulate import SimConfig, configs_for_sizes, run_monte_carlo
-from geodid.spaces import matrix as msp
-from geodid.spaces import sphere as ssp
-from geodid.spaces import wasserstein as wsp
 from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.spaces.wasserstein import QuantileCurve, midpoint_grid
-from geodid.staggered import GroupTimeCell, enumerate_cells, estimate_group_time_gatt
+from geodid.staggered import (
+    FORM_RECURSIVE,
+    GroupTimeCell,
+    enumerate_cells,
+    estimate_group_time_gatt,
+)
+
+from conftest import random_composition, random_curve, random_matrix
 
 pytestmark = [
     pytest.mark.filterwarnings("ignore::geodid.errors.OrthantExitWarning"),
@@ -33,9 +38,9 @@ pytestmark = [
 ]
 
 SAMPLERS = {
-    "wasserstein": lambda rng: wsp.random_curve(rng, grid_size=100),
-    "sphere": lambda rng: ssp.random_point(rng, dim=4),
-    "frobenius": lambda rng: msp.random_point(rng, size=3),
+    "wasserstein": lambda rng: random_curve(rng, grid_size=100),
+    "sphere": lambda rng: random_composition(rng, dim=4),
+    "frobenius": lambda rng: random_matrix(rng, size=3),
 }
 
 
@@ -214,7 +219,7 @@ def test_criterion_7_staggered_reduction():
             panel = _random_staggered_panel(rng, space)
             for cell in enumerate_cells(panel):
                 short = estimate_group_time_gatt(panel, cell)
-                rec = estimate_group_time_gatt(panel, cell, force_recursive=True)
+                rec = estimate_group_time_gatt(panel, replace(cell, estimator_form=FORM_RECURSIVE))
                 worst_agreement = max(
                     worst_agreement,
                     distance(short.effect.start, rec.effect.start),

@@ -30,7 +30,7 @@ def test_scalar_oracle_single_units():
     panel = scalar_panel([(a, b)], [(c, e)])
     est = estimate_gatt(panel)
     assert est.magnitude == pytest.approx(abs(e - c - (b - a)), abs=1e-12)
-    assert est.counterfactual_start.entries[0, 0] == pytest.approx(c + (b - a))
+    assert est.effect.start.entries[0, 0] == pytest.approx(c + (b - a))
     assert est.means[(0, 0)].entries[0, 0] == a
     assert est.means[(1, 1)].entries[0, 0] == e
 

@@ -5,12 +5,12 @@ from scipy.stats import norm
 from geodid.frechet import frechet_mean, group_means
 from geodid.geometry import distance
 from geodid.panel import PanelDataset
-from geodid.spaces import matrix as msp
 from geodid.spaces import sphere as ssp
-from geodid.spaces import wasserstein as wsp
 from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.spaces.sphere import UnitCompositionPoint
 from geodid.spaces.wasserstein import QuantileCurve, midpoint_grid
+
+from conftest import random_composition, random_curve, random_matrix
 
 
 def gaussian_curve(mu, sigma, m=100):
@@ -65,7 +65,7 @@ def test_wasserstein_mean_matches_grid_search():
 
 def test_frobenius_mean_is_entrywise_average():
     rng = np.random.default_rng(3)
-    points = [msp.random_point(rng) for _ in range(5)]
+    points = [random_matrix(rng) for _ in range(5)]
     result = frechet_mean(points)
     np.testing.assert_allclose(
         result.mean.entries,
@@ -81,7 +81,7 @@ def test_frobenius_mean_matches_grid_search():
     best = objective(result.mean, [a, b])
     rng = np.random.default_rng(5)
     for _ in range(200):
-        cand = msp.random_point(rng, size=2)
+        cand = random_matrix(rng, size=2)
         assert best <= objective(cand, [a, b]) + 1e-12
 
 
@@ -99,11 +99,11 @@ def test_sphere_mean_matches_arc_grid_oracle():
     # exhaustive search over a fine great-circle arc between two points,
     # evaluated against the iterative solution for a three-point cloud
     rng = np.random.default_rng(11)
-    points = [ssp.random_point(rng, dim=3) for _ in range(3)]
+    points = [random_composition(rng, dim=3) for _ in range(3)]
     result = frechet_mean(points)
     best = objective(result.mean, points)
     for _ in range(500):
-        cand = ssp.random_point(rng, dim=3)
+        cand = random_composition(rng, dim=3)
         assert best <= objective(cand, points) + 1e-10
     # dense grid on the arc through the first two points
     from geodid.geometry import Geodesic
@@ -115,7 +115,7 @@ def test_sphere_mean_matches_arc_grid_oracle():
 
 def test_sphere_mean_first_order_condition():
     rng = np.random.default_rng(13)
-    points = [ssp.random_point(rng, dim=4) for _ in range(6)]
+    points = [random_composition(rng, dim=4) for _ in range(6)]
     result = frechet_mean(points)
     grad = np.sum([ssp.log_map(result.mean, p) for p in points], axis=0)
     assert np.linalg.norm(grad) / len(points) < 1e-8
@@ -124,19 +124,19 @@ def test_sphere_mean_first_order_condition():
 def test_objective_not_above_any_input_point():
     rng = np.random.default_rng(17)
     for sample in (
-        lambda: wsp.random_curve(rng, grid_size=50),
-        lambda: ssp.random_point(rng, dim=4),
-        lambda: msp.random_point(rng),
+        lambda: random_curve(rng, grid_size=50),
+        lambda: random_composition(rng, dim=4),
+        lambda: random_matrix(rng),
     ):
         points = [sample() for _ in range(4)]
         result = frechet_mean(points)
         for p in points:
-            assert result.objective <= objective(p, points) + 1e-10
+            assert objective(result.mean, points) <= objective(p, points) + 1e-10
 
 
 def test_weights_scale_invariance():
     rng = np.random.default_rng(19)
-    points = [ssp.random_point(rng, dim=3) for _ in range(4)]
+    points = [random_composition(rng, dim=3) for _ in range(4)]
     w = np.array([1.0, 2.0, 3.0, 4.0])
     r1 = frechet_mean(points, weights=w)
     r2 = frechet_mean(points, weights=w / w.sum())

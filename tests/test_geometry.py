@@ -4,21 +4,21 @@ from scipy.stats import norm
 
 from geodid.errors import SpaceMismatchError
 from geodid.geometry import (
+    _BACKENDS,
     Geodesic,
     concatenate,
     distance,
-    evaluate_geodesic,
     geodesic_difference,
     is_path_independent,
     quotient_distance,
     reverse,
     transport,
 )
-from geodid.spaces import matrix as msp
 from geodid.spaces import sphere as ssp
-from geodid.spaces import wasserstein as wsp
 from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.spaces.wasserstein import QuantileCurve, midpoint_grid
+
+from conftest import random_composition, random_curve, random_matrix
 
 
 def gaussian_curve(mu, sigma, m=200):
@@ -26,9 +26,9 @@ def gaussian_curve(mu, sigma, m=200):
 
 
 SAMPLERS = {
-    "wasserstein": lambda rng: wsp.random_curve(rng, grid_size=60),
-    "sphere": lambda rng: ssp.random_point(rng, dim=4),
-    "frobenius": lambda rng: msp.random_point(rng, size=3),
+    "wasserstein": lambda rng: random_curve(rng, grid_size=60),
+    "sphere": lambda rng: random_composition(rng, dim=4),
+    "frobenius": lambda rng: random_matrix(rng, size=3),
 }
 
 
@@ -51,7 +51,7 @@ def test_geodesic_endpoints_and_range():
     with pytest.raises(ValueError):
         g(1.5)
     with pytest.raises(ValueError):
-        evaluate_geodesic(g, -0.1)
+        g.evaluate(-0.1)
 
 
 def test_slerp_midpoint():
@@ -146,7 +146,7 @@ def test_quotient_distance_examples():
 def test_equivalence_relation_under_shift():
     rng = np.random.default_rng(31)
     for _ in range(100):
-        a, b, c, ref = (msp.random_point(rng) for _ in range(4))
+        a, b, c, ref = (random_matrix(rng) for _ in range(4))
         g = Geodesic(a, b)
         shifted = Geodesic(
             SymmetricMatrixPoint(a.entries + c.entries),
@@ -205,6 +205,27 @@ def test_transport_endpoint_stability_bounded(space):
         assert worst <= 1.0 + 1e-12
     else:
         assert worst < 50.0
+
+
+BACKEND_PROTOCOL = (
+    "distance",
+    "interpolate",
+    "transport",
+    "mean",
+    "from_data",
+    "to_data",
+    "to_jsonable",
+    "manifest_fields",
+    "PATH_INDEPENDENT",
+)
+
+
+@pytest.mark.parametrize("space", sorted(_BACKENDS))
+def test_backend_defines_protocol(space):
+    backend = _BACKENDS[space]
+    missing = [name for name in BACKEND_PROTOCOL if not hasattr(backend, name)]
+    assert not missing
+    assert isinstance(backend.PATH_INDEPENDENT, bool)
 
 
 def test_path_independence_flags():

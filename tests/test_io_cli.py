@@ -192,6 +192,87 @@ def test_cli_malformed_manifest_exit_code(tmp_path, capsys):
     assert err["error"] == "ParseError"
 
 
+def single_error_line(capsys):
+    """The one JSON line a failed command writes to stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize(
+    "payload, error, message",
+    [
+        ([{"space": "frobenius", "periods": 2}], "ParseError", "JSON object"),
+        (
+            {"space": "frobenius", "periods": "2", "format": "inline", "units": [{}]},
+            "ParseError",
+            "positive integer",
+        ),
+        (
+            {"space": "frobenius", "periods": 0, "format": "inline", "units": [{}]},
+            "ParseError",
+            "positive integer",
+        ),
+        (
+            {
+                "space": "frobenius",
+                "periods": 2,
+                "format": "inline",
+                "units": [
+                    {"id": "c", "treatment": [0, 0], "outcomes": [[[0.0]], [[1.0]]]},
+                    {"id": "t", "treatment": [0, 0.5], "outcomes": [[[0.0]], [[3.0]]]},
+                ],
+            },
+            "InvariantViolationError",
+            "0 or 1",
+        ),
+        ({"space": ["frobenius"], "periods": 2}, "ParseError", "space"),
+        ({"space": "frobenius", "format": ["inline"], "periods": 2}, "ParseError", "format"),
+        ({"space": "frobenius", "periods": 2, "units": 5}, "ParseError", "'units' array"),
+        (
+            {"space": "frobenius", "periods": 2, "units": [{"treatment": 5, "outcomes": []}]},
+            "ParseError",
+            "treatment must list 2",
+        ),
+        (
+            {"space": "frobenius", "periods": 2, "units": [{"treatment": [0, 0], "outcomes": 7}]},
+            "MissingOutcomeError",
+            "expected 2 outcomes",
+        ),
+    ],
+    ids=[
+        "top-level-array",
+        "periods-string",
+        "periods-zero",
+        "fractional-treatment",
+        "space-not-string",
+        "format-not-string",
+        "units-not-array",
+        "treatment-not-array",
+        "outcomes-not-array",
+    ],
+)
+def test_cli_rejects_malformed_manifest(tmp_path, capsys, payload, error, message):
+    manifest = write_manifest(tmp_path / "bad.json", payload)
+    assert main(["estimate", "--manifest", manifest]) == EXIT_INVALID_INPUT
+    err = single_error_line(capsys)
+    assert err["error"] == error
+    assert message in err["message"]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--n", ","], ["--samples-per-dist", "0"], ["--samples-per-dist", "1"]],
+    ids=["no-sizes", "no-samples", "one-sample"],
+)
+def test_cli_simulate_rejects_bad_arguments(tmp_path, capsys, bad):
+    out = tmp_path / "r.json"
+    args = ["simulate", "--space", "wasserstein", "--n", "20", "--q", "2", "--out", str(out)]
+    assert main(args + bad) == EXIT_INVALID_INPUT
+    assert single_error_line(capsys)["error"] in ("ParseError", "ValueError")
+    assert not out.exists()
+
+
 def test_cli_estimation_failure_exit_code(tmp_path, capsys):
     # valid panel but no treated units: estimation fails, not parsing
     payload = {

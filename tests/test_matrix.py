@@ -8,9 +8,10 @@ from geodid.spaces.matrix import (
     SymmetricMatrixPoint,
     distance,
     laplacian_from_adjacency,
-    random_point,
     transport,
 )
+
+from conftest import random_matrix
 
 
 def test_rejects_asymmetric():
@@ -47,7 +48,7 @@ def test_distance_shape_mismatch():
 def test_transport_examples():
     rng = np.random.default_rng(4)
     zero = SymmetricMatrixPoint(np.zeros((4, 4)))
-    b, w = random_point(rng), random_point(rng)
+    b, w = random_matrix(rng), random_matrix(rng)
     np.testing.assert_allclose(transport(b, b, w).entries, w.entries, atol=1e-14)
     np.testing.assert_allclose(
         transport(zero, b, w).entries, w.entries + b.entries, atol=1e-15
@@ -57,7 +58,7 @@ def test_transport_examples():
 def test_transport_is_exact_isometry():
     rng = np.random.default_rng(8)
     for _ in range(200):
-        a, b, w, z = (random_point(rng) for _ in range(4))
+        a, b, w, z = (random_matrix(rng) for _ in range(4))
         lhs = distance(transport(a, b, w), transport(a, b, z))
         assert abs(lhs - distance(w, z)) < 1e-12
 
@@ -65,7 +66,7 @@ def test_transport_is_exact_isometry():
 def test_transport_consistency_identity():
     rng = np.random.default_rng(12)
     for _ in range(200):
-        a, b, z, w = (random_point(rng) for _ in range(4))
+        a, b, z, w = (random_matrix(rng) for _ in range(4))
         direct = transport(a, b, w)
         via = transport(z, b, transport(a, z, w))
         assert distance(direct, via) < 1e-12

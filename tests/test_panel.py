@@ -44,6 +44,8 @@ def test_rejects_treatment_reversal():
 def test_rejects_non_binary_indicators():
     with pytest.raises(InvariantViolationError):
         make_panel([[0, 2]])
+    with pytest.raises(InvariantViolationError):
+        make_panel([[0, 0.5]])
 
 
 def test_rejects_mixed_spaces():

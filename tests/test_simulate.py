@@ -23,6 +23,8 @@ def test_config_validation():
         SimConfig(n=2)
     with pytest.raises(ValueError):
         SimConfig(space="network", p11=1.5)
+    with pytest.raises(ValueError):
+        SimConfig(sample_size_per_dist=1)
 
 
 def test_true_wasserstein_gatt_unit_params():

@@ -13,10 +13,11 @@ from geodid.spaces.sphere import (
     embed_composition,
     exp_map,
     log_map,
-    random_point,
     transport,
     unembed,
 )
+
+from conftest import random_composition
 
 E1 = UnitCompositionPoint([1.0, 0.0, 0.0])
 E2 = UnitCompositionPoint([0.0, 1.0, 0.0])
@@ -52,7 +53,7 @@ def test_transport_alpha_equals_beta():
 def test_transport_endpoint_property():
     rng = np.random.default_rng(1)
     for _ in range(100):
-        a, b = random_point(rng), random_point(rng)
+        a, b = random_composition(rng), random_composition(rng)
         out = transport(a, b, a)
         assert distance(out, b) < 1e-10
 
@@ -61,7 +62,7 @@ def test_transport_endpoint_property():
 def test_transport_moves_by_geodesic_length():
     rng = np.random.default_rng(2)
     for _ in range(200):
-        a, b, w = random_point(rng), random_point(rng), random_point(rng)
+        a, b, w = random_composition(rng), random_composition(rng), random_composition(rng)
         out = transport(a, b, w)
         assert abs(np.linalg.norm(out.coords) - 1.0) < 1e-10
         assert distance(w, out) == pytest.approx(distance(a, b), abs=1e-8)
@@ -132,7 +133,7 @@ def test_unembed_round_trip():
 def test_exp_log_round_trip():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        base, target = random_point(rng), random_point(rng)
+        base, target = random_composition(rng), random_composition(rng)
         v = log_map(base, target)
         assert np.linalg.norm(v) == pytest.approx(distance(base, target), abs=1e-10)
         back = exp_map(base, v)

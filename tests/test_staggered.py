@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,6 @@ from geodid.did import estimate_gatt
 from geodid.errors import EmptyCohortError, InadmissibleCellError
 from geodid.geometry import distance, quotient_distance
 from geodid.panel import PanelDataset
-from geodid.spaces import sphere as ssp
-from geodid.spaces import wasserstein as wsp
 from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.staggered import (
     COMPARISON_NEVER,
@@ -19,6 +19,8 @@ from geodid.staggered import (
     estimate_all_cells,
     estimate_group_time_gatt,
 )
+
+from conftest import random_composition, random_curve
 
 
 def scalar(x):
@@ -47,9 +49,9 @@ def random_staggered_panel(rng, space, groups, n_periods, units_per_group=3):
     for group in groups:
         for _ in range(units_per_group):
             if space == "wasserstein":
-                row = tuple(wsp.random_curve(rng, grid_size=40) for _ in range(n_periods))
+                row = tuple(random_curve(rng, grid_size=40) for _ in range(n_periods))
             elif space == "sphere":
-                row = tuple(ssp.random_point(rng, dim=3) for _ in range(n_periods))
+                row = tuple(random_composition(rng, dim=3) for _ in range(n_periods))
             else:
                 mats = rng.normal(size=(n_periods, 2, 2))
                 row = tuple(SymmetricMatrixPoint(m + m.T) for m in mats)
@@ -126,7 +128,7 @@ def test_recursive_beta_path_on_linear_trend():
         n_periods=3,
     )
     cell = GroupTimeCell(g=1, t=2)
-    result = estimate_group_time_gatt(panel, cell, force_recursive=True)
+    result = estimate_group_time_gatt(panel, replace(cell, estimator_form=FORM_RECURSIVE))
     assert result.estimator_form == FORM_RECURSIVE
     path = [p.entries[0, 0] for p in result.beta_path]
     assert path == pytest.approx([10.0, 12.0, 14.0])
@@ -143,7 +145,7 @@ def test_shortcut_matches_recursive(space):
         for cell in enumerate_cells(panel):
             short = estimate_group_time_gatt(panel, cell)
             assert short.estimator_form == FORM_SHORTCUT
-            rec = estimate_group_time_gatt(panel, cell, force_recursive=True)
+            rec = estimate_group_time_gatt(panel, replace(cell, estimator_form=FORM_RECURSIVE))
             assert distance(short.effect.start, rec.effect.start) < 1e-8
             assert abs(short.magnitude - rec.magnitude) < 1e-8
 

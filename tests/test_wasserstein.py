@@ -6,13 +6,14 @@ from geodid.errors import DegenerateTransportError, InvariantViolationError, Spa
 from geodid.spaces.wasserstein import (
     QuantileCurve,
     cdf_eval,
+    distance,
     midpoint_grid,
     pav_projection,
     quantile_from_samples,
-    random_curve,
     transport,
-    w2_distance,
 )
+
+from conftest import random_curve
 
 
 def gaussian_curve(mu, sigma, m=1000):
@@ -31,26 +32,26 @@ def test_curve_rejects_nan():
 
 def test_distance_self_zero():
     a = gaussian_curve(0, 1)
-    assert w2_distance(a, a) == 0.0
+    assert distance(a, a) == 0.0
 
 
 def test_distance_gaussian_location_shift():
     # closed form: W2(N(0,1), N(1,1)) = sqrt(1^2 + 0^2) = 1
     a = gaussian_curve(0, 1)
     b = gaussian_curve(1, 1)
-    assert w2_distance(a, b) == pytest.approx(1.0, abs=1e-6)
+    assert distance(a, b) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_distance_gaussian_scale_shift():
     # W2(N(0,1), N(0,2)) = 1; midpoint grid truncates the tails
     a = gaussian_curve(0, 1)
     b = gaussian_curve(0, 2)
-    assert w2_distance(a, b) == pytest.approx(1.0, abs=1e-3)
+    assert distance(a, b) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_distance_grid_mismatch():
     with pytest.raises(SpaceMismatchError):
-        w2_distance(gaussian_curve(0, 1, 100), gaussian_curve(0, 1, 200))
+        distance(gaussian_curve(0, 1, 100), gaussian_curve(0, 1, 200))
 
 
 def test_transport_identity_when_omega_is_alpha():
