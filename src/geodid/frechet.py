@@ -2,7 +2,8 @@
 
 Each space backend computes its own mean: closed forms for the Wasserstein
 space (mean of quantile functions) and the Frobenius space (entrywise matrix
-mean), iterative tangent-space averaging on the sphere.
+mean), and on the sphere a unit-step Karcher iteration whose tangent-space
+average takes all the points' log maps in one array step.
 """
 
 from dataclasses import dataclass

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -83,14 +84,21 @@ class PanelDataset:
     def space_id(self):
         return self.outcomes[0][0].space_id
 
-    @property
+    @cached_property
+    def group_label_array(self):
+        """`group_labels` as a read-only float array (inf for never treated)."""
+        labels = self.treatment.argmax(axis=1).astype(float)
+        labels[~self.treatment.any(axis=1)] = NEVER_TREATED
+        labels.flags.writeable = False
+        return labels
+
+    @cached_property
     def group_labels(self):
-        """First treated period per unit, or inf for never-treated units."""
-        labels = []
-        for row in self.treatment:
-            treated = np.flatnonzero(row)
-            labels.append(int(treated[0]) if len(treated) else NEVER_TREATED)
-        return tuple(labels)
+        """First treated period per unit (an int), or inf for never-treated units."""
+        return tuple(
+            NEVER_TREATED if g == NEVER_TREATED else int(g)
+            for g in self.group_label_array.tolist()
+        )
 
     def ever_treated(self):
         return self.treatment[:, -1] == 1

@@ -155,9 +155,16 @@ def mean(points, weights):
     else:
         current = _finish(extrinsic)
     for iteration in range(1, MEAN_MAX_ITER + 1):
-        tangent = np.zeros(current.dim)
-        for point, wi in zip(points, w):
-            tangent += wi * log_map(current, point)
+        # every point's log map at once: row i of u points from the mean to
+        # points[i] and is scaled to length theta_i; points within 1e-14 of
+        # the mean add nothing, without a 0/0
+        theta = np.arccos(np.clip(coords @ current.coords, -1.0, 1.0))
+        u = coords - np.cos(theta)[:, None] * current.coords
+        norms = np.linalg.norm(u, axis=1)
+        scale = np.divide(
+            w * theta, norms, out=np.zeros_like(theta), where=theta >= 1e-14
+        )
+        tangent = scale @ u
         step = float(np.linalg.norm(tangent))
         current = exp_map(current, tangent)
         if step < MEAN_TOL:

@@ -92,7 +92,7 @@ def enumerate_cells(panel, delta=0, comparison=COMPARISON_NEVER):
 
 
 def _cohort_mask(panel, cell):
-    labels = np.array(panel.group_labels, dtype=float)
+    labels = panel.group_label_array
     if cell.comparison == COMPARISON_NEVER:
         return np.isinf(labels)
     # not yet treated by t + delta, and not in group g
@@ -100,28 +100,40 @@ def _cohort_mask(panel, cell):
     return untreated & (labels != cell.g)
 
 
-def _cohort_mean(panel, mask, period, cell):
+def _memo_mean(panel, mask, period, memo):
+    """Mean over the units in `mask` at `period`, computed once per memo."""
+    key = (mask.tobytes(), period)
+    if key not in memo:
+        memo[key] = group_means(panel, period, mask).mean
+    return memo[key]
+
+
+def _cohort_mean(panel, mask, period, cell, memo):
     if not mask.any():
         raise EmptyCohortError(
             f"comparison cohort for cell (g={cell.g}, t={cell.t}) is empty "
             f"at period {period}",
             period=period,
         )
-    return group_means(panel, period, mask).mean
+    return _memo_mean(panel, mask, period, memo)
 
 
-def _treated_mean(panel, cell, period):
-    mask = np.array(panel.group_labels, dtype=float) == cell.g
+def _treated_mean(panel, cell, period, memo):
+    mask = panel.group_label_array == cell.g
     if not mask.any():
         raise EmptyCohortError(
             f"no units in group g={cell.g}", period=period
         )
-    return group_means(panel, period, mask).mean
+    return _memo_mean(panel, mask, period, memo)
 
 
-def estimate_group_time_gatt(panel, cell):
+def estimate_group_time_gatt(panel, cell, *, _memo=None):
     """Group-time effect for one admissible cell, in the cell's `estimator_form`
-    (None: the shortcut on path-independent spaces, else the recursion)."""
+    (None: the shortcut on path-independent spaces, else the recursion).
+
+    `_memo` maps (unit selector bytes, period) to a group mean; it lets
+    `estimate_all_cells` share means between the cells of one call.
+    """
     if not cell_admissible(panel, cell):
         raise InadmissibleCellError(
             f"cell (g={cell.g}, t={cell.t}, delta={cell.delta}, "
@@ -139,15 +151,16 @@ def estimate_group_time_gatt(panel, cell):
             f"shortcut form requires a path-independent transport map; "
             f"space {panel.space_id!r} does not provide one"
         )
+    memo = {} if _memo is None else _memo
     mask = _cohort_mask(panel, cell)
     base = cell.g - cell.delta - 1
-    treated_base = _treated_mean(panel, cell, base)
-    treated_end = _treated_mean(panel, cell, cell.t)
+    treated_base = _treated_mean(panel, cell, base, memo)
+    treated_end = _treated_mean(panel, cell, cell.t, memo)
 
     if form == FORM_SHORTCUT:
         comparison_trend = Geodesic(
-            _cohort_mean(panel, mask, base, cell),
-            _cohort_mean(panel, mask, cell.t, cell),
+            _cohort_mean(panel, mask, base, cell, memo),
+            _cohort_mean(panel, mask, cell.t, cell, memo),
         )
         treated_trend = Geodesic(treated_base, treated_end)
         effect = geodesic_difference(comparison_trend, treated_trend)
@@ -155,9 +168,9 @@ def estimate_group_time_gatt(panel, cell):
     else:
         beta = treated_base
         beta_path = [beta]
-        prev = _cohort_mean(panel, mask, base, cell)
+        prev = _cohort_mean(panel, mask, base, cell, memo)
         for s in range(base + 1, cell.t + 1):
-            curr = _cohort_mean(panel, mask, s, cell)
+            curr = _cohort_mean(panel, mask, s, cell, memo)
             beta = transport(prev, curr, beta)
             beta_path.append(beta)
             prev = curr
@@ -174,8 +187,15 @@ def estimate_group_time_gatt(panel, cell):
 
 
 def estimate_all_cells(panel, delta=0, comparison=COMPARISON_NEVER, estimator_form=None):
-    """Estimate every admissible cell in `estimator_form`; returns a list of GroupTimeGatt."""
+    """Estimate every admissible cell in `estimator_form`; returns a list of GroupTimeGatt.
+
+    Each distinct (unit set, period) mean is computed once per call and
+    shared by the cells that need it; nothing is kept between calls.
+    """
+    memo = {}
     return [
-        estimate_group_time_gatt(panel, replace(cell, estimator_form=estimator_form))
+        estimate_group_time_gatt(
+            panel, replace(cell, estimator_form=estimator_form), _memo=memo
+        )
         for cell in enumerate_cells(panel, delta=delta, comparison=comparison)
     ]

@@ -6,9 +6,15 @@ command's JSON output must equal its recorded copy under `tests/golden/`.
 Re-record, only when an output is meant to change, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+and, before that, see how far the new outputs are from the recorded ones
+(identical, the largest float deviation, or a structural difference) with
+
+    PYTHONPATH=src python tests/test_golden.py --compare
 """
 
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -99,6 +105,51 @@ def produce(root):
     return outputs
 
 
+# a number in JSON or CSV text; floats are told apart from ints by "." or "e"
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _split_numbers(text):
+    """(text with every number replaced by its kind, list of the numbers)."""
+    numbers = []
+
+    def mark(match):
+        token = match.group()
+        numbers.append(float(token))
+        return "<float>" if any(c in token for c in ".eE") else "<int>"
+
+    return NUMBER.sub(mark, text), numbers
+
+
+def deviation(new, old):
+    """Largest absolute difference between the numbers of two outputs, or None
+    when they differ in anything else (keys, structure, strings, number kinds)."""
+    new_shape, new_numbers = _split_numbers(new)
+    old_shape, old_numbers = _split_numbers(old)
+    if new_shape != old_shape:
+        return None
+    return max((abs(a - b) for a, b in zip(new_numbers, old_numbers)), default=0.0)
+
+
+def compare(recorded):
+    """Print how each produced output differs from its golden file; writes
+    nothing. Returns True when every file exists on both sides with the same
+    structure."""
+    ok = True
+    golden = {p.name: p.read_text() for p in GOLDEN.glob("*.json")}
+    for name in sorted(set(recorded) | set(golden)):
+        if name not in golden or name not in recorded:
+            status = "only produced" if name in recorded else "only golden"
+        elif recorded[name] == golden[name]:
+            status = "identical"
+        else:
+            dev = deviation(recorded[name], golden[name])
+            status = "structure differs" if dev is None else f"max deviation {dev:.3g}"
+        ok &= status == "identical" or status.startswith("max deviation")
+        sys.stdout.write(f"{name}: {status}\n")
+    return ok
+
+
 @pytest.fixture(scope="module")
 def produced(tmp_path_factory):
     return produce(tmp_path_factory.mktemp("golden"))
@@ -113,11 +164,32 @@ def test_output_matches_golden(produced, name):
     assert produced[name] == (GOLDEN / name).read_text()
 
 
+def test_deviation_reports_numbers_and_structure():
+    old = '{"a": [1, 0.5, 1e-05], "b": "x"}\n'
+    assert deviation(old, old) == 0.0
+    assert deviation(old.replace("0.5", "0.5000000000001"), old) == pytest.approx(1e-13)
+    assert deviation(old.replace("1e-05", "2e-05"), old) == pytest.approx(1e-5)
+    assert deviation(old.replace('"b"', '"c"'), old) is None  # a key
+    assert deviation(old.replace('"x"', '"y"'), old) is None  # a string
+    assert deviation(old.replace(", 1e-05", ""), old) is None  # a list's length
+    assert deviation(old.replace("[1,", "[1.0,"), old) is None  # an int became a float
+
+
 if __name__ == "__main__":
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(description="Re-record or compare the golden outputs.")
+    parser.add_argument(
+        "--compare",
+        action="store_true",
+        help="print each file's deviation from its golden copy instead of re-recording",
+    )
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         recorded = produce(tmp)
+    if args.compare:
+        sys.exit(0 if compare(recorded) else 1)
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.glob("*.json"):
         old.unlink()

@@ -69,6 +69,35 @@ def test_never_treated_label_is_infinite():
     assert panel.group_labels[1] == 1
 
 
+def loop_group_labels(treatment):
+    """The per-unit loop `group_labels` replaced, kept as its oracle."""
+    labels = []
+    for row in treatment:
+        treated = np.flatnonzero(row)
+        labels.append(int(treated[0]) if len(treated) else NEVER_TREATED)
+    return tuple(labels)
+
+
+@pytest.mark.parametrize("design", ["mixed", "all never", "all treated by the end"])
+def test_group_labels_match_per_unit_loop(design):
+    rng = np.random.default_rng(17)
+    for n, t in ((1, 2), (6, 3), (40, 10)):
+        # first treated period per unit; t stands for never treated
+        first = {
+            "mixed": rng.integers(1, t + 1, n),
+            "all never": np.full(n, t),
+            "all treated by the end": rng.integers(1, t, n),
+        }[design]
+        panel = make_panel(np.arange(t)[None, :] >= first[:, None])
+        labels = panel.group_labels
+        assert labels == loop_group_labels(panel.treatment)
+        # plain Python values, so JSON output keeps writing "g": 3
+        assert all(type(g) is int or (type(g) is float and g == math.inf) for g in labels)
+        np.testing.assert_array_equal(panel.group_label_array, np.array(labels, dtype=float))
+        assert not panel.group_label_array.flags.writeable
+        assert panel.group_labels is labels
+
+
 def test_subset_periods():
     panel = make_panel([[0, 0, 1], [0, 0, 0]])
     sub = panel.subset_periods((0, 1))

@@ -4,9 +4,11 @@ import pytest
 from geodid.errors import (
     DegenerateTangentError,
     InvariantViolationError,
+    NonConvergenceError,
     OrthantExitWarning,
     SpaceMismatchError,
 )
+from geodid.spaces import sphere
 from geodid.spaces.sphere import (
     UnitCompositionPoint,
     distance,
@@ -138,3 +140,105 @@ def test_exp_log_round_trip():
         assert np.linalg.norm(v) == pytest.approx(distance(base, target), abs=1e-10)
         back = exp_map(base, v)
         assert distance(back, target) < 1e-10
+
+
+def loop_mean(points, weights):
+    """The point-by-point Karcher loop that `sphere.mean` batched, kept as its oracle."""
+    coords = np.array([p.coords for p in points])
+    w = weights / weights.sum()
+    extrinsic = w @ coords
+    if np.linalg.norm(extrinsic) < 1e-8:
+        # near-degenerate configuration; start from the first point instead
+        current = points[0]
+    else:
+        current = sphere._finish(extrinsic)
+    for iteration in range(1, sphere.MEAN_MAX_ITER + 1):
+        tangent = np.zeros(current.dim)
+        for point, wi in zip(points, w):
+            tangent += wi * log_map(current, point)
+        step = float(np.linalg.norm(tangent))
+        current = exp_map(current, tangent)
+        if step < sphere.MEAN_TOL:
+            return current, iteration
+    raise NonConvergenceError(
+        f"sphere mean did not converge in {sphere.MEAN_MAX_ITER} iterations "
+        f"(last step {step:.3e})",
+        iterations=sphere.MEAN_MAX_ITER,
+        last_step=step,
+    )
+
+
+def assert_mean_matches_loop(points, weights=None):
+    weights = np.ones(len(points)) if weights is None else np.asarray(weights, float)
+    batched, batched_iters = sphere.mean(points, weights)
+    looped, looped_iters = loop_mean(points, weights)
+    np.testing.assert_allclose(batched.coords, looped.coords, rtol=0, atol=1e-12)
+    assert batched_iters == looped_iters
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 50])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_mean_matches_loop_on_random_points(dim, weighted):
+    rng = np.random.default_rng(100 + dim)
+    for n in (1, 2, 7, 40):
+        points = [random_composition(rng, dim=dim) for _ in range(n)]
+        weights = rng.uniform(0.1, 3.0, n) if weighted else None
+        assert_mean_matches_loop(points, weights)
+
+
+def test_mean_matches_loop_on_orthant_boundary():
+    # compositions with zero shares, vertices included
+    rng = np.random.default_rng(7)
+    for dim in (3, 5):
+        for n in (2, 6, 25):
+            points = []
+            for _ in range(n):
+                shares = rng.dirichlet(np.ones(dim))
+                shares[rng.random(dim) < 0.5] = 0.0
+                if shares.sum() == 0.0:
+                    shares[rng.integers(dim)] = 1.0
+                points.append(embed_composition(shares / shares.sum()))
+            points.append(embed_composition(np.eye(dim)[0]))
+            assert_mean_matches_loop(points)
+            assert_mean_matches_loop(points, rng.uniform(0.1, 3.0, len(points)))
+
+
+def test_mean_matches_loop_on_spread_near_vertices():
+    # every point sits near a vertex, so pairs are almost pi/2 apart
+    rng = np.random.default_rng(8)
+    for dim in (2, 3, 5):
+        for eps in (1e-2, 1e-4, 1e-8):
+            points = []
+            for k in range(2 * dim):
+                shares = np.full(dim, eps / (dim - 1)) * rng.uniform(0.5, 1.5, dim)
+                shares[k % dim] = 0.0
+                shares[k % dim] = 1.0 - shares.sum()
+                points.append(embed_composition(shares))
+            assert_mean_matches_loop(points)
+            assert_mean_matches_loop(points, rng.uniform(0.1, 3.0, len(points)))
+
+
+def test_mean_matches_loop_when_a_point_is_the_start():
+    # p + q is parallel to c, and every sum below is exact in binary, so the
+    # extrinsic start is c itself and c's log map takes the theta < 1e-14 branch
+    c = UnitCompositionPoint(np.full(4, 0.5))
+    direction = np.array([0.6, 0.4, 0.55, 0.45])
+    p = np.round(direction / np.linalg.norm(direction) * 2.0**40) / 2.0**40
+    q = p.sum() / 2 - p
+    points = [c, c, UnitCompositionPoint(p), UnitCompositionPoint(q)]
+    start = sphere._finish(np.full(4, 0.25) @ np.array([x.coords for x in points]))
+    np.testing.assert_array_equal(start.coords, c.coords)
+    assert np.arccos(min(c.coords @ start.coords, 1.0)) < 1e-14
+    assert_mean_matches_loop(points)
+    mean, _ = sphere.mean(points, np.ones(4))
+    assert distance(mean, c) < 1e-12
+
+
+def test_mean_raises_when_iterations_run_out(monkeypatch):
+    rng = np.random.default_rng(9)
+    points = [random_composition(rng, dim=4) for _ in range(10)]
+    monkeypatch.setattr(sphere, "MEAN_MAX_ITER", 1)
+    with pytest.raises(NonConvergenceError) as info:
+        sphere.mean(points, np.ones(len(points)))
+    assert info.value.iterations == 1
+    assert info.value.last_step > sphere.MEAN_TOL

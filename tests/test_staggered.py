@@ -1,11 +1,14 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from geodid import staggered
 from geodid.did import estimate_gatt
 from geodid.errors import EmptyCohortError, InadmissibleCellError
-from geodid.geometry import distance, quotient_distance
+from geodid.geometry import distance, is_path_independent, quotient_distance
+from geodid.io import staggered_to_jsonable
 from geodid.panel import PanelDataset
 from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.staggered import (
@@ -200,3 +203,54 @@ def test_not_yet_treated_uses_larger_pool():
     assert never.magnitude == pytest.approx(0.0, abs=1e-12)
     # pooled trend is (1 + 3) / 2 = 2, so the counterfactual overshoots by 1
     assert notyet.magnitude == pytest.approx(1.0, abs=1e-12)
+
+
+def record_group_means(monkeypatch):
+    """Replace `staggered.group_means` by a wrapper that logs (selector bytes, period)."""
+    calls = []
+    original = staggered.group_means
+
+    def logged(panel, period, selector):
+        calls.append((np.asarray(selector, dtype=bool).tobytes(), period))
+        return original(panel, period, selector)
+
+    monkeypatch.setattr(staggered, "group_means", logged)
+    return calls
+
+
+@pytest.mark.parametrize("space", ["wasserstein", "sphere", "frobenius"])
+@pytest.mark.parametrize("comparison", [COMPARISON_NEVER, COMPARISON_NOT_YET])
+@pytest.mark.parametrize("delta", [0, 1])
+def test_estimate_all_cells_computes_each_mean_once(monkeypatch, space, comparison, delta):
+    rng = np.random.default_rng(53)
+    panel = random_staggered_panel(
+        rng, space, [None, None, 2, 2, 3, 4], n_periods=6, units_per_group=2
+    )
+    calls = record_group_means(monkeypatch)
+    forms = [None, FORM_RECURSIVE]
+    if is_path_independent(space):
+        forms.append(FORM_SHORTCUT)
+    for form in forms:
+        cells = [
+            replace(cell, estimator_form=form)
+            for cell in enumerate_cells(panel, delta=delta, comparison=comparison)
+        ]
+        assert len(cells) > 1
+        calls.clear()
+        one_by_one = [estimate_group_time_gatt(panel, cell) for cell in cells]
+        needed = set(calls)
+        # cells share means, so the memo has something to save
+        assert len(calls) > len(needed)
+
+        for _ in range(2):
+            calls.clear()
+            together = estimate_all_cells(
+                panel, delta=delta, comparison=comparison, estimator_form=form
+            )
+            # once per distinct (unit set, period), and again on the next call
+            assert len(calls) == len(set(calls)) == len(needed)
+            assert set(calls) == needed
+            # json floats round-trip, so equal text is equal bits
+            assert json.dumps(
+                staggered_to_jsonable(together, space, delta, comparison)
+            ) == json.dumps(staggered_to_jsonable(one_by_one, space, delta, comparison))
