@@ -4,6 +4,7 @@ and the Monte Carlo convergence study."""
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import io as gio
 from .did import estimate_gatt, placebo_pretrend
@@ -14,16 +15,15 @@ from .errors import (
     ParseError,
 )
 from .simulate import SimConfig, configs_for_sizes, run_monte_carlo
-from .staggered import (
-    COMPARISON_NEVER,
-    COMPARISON_NOT_YET,
-    FORM_RECURSIVE,
-    estimate_all_cells,
-)
+from .staggered import FORM_RECURSIVE, estimate_all_cells
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_ESTIMATION = 3
+
+# every SimConfig field but the space and the sizes is a `simulate` flag of its own type
+_SIM_KNOBS = [f for f in fields(SimConfig) if f.name not in ("space", "n")]
+_SIM_FLAG_NAMES = {"sample_size_per_dist": "samples-per-dist"}
 
 
 def _emit(payload, out_path):
@@ -75,21 +75,9 @@ def build_parser():
     p_sim = sub.add_parser("simulate", help="Monte Carlo convergence study")
     p_sim.add_argument("--space", choices=["wasserstein", "network"], required=True)
     p_sim.add_argument("--n", default="50,200,1000", help="comma-separated sample sizes")
-    p_sim.add_argument("--q", type=int, default=200)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--treat-prob", type=float, default=0.25)
-    p_sim.add_argument("--alpha1", type=float, default=1.0)
-    p_sim.add_argument("--alpha2", type=float, default=1.0)
-    p_sim.add_argument("--alpha3", type=float, default=1.0)
-    p_sim.add_argument("--beta", type=float, default=1.0)
-    p_sim.add_argument("--grid-size", type=int, default=100)
-    p_sim.add_argument("--samples-per-dist", type=int, default=100)
-    p_sim.add_argument("--m1", type=int, default=5)
-    p_sim.add_argument("--m2", type=int, default=5)
-    p_sim.add_argument("--p11", type=float, default=0.5)
-    p_sim.add_argument("--p12", type=float, default=0.2)
-    p_sim.add_argument("--p21", type=float, default=0.2)
-    p_sim.add_argument("--p22", type=float, default=0.5)
+    for knob in _SIM_KNOBS:
+        flag = "--" + _SIM_FLAG_NAMES.get(knob.name, knob.name.replace("_", "-"))
+        p_sim.add_argument(flag, dest=knob.name, type=type(knob.default), default=knob.default)
     p_sim.add_argument("--out", default=None)
     p_sim.add_argument("--errors-csv", default=None)
     return parser
@@ -114,13 +102,10 @@ def _cmd_placebo(args):
 
 def _cmd_staggered(args):
     panel = gio.load_panel(args.manifest)
-    comparison = (
-        COMPARISON_NEVER if args.comparison == "never" else COMPARISON_NOT_YET
-    )
     results = estimate_all_cells(
         panel,
         delta=args.delta,
-        comparison=comparison,
+        comparison=args.comparison,
         estimator_form=args.estimator_form,
     )
     _emit(
@@ -134,25 +119,8 @@ def _cmd_simulate(args):
     sizes = _int_list(args.n)
     if not sizes:
         raise ParseError("--n expects at least one sample size")
-    base = SimConfig(
-        space=args.space,
-        q=args.q,
-        seed=args.seed,
-        treat_prob=args.treat_prob,
-        grid_size=args.grid_size,
-        sample_size_per_dist=args.samples_per_dist,
-        alpha1=args.alpha1,
-        alpha2=args.alpha2,
-        alpha3=args.alpha3,
-        beta=args.beta,
-        m1=args.m1,
-        m2=args.m2,
-        p11=args.p11,
-        p12=args.p12,
-        p21=args.p21,
-        p22=args.p22,
-        n=sizes[0],
-    )
+    knobs = {knob.name: getattr(args, knob.name) for knob in _SIM_KNOBS}
+    base = SimConfig(space=args.space, n=sizes[0], **knobs)
     report = run_monte_carlo(configs_for_sizes(base, sizes))
     _emit(gio.report_to_jsonable(report), args.out)
     if args.errors_csv:

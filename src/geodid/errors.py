@@ -47,7 +47,11 @@ class ParseError(GeodidError):
 
 
 class InvariantViolationError(GeodidError):
-    """Loaded data violates a space or panel invariant."""
+    """Loaded data violates a space or panel invariant; `index` locates a bad point in a stack."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class MissingOutcomeError(GeodidError):

@@ -1,9 +1,9 @@
 """Empirical Frechet means.
 
-Each space backend computes its own mean: closed forms for the Wasserstein
-space (mean of quantile functions) and the Frobenius space (entrywise matrix
-mean), and on the sphere a unit-step Karcher iteration whose tangent-space
-average takes all the points' log maps in one array step.
+Each space backend averages a `(k, *point_shape)` stack: closed forms for the
+Wasserstein space (mean of quantile functions) and the Frobenius space
+(entrywise matrix mean), and on the sphere a unit-step Karcher iteration whose
+tangent-space average takes all the points' log maps in one array step.
 """
 
 from dataclasses import dataclass
@@ -11,14 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGroupError
-from .geometry import backend_of
+from .geometry import _BACKENDS, backend_of
 
 
 @dataclass(frozen=True)
 class FrechetResult:
     mean: object
     iterations: int
-    converged: bool
 
 
 def frechet_mean(points, weights=None):
@@ -34,8 +33,9 @@ def frechet_mean(points, weights=None):
             raise ValueError("weights and points must have equal length")
         if np.any(weights < 0) or weights.sum() <= 0:
             raise ValueError("weights must be nonnegative with positive sum")
-    mean, iterations = backend_of(*points).mean(points, weights)
-    return FrechetResult(mean, iterations, True)
+    backend = backend_of(*points)
+    stack, fields = backend.stack_points(points)
+    return FrechetResult(*backend.mean(stack, weights, **fields))
 
 
 def group_means(panel, period, selector):
@@ -46,5 +46,6 @@ def group_means(panel, period, selector):
     selector = np.asarray(selector, dtype=bool)
     if not selector.any():
         raise EmptyGroupError(f"selected group is empty at period {period}")
-    points = [panel.outcomes[i][period] for i in np.flatnonzero(selector)]
-    return frechet_mean(points)
+    stack = panel.data[selector, period]
+    backend = _BACKENDS[panel.space_id]
+    return FrechetResult(*backend.mean(stack, np.ones(len(stack)), **panel.fields))

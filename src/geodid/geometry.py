@@ -6,7 +6,7 @@ metric are built on top of the per-space transport maps. `_BACKENDS` is the
 one table that maps a space id to the module implementing it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SpaceMismatchError
 from .spaces import matrix as _matrix
@@ -53,15 +53,13 @@ class Geodesic:
 
     start: object
     end: object
-    _space_id: str = field(init=False, repr=False)
 
     def __post_init__(self):
         backend_of(self.start, self.end)
-        object.__setattr__(self, "_space_id", self.start.space_id)
 
     @property
     def space_id(self):
-        return self._space_id
+        return self.start.space_id
 
     def length(self):
         return distance(self.start, self.end)

@@ -19,21 +19,12 @@ from .errors import (
 )
 from .geometry import _BACKENDS, backend_of
 from .panel import PanelDataset
-from .spaces.wasserstein import FORMAT_SAMPLES
+from .spaces import FORMAT_INLINE
+from .spaces.matrix import FORMAT_MATRIX_CSV, FORMAT_MATRIX_JSON
+from .spaces.sphere import FORMAT_COMPOSITION
+from .spaces.wasserstein import FORMAT_QUANTILE, FORMAT_SAMPLES
 
 SCHEMA_VERSION = 1
-
-FORMAT_QUANTILE = "quantile-csv"
-FORMAT_COMPOSITION = "composition-csv"
-FORMAT_MATRIX_CSV = "matrix-csv"
-FORMAT_MATRIX_JSON = "matrix-json"
-FORMAT_INLINE = "inline"
-
-_SPACE_FORMATS = {
-    "wasserstein": {FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_INLINE},
-    "sphere": {FORMAT_COMPOSITION, FORMAT_INLINE},
-    "frobenius": {FORMAT_MATRIX_CSV, FORMAT_MATRIX_JSON, FORMAT_INLINE},
-}
 
 
 def _read_numbers_csv(path):
@@ -96,10 +87,10 @@ def load_panel(manifest_path):
         raise ParseError(f"{manifest_path}: manifest must be a JSON object")
 
     space = manifest.get("space")
-    if not isinstance(space, str) or space not in _SPACE_FORMATS:
+    if not isinstance(space, str) or space not in _BACKENDS:
         raise ParseError(f"unknown or missing space {space!r}")
     fmt = manifest.get("format", FORMAT_INLINE)
-    if not isinstance(fmt, str) or fmt not in _SPACE_FORMATS[space]:
+    if not isinstance(fmt, str) or fmt not in _BACKENDS[space].FORMATS:
         raise ParseError(f"format {fmt!r} is not valid for space {space!r}")
     units = manifest.get("units")
     if not units or not isinstance(units, list):
@@ -142,15 +133,15 @@ def save_panel(panel, manifest_path, fmt=FORMAT_INLINE):
     """Write a panel back to a manifest (plus per-cell data files if not inline)."""
     manifest_path = Path(manifest_path)
     space = panel.space_id
-    if fmt not in _SPACE_FORMATS[space] or fmt == FORMAT_SAMPLES:
-        raise ValueError(f"cannot save space {space!r} in format {fmt!r}")
     backend = _BACKENDS[space]
+    if fmt not in backend.FORMATS or fmt == FORMAT_SAMPLES:
+        raise ValueError(f"cannot save space {space!r} in format {fmt!r}")
     manifest = {
         "space": space,
         "periods": panel.n_periods,
         "format": fmt,
         "units": [],
-        **backend.manifest_fields(panel.outcomes[0][0]),
+        **backend.manifest_fields(panel.point(0, 0)),
     }
     base_dir = manifest_path.parent
     for i in range(panel.n_units):
@@ -161,7 +152,7 @@ def save_panel(panel, manifest_path, fmt=FORMAT_INLINE):
             "outcomes": [],
         }
         for t in range(panel.n_periods):
-            data = backend.to_data(panel.outcomes[i][t])
+            data = backend.to_data(panel.data[i, t])
             if fmt == FORMAT_INLINE:
                 record["outcomes"].append(data)
                 continue

@@ -1,88 +1,105 @@
 """Panel data container shared by the canonical and staggered estimators."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvariantViolationError, SpaceMismatchError
+from .errors import InvariantViolationError
+from .geometry import _BACKENDS, backend_of
 
 NEVER_TREATED = math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PanelDataset:
-    """Per-unit outcome sequences with per-period treatment indicators.
+    """Outcomes of n units over T periods in one space, with treatment indicators.
 
-    outcomes[i][t] is the outcome of unit i at period t; treatment[i, t] is
-    the 0/1 indicator. Treatment must be staggered: nobody is treated at
-    period 0 and treatment is never reversed.
+    `data` has shape `(n_units, n_periods, *point_shape)` and `point(i, t)`
+    is unit i's outcome at period t; `fields` are the keywords its space's
+    point class takes beyond the array (the Frobenius `kind`), one value per
+    panel. treatment[i, t] is the 0/1 indicator. Treatment must be staggered:
+    nobody is treated at period 0 and treatment is never reversed.
     """
 
-    outcomes: tuple
+    data: np.ndarray
     treatment: np.ndarray
-    unit_ids: tuple = field(default=None)
+    space_id: str
+    fields: dict
+    unit_ids: tuple
 
-    def __post_init__(self):
-        outcomes = tuple(tuple(row) for row in self.outcomes)
-        treatment = np.asarray(self.treatment)
+    def __init__(self, outcomes, treatment, unit_ids=None):
+        """Panel from points, outcomes[i][t] (Frobenius: of their common kind, else free)."""
+        grid = np.array(outcomes, dtype=object)
+        if grid.size == 0 or grid.ndim != 2:
+            raise InvariantViolationError("outcomes must be a non-empty units x periods table")
+        stack, fields = backend_of(*grid.flat).stack_points(grid.ravel())
+        data = stack.reshape(grid.shape + stack.shape[1:])
+        self._set(data, treatment, grid[0, 0].space_id, fields, unit_ids)
+
+    @classmethod
+    def from_array(cls, data, treatment, space_id, fields, unit_ids=None):
+        """Panel from an outcome array, validated at once; a bad point names its unit and period."""
+        panel = cls.__new__(cls)
+        panel._set(data, treatment, space_id, fields, unit_ids)
+        return panel
+
+    def _set(self, data, treatment, space_id, fields, unit_ids):
+        object.__setattr__(self, "unit_ids", None if unit_ids is None else tuple(unit_ids))
+        treatment = np.asarray(treatment)
         # checked before the cast to int, which would truncate 0.5 to 0
         if not np.isin(treatment, (0, 1)).all():
             raise InvariantViolationError("treatment indicators must be 0 or 1")
         treatment = treatment.astype(int, copy=False)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "treatment", treatment)
-        n = len(outcomes)
-        if n == 0:
-            raise InvariantViolationError("panel has no units")
-        periods = len(outcomes[0])
+        # a read-only view: the panel never writes, and its points share the memory
+        data = np.asarray(data, dtype=float).view()
+        if data.ndim < 2 or 0 in data.shape[:2]:
+            raise InvariantViolationError("panel has no units or no periods")
+        n, periods = data.shape[:2]
         if treatment.shape != (n, periods):
             raise InvariantViolationError(
                 f"treatment shape {treatment.shape} does not match "
                 f"{n} units x {periods} periods"
             )
+        if self.unit_ids is not None and len(self.unit_ids) != n:
+            raise InvariantViolationError("unit_ids length mismatch")
         if np.any(treatment[:, 0] != 0):
             bad = int(np.flatnonzero(treatment[:, 0])[0])
-            raise InvariantViolationError(
-                f"unit {self._name(bad)} is treated at period 0"
-            )
-        if np.any(np.diff(treatment, axis=1) < 0):
-            bad = int(np.flatnonzero(np.any(np.diff(treatment, axis=1) < 0, axis=1))[0])
-            raise InvariantViolationError(
-                f"unit {self._name(bad)} reverses treatment"
-            )
-        space = outcomes[0][0].space_id
-        for i, row in enumerate(outcomes):
-            if len(row) != periods:
-                raise InvariantViolationError(
-                    f"unit {self._name(i)} has {len(row)} outcomes, expected {periods}"
-                )
-            for t, point in enumerate(row):
-                if point.space_id != space:
-                    raise SpaceMismatchError(
-                        f"unit {self._name(i)} period {t}: outcome in space "
-                        f"{point.space_id}, expected {space}"
-                    )
-        if self.unit_ids is not None:
-            object.__setattr__(self, "unit_ids", tuple(self.unit_ids))
-            if len(self.unit_ids) != n:
-                raise InvariantViolationError("unit_ids length mismatch")
+            raise InvariantViolationError(f"unit {self._name(bad)} is treated at period 0")
+        reverses = np.any(np.diff(treatment, axis=1) < 0, axis=1)
+        if reverses.any():
+            bad = int(reverses.argmax())
+            raise InvariantViolationError(f"unit {self._name(bad)} reverses treatment")
+        if space_id not in _BACKENDS:
+            raise InvariantViolationError(f"unknown space {space_id!r}")
+        try:
+            _BACKENDS[space_id].validate(data.reshape(n * periods, *data.shape[2:]), **fields)
+        except InvariantViolationError as exc:
+            if exc.index is None:
+                raise
+            i, t = divmod(exc.index, periods)
+            raise InvariantViolationError(f"unit {self._name(i)} period {t}: {exc}") from None
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "treatment", treatment)
+        object.__setattr__(self, "space_id", space_id)
+        object.__setattr__(self, "fields", dict(fields))
 
     def _name(self, i):
         return self.unit_ids[i] if self.unit_ids is not None else i
 
     @property
     def n_units(self):
-        return len(self.outcomes)
+        return self.data.shape[0]
 
     @property
     def n_periods(self):
-        return len(self.outcomes[0])
+        return self.data.shape[1]
 
-    @property
-    def space_id(self):
-        return self.outcomes[0][0].space_id
+    def point(self, i, t):
+        """Outcome of unit i at period t as a point of the panel's space."""
+        return _BACKENDS[self.space_id].POINT(self.data[i, t], **self.fields)
 
     @cached_property
     def group_label_array(self):
@@ -109,7 +126,9 @@ class PanelDataset:
         `treatment` overrides the indicator matrix, e.g. to recast a pre-period
         pair as a synthetic two-period design.
         """
-        outcomes = tuple(tuple(row[t] for t in periods) for row in self.outcomes)
+        periods = list(periods)
         if treatment is None:
-            treatment = self.treatment[:, list(periods)]
-        return PanelDataset(outcomes, treatment, unit_ids=self.unit_ids)
+            treatment = self.treatment[:, periods]
+        return PanelDataset.from_array(
+            self.data[:, periods], treatment, self.space_id, self.fields, self.unit_ids
+        )

@@ -99,7 +99,6 @@ def generate_wasserstein_panel(config, rng):
     n, s = config.n, config.sample_size_per_dist
     d = (rng.random(n) < config.treat_prob).astype(int)
     grid = midpoint_grid(config.grid_size)
-    outcomes = []
     curves = np.empty((n, 2, config.grid_size))
     for t in (0, 1):
         mu = rng.normal(config.alpha2 * t, 1.0, size=n)
@@ -107,12 +106,9 @@ def generate_wasserstein_panel(config, rng):
         # inverse-CDF sampling keeps a single source of truth for the normal quantile
         draws = mu[:, None] + sigma[:, None] * norm.ppf(rng.random((n, s)))
         curves[:, t, :] = np.quantile(draws, grid, axis=1).T
-    for i in range(n):
-        outcomes.append(
-            (QuantileCurve(curves[i, 0]), QuantileCurve(curves[i, 1]))
-        )
     treatment = np.column_stack([np.zeros(n, dtype=int), d])
-    return PanelDataset(tuple(outcomes), treatment), true_wasserstein_gatt(config)
+    panel = PanelDataset.from_array(curves, treatment, "wasserstein", {})
+    return panel, true_wasserstein_gatt(config)
 
 
 def _block_probabilities(config):
@@ -148,30 +144,23 @@ def generate_network_panel(config, rng):
     m, probs = _block_probabilities(config)
     d = (rng.random(n) < config.treat_prob).astype(int)
     iu = np.triu_indices(m, k=1)
-    edge_probs = probs[iu]
-    outcomes = []
-    for i in range(n):
-        row = []
-        for t in (0, 1):
-            present = rng.random(len(edge_probs)) < edge_probs
-            noise = rng.uniform(-1.0, 1.0, size=len(edge_probs))
-            base = (
-                config.alpha1
-                + config.alpha2 * t
-                + config.alpha3 * d[i]
-                + config.beta * d[i] * t
-            )
-            w = np.where(present, base + noise, 0.0)
-            weights = np.zeros((m, m))
-            weights[iu] = w
-            weights += weights.T
-            lap = -weights
-            np.fill_diagonal(lap, weights.sum(axis=1))
-            kind = KIND_LAPLACIAN if w.min() >= 0.0 else KIND_FREE
-            row.append(SymmetricMatrixPoint(lap, kind=kind))
-        outcomes.append(tuple(row))
+    # per unit and period the edge-presence uniforms, then the edge-noise ones,
+    # as a unit-by-unit loop draws them (rng.uniform(-1, 1) computes -1 + 2u)
+    draws = rng.random((n, 2, 2, len(iu[0])))
+    t, dc = np.arange(2), d[:, None]
+    w = -1.0 + 2.0 * draws[:, :, 1]
+    w += (config.alpha1 + config.alpha2 * t + config.alpha3 * dc + config.beta * dc * t)[..., None]
+    w[draws[:, :, 0] >= probs[iu]] = 0.0
+    kind = KIND_LAPLACIAN if w.min() >= 0.0 else KIND_FREE
+    laps = np.zeros((n, 2, m, m))
+    laps[..., iu[0], iu[1]] = laps[..., iu[1], iu[0]] = w
+    del draws, w  # peak memory: freed before validation makes its temporaries
+    degrees = laps.sum(axis=-1)
+    np.negative(laps, out=laps)
+    laps[..., np.arange(m), np.arange(m)] = degrees
     treatment = np.column_stack([np.zeros(n, dtype=int), d])
-    return PanelDataset(tuple(outcomes), treatment), true_network_gatt(config)
+    panel = PanelDataset.from_array(laps, treatment, "frobenius", {"kind": kind})
+    return panel, true_network_gatt(config)
 
 
 def generate_panel(config, rng):

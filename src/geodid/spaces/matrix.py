@@ -9,11 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (
-    InvariantViolationError,
-    KindViolationWarning,
-    SpaceMismatchError,
-)
+from ..errors import InvariantViolationError, KindViolationWarning
+from . import FORMAT_INLINE, check_points, check_same_shape
 
 SYMMETRY_TOL = 1e-10
 LAPLACIAN_TOL = 1e-8
@@ -23,17 +20,32 @@ KIND_LAPLACIAN = "laplacian"
 KIND_COVARIANCE = "covariance"
 KIND_FREE = "free"
 PATH_INDEPENDENT = True
+FORMAT_MATRIX_CSV = "matrix-csv"
+FORMAT_MATRIX_JSON = "matrix-json"
+FORMATS = (FORMAT_MATRIX_CSV, FORMAT_MATRIX_JSON, FORMAT_INLINE)
 
 
-def _kind_ok(entries, kind):
+def _kind_ok(stack, kind):
+    """Per matrix of a (k, m, m) stack: whether it has `kind`'s structure."""
     if kind == KIND_LAPLACIAN:
-        if np.any(np.abs(entries.sum(axis=1)) > LAPLACIAN_TOL):
-            return False
-        off = entries[~np.eye(len(entries), dtype=bool)]
-        return not np.any(off > LAPLACIAN_TOL)
+        off = ~np.eye(stack.shape[-1], dtype=bool)
+        rows_sum_to_zero = ~(np.abs(stack.sum(axis=-1)) > LAPLACIAN_TOL).any(axis=-1)
+        return rows_sum_to_zero & ~((stack > LAPLACIAN_TOL) & off).any(axis=(1, 2))
     if kind == KIND_COVARIANCE:
-        return float(np.linalg.eigvalsh(entries)[0]) >= -PSD_TOL
-    return True
+        return np.linalg.eigvalsh(stack)[:, 0] >= -PSD_TOL
+    return np.ones(len(stack), dtype=bool)
+
+
+def validate(stack, kind):
+    """Check a (k, m, m) stack of symmetric matrices of one kind."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise InvariantViolationError("matrix point must be square")
+    check_points(~np.isfinite(stack).all(axis=(1, 2)), "matrix has non-finite entries")
+    gap = stack - stack.swapaxes(1, 2)
+    check_points(np.abs(gap, out=gap).max(axis=(1, 2)) > SYMMETRY_TOL, "matrix is not symmetric")
+    if kind not in (KIND_LAPLACIAN, KIND_COVARIANCE, KIND_FREE):
+        raise InvariantViolationError(f"unknown matrix kind {kind!r}")
+    check_points(~_kind_ok(stack, kind), f"matrix violates {kind} structure")
 
 
 @dataclass(frozen=True)
@@ -47,50 +59,37 @@ class SymmetricMatrixPoint:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise InvariantViolationError("matrix point must be square")
-        if not np.all(np.isfinite(entries)):
-            raise InvariantViolationError("matrix has non-finite entries")
-        if np.max(np.abs(entries - entries.T)) > SYMMETRY_TOL:
-            raise InvariantViolationError("matrix is not symmetric")
-        if self.kind not in (KIND_LAPLACIAN, KIND_COVARIANCE, KIND_FREE):
-            raise InvariantViolationError(f"unknown matrix kind {self.kind!r}")
-        if not _kind_ok(entries, self.kind):
-            raise InvariantViolationError(f"matrix violates {self.kind} structure")
+        validate(entries[None], self.kind)
 
     @property
     def size(self):
         return self.entries.shape[0]
 
 
-def _check_same_shape(*points):
-    m = points[0].size
-    for p in points[1:]:
-        if p.size != m:
-            raise SpaceMismatchError(f"matrix size mismatch: {m} vs {p.size}")
+POINT = SymmetricMatrixPoint
 
 
 def distance(a, b):
     """Frobenius distance ||a - b||_F."""
-    _check_same_shape(a, b)
+    check_same_shape(a.entries, b.entries)
     return float(np.linalg.norm(a.entries - b.entries))
 
 
 def interpolate(a, b, t):
     """Point at fraction t of the line segment from a to b."""
-    _check_same_shape(a, b)
+    check_same_shape(a.entries, b.entries)
     return _result((1.0 - t) * a.entries + t * b.entries, a.kind)
 
 
 def transport(alpha, beta, omega):
     """Additive transport: omega + (beta - alpha)."""
-    _check_same_shape(alpha, beta, omega)
+    check_same_shape(alpha.entries, beta.entries, omega.entries)
     return _result(omega.entries + beta.entries - alpha.entries, omega.kind)
 
 
 def _result(entries, kind):
     entries = 0.5 * (entries + entries.T)
-    if not _kind_ok(entries, kind):
+    if not _kind_ok(entries[None], kind)[0]:
         warnings.warn(
             f"result violates {kind} structure; kept with kind='free'",
             KindViolationWarning,
@@ -115,12 +114,17 @@ def laplacian_from_adjacency(weights):
     return SymmetricMatrixPoint(lap, kind=KIND_LAPLACIAN)
 
 
-def mean(points, weights):
-    """Weighted Frechet mean: the entrywise average, of the points' common kind if any."""
-    entries = np.average([p.entries for p in points], axis=0, weights=weights)
+def stack_points(points):
+    """The points' entries as one (k, m, m) array, and their common kind (else free)."""
+    entries = [p.entries for p in points]
+    check_same_shape(*entries)
     kinds = {p.kind for p in points}
-    kind = kinds.pop() if len(kinds) == 1 else KIND_FREE
-    return _result(entries, kind), 0
+    return np.array(entries), {"kind": kinds.pop() if len(kinds) == 1 else KIND_FREE}
+
+
+def mean(stack, weights, kind):
+    """Weighted Frechet mean of a (k, m, m) stack: the entrywise average."""
+    return _result(np.average(stack, axis=0, weights=weights), kind), 0
 
 
 def from_data(data, manifest):
@@ -129,12 +133,12 @@ def from_data(data, manifest):
     )
 
 
-def to_data(point):
-    return [[float(x) for x in row] for row in point.entries]
+def to_data(entries):
+    return entries.tolist()
 
 
 def to_jsonable(point):
-    return {"space": "frobenius", "kind": point.kind, "entries": to_data(point)}
+    return {"space": "frobenius", "kind": point.kind, "entries": to_data(point.entries)}
 
 
 def manifest_fields(point):

@@ -10,8 +10,8 @@ from ..errors import (
     InvariantViolationError,
     NonConvergenceError,
     OrthantExitWarning,
-    SpaceMismatchError,
 )
+from . import FORMAT_INLINE, check_points, check_same_shape
 
 UNIT_TOL = 1e-10
 ORTHANT_SLACK = 1e-12
@@ -19,6 +19,17 @@ ORTHANT_SLACK = 1e-12
 PATH_INDEPENDENT = False
 MEAN_TOL = 1e-10
 MEAN_MAX_ITER = 200
+FORMAT_COMPOSITION = "composition-csv"
+FORMATS = (FORMAT_COMPOSITION, FORMAT_INLINE)
+
+
+def validate(stack):
+    """Check a (k, d) stack of unit vectors on the positive orthant (NaN fails the norm)."""
+    if stack.ndim != 2 or stack.shape[1] < 2:
+        raise InvariantViolationError("sphere point needs >= 2 coordinates")
+    off_sphere = ~(np.abs(np.linalg.norm(stack, axis=1) - 1.0) <= UNIT_TOL)
+    check_points(off_sphere, "sphere point is not unit norm")
+    check_points((stack < -ORTHANT_SLACK).any(axis=1), "sphere point leaves the positive orthant")
 
 
 @dataclass(frozen=True)
@@ -31,23 +42,14 @@ class UnitCompositionPoint:
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
         object.__setattr__(self, "coords", coords)
-        if coords.ndim != 1 or len(coords) < 2:
-            raise InvariantViolationError("sphere point needs >= 2 coordinates")
-        if abs(np.linalg.norm(coords) - 1.0) > UNIT_TOL:
-            raise InvariantViolationError("sphere point is not unit norm")
-        if np.any(coords < -ORTHANT_SLACK):
-            raise InvariantViolationError("sphere point leaves the positive orthant")
+        validate(coords[None])
 
     @property
     def dim(self):
         return len(self.coords)
 
 
-def _check_same_dim(*points):
-    d = points[0].dim
-    for p in points[1:]:
-        if p.dim != d:
-            raise SpaceMismatchError(f"sphere dimension mismatch: {d} vs {p.dim}")
+POINT = UnitCompositionPoint
 
 
 def _clamped_dot(x, y):
@@ -61,14 +63,14 @@ def distance(z1, z2):
     the same angle but stays accurate for nearly identical points where
     arccos of the dot product loses half the significant digits.
     """
-    _check_same_dim(z1, z2)
+    check_same_shape(z1.coords, z2.coords)
     half_chord = 0.5 * np.linalg.norm(z1.coords - z2.coords)
     return float(2.0 * np.arcsin(min(half_chord, 1.0)))
 
 
 def interpolate(z1, z2, t):
     """Slerp: point at fraction t of the geodesic from z1 to z2."""
-    _check_same_dim(z1, z2)
+    check_same_shape(z1.coords, z2.coords)
     a, b = z1.coords, z2.coords
     theta = np.arccos(_clamped_dot(a, b))
     if theta < 1e-14:
@@ -85,15 +87,18 @@ def _finish(coords):
         warnings.warn(
             "result left the positive orthant of the sphere", OrthantExitWarning
         )
-    p = object.__new__(UnitCompositionPoint)
-    object.__setattr__(p, "coords", coords)
-    object.__setattr__(p, "space_id", "sphere")
-    return p
+    return _unchecked(coords)
+
+
+def _unchecked(coords):
+    point = object.__new__(UnitCompositionPoint)
+    object.__setattr__(point, "coords", coords)
+    return point
 
 
 def transport(alpha, beta, omega):
     """Rotate omega along the geodesic direction determined by alpha and beta."""
-    _check_same_dim(alpha, beta, omega)
+    check_same_shape(alpha.coords, beta.coords, omega.coords)
     a, b, w = alpha.coords, beta.coords, omega.coords
     theta = np.arccos(_clamped_dot(a, b))
     if theta < 1e-14:
@@ -144,19 +149,25 @@ def exp_map(base, tangent):
     return _finish(coords)
 
 
-def mean(points, weights):
-    """Weighted Karcher mean by unit-step tangent-space averaging."""
-    coords = np.array([p.coords for p in points])
+def stack_points(points):
+    """The points' coordinates as one (k, d) array; a sphere point has no other fields."""
+    coords = [p.coords for p in points]
+    check_same_shape(*coords)
+    return np.array(coords), {}
+
+
+def mean(coords, weights):
+    """Weighted Karcher mean of a (k, d) stack by unit-step tangent-space averaging."""
     w = weights / weights.sum()
     extrinsic = w @ coords
     if np.linalg.norm(extrinsic) < 1e-8:
         # near-degenerate configuration; start from the first point instead
-        current = points[0]
+        current = _unchecked(coords[0])
     else:
         current = _finish(extrinsic)
     for iteration in range(1, MEAN_MAX_ITER + 1):
         # every point's log map at once: row i of u points from the mean to
-        # points[i] and is scaled to length theta_i; points within 1e-14 of
+        # point i and is scaled to length theta_i; points within 1e-14 of
         # the mean add nothing, without a 0/0
         theta = np.arccos(np.clip(coords @ current.coords, -1.0, 1.0))
         u = coords - np.cos(theta)[:, None] * current.coords
@@ -181,13 +192,12 @@ def from_data(data, manifest):
     return embed_composition(np.asarray(data, dtype=float).ravel())
 
 
-def to_data(point):
-    return [float(x) for x in unembed(point)]
+def to_data(coords):
+    return (coords**2).tolist()
 
 
 def to_jsonable(point):
-    coords = [float(x) for x in point.coords]
-    return {"space": "sphere", "coords": coords, "shares": to_data(point)}
+    return {"space": "sphere", "coords": point.coords.tolist(), "shares": to_data(point.coords)}
 
 
 def manifest_fields(point):

@@ -9,17 +9,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import (
-    DegenerateTransportError,
-    InvariantViolationError,
-    SpaceMismatchError,
-)
+from ..errors import DegenerateTransportError, InvariantViolationError
+from . import FORMAT_INLINE, check_points, check_same_shape
 
 POINT_TOL = 1e-10
 DEFAULT_GRID_SIZE = 100
 PATH_INDEPENDENT = True
+FORMAT_QUANTILE = "quantile-csv"
 # manifest format whose data are raw draws, not quantile values
 FORMAT_SAMPLES = "samples-csv"
+FORMATS = (FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_INLINE)
 
 
 def midpoint_grid(m):
@@ -54,6 +53,17 @@ def pav_projection(values):
     return out
 
 
+def validate(stack):
+    """Check a (k, M) stack of quantile curves (the tolerance test runs on rows that drop)."""
+    if stack.ndim != 2 or stack.shape[1] < 2:
+        raise InvariantViolationError("quantile curve needs >= 2 grid values")
+    check_points(~np.isfinite(stack).all(axis=1), "quantile curve has non-finite entries")
+    drops = (stack[:, 1:] < stack[:, :-1]).any(axis=1)
+    if drops.any():
+        drops[drops] = (np.diff(stack[drops], axis=1) < -POINT_TOL).any(axis=1)
+    check_points(drops, "quantile curve is not non-decreasing")
+
+
 @dataclass(frozen=True)
 class QuantileCurve:
     """Quantile function values on the midpoint grid of [0, 1]."""
@@ -64,12 +74,7 @@ class QuantileCurve:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.ndim != 1 or len(values) < 2:
-            raise InvariantViolationError("quantile curve needs >= 2 grid values")
-        if not np.all(np.isfinite(values)):
-            raise InvariantViolationError("quantile curve has non-finite entries")
-        if np.any(np.diff(values) < -POINT_TOL):
-            raise InvariantViolationError("quantile curve is not non-decreasing")
+        validate(values[None])
 
     @property
     def grid_size(self):
@@ -80,31 +85,32 @@ class QuantileCurve:
         return midpoint_grid(len(self.values))
 
 
-def _check_same_grid(*curves):
-    m = curves[0].grid_size
-    for c in curves[1:]:
-        if c.grid_size != m:
-            raise SpaceMismatchError(
-                f"quantile grid mismatch: {m} vs {c.grid_size}"
-            )
+POINT = QuantileCurve
 
 
 def distance(a, b):
     """Wasserstein-2 distance via midpoint-rule quadrature of the quantile gap."""
-    _check_same_grid(a, b)
+    check_same_shape(a.values, b.values)
     diff = a.values - b.values
     return float(np.sqrt(np.mean(diff * diff)))
 
 
 def interpolate(a, b, t):
     """Point at fraction t of the geodesic from a to b (linear in quantile space)."""
-    _check_same_grid(a, b)
+    check_same_shape(a.values, b.values)
     return QuantileCurve((1.0 - t) * a.values + t * b.values)
 
 
-def mean(points, weights):
-    """Weighted Frechet mean: the average quantile function, kept monotone."""
-    values = np.average([p.values for p in points], axis=0, weights=weights)
+def stack_points(curves):
+    """The curves' values as one (k, M) array; a curve has no other fields."""
+    values = [c.values for c in curves]
+    check_same_shape(*values)
+    return np.array(values), {}
+
+
+def mean(stack, weights):
+    """Weighted Frechet mean of a (k, M) stack: the average quantile function, kept monotone."""
+    values = np.average(stack, axis=0, weights=weights)
     if np.any(np.diff(values) < -1e-10):
         values = pav_projection(values)
     return QuantileCurve(values), 0
@@ -146,7 +152,7 @@ def transport(alpha, beta, omega):
     The output quantile function is the composition of beta's quantile
     function, alpha's CDF and omega's quantile function.
     """
-    _check_same_grid(alpha, beta, omega)
+    check_same_shape(alpha.values, beta.values, omega.values)
     if alpha.values[-1] - alpha.values[0] < POINT_TOL:
         raise DegenerateTransportError("alpha is a constant curve; its CDF has no spread")
     p = cdf_eval(alpha, omega.values)
@@ -173,12 +179,12 @@ def from_data(data, manifest):
     return QuantileCurve(flat)
 
 
-def to_data(curve):
-    return [float(x) for x in curve.values]
+def to_data(values):
+    return values.tolist()
 
 
 def to_jsonable(curve):
-    return {"space": "wasserstein", "quantiles": to_data(curve)}
+    return {"space": "wasserstein", "quantiles": to_data(curve.values)}
 
 
 def manifest_fields(curve):

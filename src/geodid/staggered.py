@@ -15,7 +15,6 @@ import numpy as np
 from .errors import EmptyCohortError, InadmissibleCellError
 from .frechet import group_means
 from .geometry import Geodesic, distance, geodesic_difference, is_path_independent, transport
-from .panel import NEVER_TREATED
 
 COMPARISON_NEVER = "never"
 COMPARISON_NOT_YET = "notyet"
@@ -46,19 +45,18 @@ class GroupTimeGatt:
     effect: Geodesic
     magnitude: float
     beta_path: tuple
-    estimator_form: str
+
+    @property
+    def estimator_form(self):
+        return self.cell.estimator_form
 
 
 def _group_structure(panel):
     """Observed finite groups, and the latest-adopter marker g-bar."""
-    labels = panel.group_labels
-    finite = sorted({g for g in labels if g != NEVER_TREATED})
-    if any(g == NEVER_TREATED for g in labels):
-        gbar = math.inf
-    else:
-        gbar = max(finite)
-    groups = [g for g in finite if g != gbar]
-    return groups, gbar
+    labels = panel.group_label_array
+    finite = [int(g) for g in np.unique(labels[np.isfinite(labels)])]
+    gbar = math.inf if np.isinf(labels).any() else max(finite)
+    return [g for g in finite if g != gbar], gbar
 
 
 def cell_admissible(panel, cell):
@@ -141,11 +139,7 @@ def estimate_group_time_gatt(panel, cell, *, _memo=None):
         )
     form = cell.estimator_form
     if form is None:
-        form = (
-            FORM_SHORTCUT
-            if is_path_independent(panel.space_id)
-            else FORM_RECURSIVE
-        )
+        form = FORM_SHORTCUT if is_path_independent(panel.space_id) else FORM_RECURSIVE
     if form == FORM_SHORTCUT and not is_path_independent(panel.space_id):
         raise InadmissibleCellError(
             f"shortcut form requires a path-independent transport map; "
@@ -182,7 +176,6 @@ def estimate_group_time_gatt(panel, cell, *, _memo=None):
         effect=effect,
         magnitude=distance(effect.start, effect.end),
         beta_path=beta_path,
-        estimator_form=form,
     )
 
 

@@ -4,6 +4,7 @@ from scipy.stats import norm
 
 from geodid.frechet import frechet_mean, group_means
 from geodid.geometry import distance
+from geodid.io import point_to_jsonable
 from geodid.panel import PanelDataset
 from geodid.spaces import sphere as ssp
 from geodid.spaces.matrix import SymmetricMatrixPoint
@@ -11,6 +12,12 @@ from geodid.spaces.sphere import UnitCompositionPoint
 from geodid.spaces.wasserstein import QuantileCurve, midpoint_grid
 
 from conftest import random_composition, random_curve, random_matrix
+
+SAMPLERS = {
+    "wasserstein": lambda rng: random_curve(rng, grid_size=30),
+    "sphere": lambda rng: random_composition(rng, dim=4),
+    "frobenius": lambda rng: random_matrix(rng, size=3),
+}
 
 
 def gaussian_curve(mu, sigma, m=100):
@@ -31,7 +38,7 @@ def test_single_point_is_its_own_mean():
     ):
         result = frechet_mean([point])
         assert distance(result.mean, point) < 1e-12
-        assert result.converged
+        assert result.iterations <= ssp.MEAN_MAX_ITER
 
 
 def test_empty_input_rejected():
@@ -92,7 +99,7 @@ def test_sphere_two_point_mean_is_arc_midpoint():
     np.testing.assert_allclose(
         result.mean.coords, [1 / np.sqrt(2), 1 / np.sqrt(2), 0.0], atol=1e-10
     )
-    assert result.converged
+    assert result.iterations <= ssp.MEAN_MAX_ITER
 
 
 def test_sphere_mean_matches_arc_grid_oracle():
@@ -161,3 +168,32 @@ def test_group_means_splits_by_treatment():
     treated = group_means(panel, period=1, selector=np.array([False, False, True, True]))
     assert control.mean.entries[0, 0] == pytest.approx(10.5)
     assert treated.mean.entries[0, 0] == pytest.approx(12.5)
+
+
+@pytest.mark.parametrize("space", sorted(SAMPLERS))
+def test_group_means_equal_frechet_mean_of_the_points(space):
+    rng = np.random.default_rng(31)
+    outcomes = [[SAMPLERS[space](rng) for _ in range(3)] for _ in range(15)]
+    treatment = np.zeros((15, 3), dtype=int)
+    panel = PanelDataset(outcomes, treatment)
+    for selector in (np.ones(15, dtype=bool), rng.random(15) < 0.4, np.arange(15) == 6):
+        for t in range(3):
+            from_panel = group_means(panel, t, selector)
+            from_points = frechet_mean([outcomes[i][t] for i in np.flatnonzero(selector)])
+            assert from_panel.iterations == from_points.iterations
+            # every float (and the matrix kind) exactly equal
+            assert point_to_jsonable(from_panel.mean) == point_to_jsonable(from_points.mean)
+
+
+def test_mixed_kind_frobenius_panel_averages_to_free():
+    lap = SymmetricMatrixPoint([[1.0, -1.0], [-1.0, 1.0]], kind="laplacian")
+    # neither kind is free, so only the common-kind rule can give free
+    cov = SymmetricMatrixPoint([[2.0, 0.5], [0.5, 1.0]], kind="covariance")
+    panel = PanelDataset([[lap, lap], [lap, lap], [cov, cov]], np.zeros((3, 2), dtype=int))
+    assert panel.fields == {"kind": "free"}
+    # the two Laplacian units alone still average to kind free: the kind is the panel's
+    result = group_means(panel, 1, np.array([True, True, False]))
+    assert result.mean.kind == "free"
+    np.testing.assert_array_equal(result.mean.entries, lap.entries)
+    assert frechet_mean([lap, cov]).mean.kind == "free"
+    assert frechet_mean([lap, lap]).mean.kind == "laplacian"

@@ -211,11 +211,15 @@ BACKEND_PROTOCOL = (
     "distance",
     "interpolate",
     "transport",
+    "validate",
+    "stack_points",
+    "POINT",
     "mean",
     "from_data",
     "to_data",
     "to_jsonable",
     "manifest_fields",
+    "FORMATS",
     "PATH_INDEPENDENT",
 )
 
@@ -226,6 +230,7 @@ def test_backend_defines_protocol(space):
     missing = [name for name in BACKEND_PROTOCOL if not hasattr(backend, name)]
     assert not missing
     assert isinstance(backend.PATH_INDEPENDENT, bool)
+    assert "inline" in backend.FORMATS
 
 
 def test_path_independence_flags():

@@ -41,7 +41,7 @@ def test_load_inline_scalar_panel(tmp_path):
     assert panel.n_units == 2
     assert panel.space_id == "frobenius"
     assert panel.unit_ids == ("c", "t")
-    assert panel.outcomes[1][1].entries[0, 0] == 3.0
+    assert panel.point(1, 1).entries[0, 0] == 3.0
 
 
 def test_load_rejects_unknown_space(tmp_path):
@@ -113,7 +113,7 @@ def test_samples_csv_matches_direct_construction(tmp_path):
     path = write_manifest(tmp_path / "m.json", payload)
     panel = gio.load_panel(path)
     expected = quantile_from_samples(samples, grid_size=20)
-    np.testing.assert_array_equal(panel.outcomes[0][0].values, expected.values)
+    np.testing.assert_array_equal(panel.point(0, 0).values, expected.values)
 
 
 @pytest.mark.parametrize("fmt", ["inline", "matrix-csv", "matrix-json"])
@@ -129,7 +129,7 @@ def test_matrix_round_trip(tmp_path, fmt):
     loaded = gio.load_panel(path)
     for i in range(2):
         for t in range(2):
-            assert distance(loaded.outcomes[i][t], panel.outcomes[i][t]) < 1e-15
+            assert distance(loaded.point(i, t), panel.point(i, t)) < 1e-15
 
 
 def test_quantile_round_trip(tmp_path):
@@ -145,7 +145,7 @@ def test_quantile_round_trip(tmp_path):
     for i in range(2):
         for t in range(2):
             np.testing.assert_array_equal(
-                loaded.outcomes[i][t].values, panel.outcomes[i][t].values
+                loaded.point(i, t).values, panel.point(i, t).values
             )
 
 
@@ -163,7 +163,7 @@ def test_composition_round_trip(tmp_path):
     loaded = gio.load_panel(path)
     for i in range(2):
         for t in range(2):
-            assert distance(loaded.outcomes[i][t], panel.outcomes[i][t]) < 1e-15
+            assert distance(loaded.point(i, t), panel.point(i, t)) < 1e-15
 
 
 def test_cli_estimate_scalar_oracle(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from geodid.frechet import frechet_mean, group_means
 from geodid.geometry import distance
 from geodid.simulate import (
     SimConfig,
+    _block_probabilities,
     configs_for_sizes,
     generate_panel,
     run_monte_carlo,
@@ -12,6 +14,7 @@ from geodid.simulate import (
     true_network_gatt,
     true_wasserstein_gatt,
 )
+from geodid.spaces.matrix import KIND_FREE, KIND_LAPLACIAN, SymmetricMatrixPoint
 
 
 def test_config_validation():
@@ -71,6 +74,70 @@ def test_panel_generation_shapes(space):
     assert panel.n_units == 20
     assert panel.n_periods == 2
     assert truth.start.space_id == panel.space_id
+
+
+def loop_network_panel(config, rng):
+    """The per-unit loop `generate_network_panel` replaced, kept as its oracle.
+
+    Returns the (n, 2) nested Laplacian points, each with its own kind, and
+    the treatment indicators.
+    """
+    n = config.n
+    m, probs = _block_probabilities(config)
+    d = (rng.random(n) < config.treat_prob).astype(int)
+    iu = np.triu_indices(m, k=1)
+    edge_probs = probs[iu]
+    outcomes = []
+    for i in range(n):
+        row = []
+        for t in (0, 1):
+            present = rng.random(len(edge_probs)) < edge_probs
+            noise = rng.uniform(-1.0, 1.0, size=len(edge_probs))
+            base = (
+                config.alpha1
+                + config.alpha2 * t
+                + config.alpha3 * d[i]
+                + config.beta * d[i] * t
+            )
+            w = np.where(present, base + noise, 0.0)
+            weights = np.zeros((m, m))
+            weights[iu] = w
+            weights += weights.T
+            lap = -weights
+            np.fill_diagonal(lap, weights.sum(axis=1))
+            kind = KIND_LAPLACIAN if w.min() >= 0.0 else KIND_FREE
+            row.append(SymmetricMatrixPoint(lap, kind=kind))
+        outcomes.append(row)
+    return outcomes, np.column_stack([np.zeros(n, dtype=int), d])
+
+
+@pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
+@pytest.mark.parametrize(
+    "knobs",
+    [{}, {"alpha1": -0.5}, {"m1": 3, "m2": 6, "p12": 0.7, "p21": 0.7, "treat_prob": 0.6}],
+    ids=["default", "negative weights", "uneven blocks"],
+)
+def test_network_panel_matches_per_unit_loop(knobs):
+    for seed in range(4):
+        config = SimConfig(space="network", n=60, seed=seed, **knobs)
+        panel, _ = generate_panel(config, np.random.default_rng(seed))
+        outcomes, treatment = loop_network_panel(config, np.random.default_rng(seed))
+        np.testing.assert_array_equal(panel.treatment, treatment)
+        expected = np.array([[p.entries for p in row] for row in outcomes])
+        np.testing.assert_array_equal(panel.data, expected)
+        kinds = {p.kind for row in outcomes for p in row}
+        assert panel.fields == {
+            "kind": KIND_LAPLACIAN if kinds == {KIND_LAPLACIAN} else KIND_FREE
+        }
+        if config.alpha1 < 0:
+            # some drawn weights are negative
+            assert KIND_FREE in kinds
+        for d in (0, 1):
+            units = np.flatnonzero(treatment[:, 1] == d)
+            for t in (0, 1):
+                mean = group_means(panel, t, treatment[:, 1] == d).mean
+                looped = frechet_mean([outcomes[i][t] for i in units]).mean
+                np.testing.assert_array_equal(mean.entries, looped.entries)
 
 
 @pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")

@@ -31,6 +31,14 @@ def test_point_requires_unit_norm():
         UnitCompositionPoint([1.0, 1.0, 0.0])
 
 
+def test_point_rejects_nan_coordinates():
+    # a NaN norm compares false against the tolerance, and once passed for unit norm
+    with pytest.raises(InvariantViolationError, match="unit norm"):
+        UnitCompositionPoint([np.nan, 1.0, 0.0])
+    with pytest.raises(InvariantViolationError, match="unit norm"):
+        embed_composition([np.nan, 0.5, 0.5])
+
+
 def test_point_rejects_negative_coordinate():
     with pytest.raises(InvariantViolationError):
         UnitCompositionPoint([np.sqrt(0.5), -np.sqrt(0.5), 0.0])
@@ -170,7 +178,7 @@ def loop_mean(points, weights):
 
 def assert_mean_matches_loop(points, weights=None):
     weights = np.ones(len(points)) if weights is None else np.asarray(weights, float)
-    batched, batched_iters = sphere.mean(points, weights)
+    batched, batched_iters = sphere.mean(sphere.stack_points(points)[0], weights)
     looped, looped_iters = loop_mean(points, weights)
     np.testing.assert_allclose(batched.coords, looped.coords, rtol=0, atol=1e-12)
     assert batched_iters == looped_iters
@@ -230,7 +238,7 @@ def test_mean_matches_loop_when_a_point_is_the_start():
     np.testing.assert_array_equal(start.coords, c.coords)
     assert np.arccos(min(c.coords @ start.coords, 1.0)) < 1e-14
     assert_mean_matches_loop(points)
-    mean, _ = sphere.mean(points, np.ones(4))
+    mean, _ = sphere.mean(sphere.stack_points(points)[0], np.ones(4))
     assert distance(mean, c) < 1e-12
 
 
@@ -239,6 +247,6 @@ def test_mean_raises_when_iterations_run_out(monkeypatch):
     points = [random_composition(rng, dim=4) for _ in range(10)]
     monkeypatch.setattr(sphere, "MEAN_MAX_ITER", 1)
     with pytest.raises(NonConvergenceError) as info:
-        sphere.mean(points, np.ones(len(points)))
+        sphere.mean(sphere.stack_points(points)[0], np.ones(len(points)))
     assert info.value.iterations == 1
     assert info.value.last_step > sphere.MEAN_TOL
