@@ -8,68 +8,54 @@ file in the declared format.
 
 import csv
 import json
+import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    InvariantViolationError,
-    MissingOutcomeError,
-    ParseError,
-)
+from .errors import InvariantViolationError, MissingOutcomeError, ParseError
 from .geometry import _BACKENDS, backend_of
-from .panel import PanelDataset
+from .panel import PanelDataset, locate
 from .spaces import FORMAT_INLINE
 from .spaces.matrix import FORMAT_MATRIX_CSV, FORMAT_MATRIX_JSON
 from .spaces.sphere import FORMAT_COMPOSITION
-from .spaces.wasserstein import FORMAT_QUANTILE, FORMAT_SAMPLES
+from .spaces.wasserstein import DEFAULT_GRID_SIZE, FORMAT_QUANTILE, FORMAT_SAMPLES
 
 SCHEMA_VERSION = 1
 
 
 def _read_numbers_csv(path):
-    try:
-        rows = []
-        with open(path, newline="") as fh:
-            for line_no, row in enumerate(csv.reader(fh), start=1):
-                cells = [cell for cell in row if cell.strip()]
-                if not cells:
-                    continue
-                try:
-                    rows.append([float(cell) for cell in cells])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{line_no}: {exc}") from None
-        return rows
-    except OSError as exc:
-        raise MissingOutcomeError(f"cannot read {path}: {exc}") from None
+    rows = []
+    with open(path, newline="") as fh:
+        for line_no, row in enumerate(csv.reader(fh), start=1):
+            try:
+                if numbers := [float(cell) for cell in row if cell.strip()]:
+                    rows.append(numbers)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    return rows
 
 
-def _load_outcome(backend, spec, manifest, base_dir, where):
+def _read_outcome(spec, fmt, base_dir, where):
+    """One outcome as a float array: its inline data or the numbers in its data file."""
     if spec is None:
         raise MissingOutcomeError(f"{where}: outcome missing")
-    data = spec
-    if isinstance(spec, str):
-        path = Path(base_dir) / spec
-        fmt = manifest.get("format", FORMAT_INLINE)
-        if fmt == FORMAT_MATRIX_JSON:
-            try:
-                with open(path) as fh:
-                    data = json.load(fh)
-            except OSError as exc:
-                raise MissingOutcomeError(f"{where}: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: {exc}") from None
-        else:
-            rows = _read_numbers_csv(path)
-            if fmt in (FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_COMPOSITION):
-                data = [x for row in rows for x in row]
-            else:
-                data = rows
     try:
-        return backend.from_data(data, manifest)
-    except InvariantViolationError as exc:
-        raise InvariantViolationError(f"{where}: {exc}") from None
-    except (TypeError, ValueError) as exc:
+        if not isinstance(spec, str):
+            return np.asarray(spec, dtype=float)
+        path = Path(base_dir) / spec
+        if fmt == FORMAT_MATRIX_JSON:
+            with open(path) as fh:
+                return np.asarray(json.load(fh), dtype=float)
+        rows = _read_numbers_csv(path)
+        if fmt in (FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_COMPOSITION):
+            # one curve or composition may run over several lines of any length
+            rows = [x for row in rows for x in row]
+        return np.asarray(rows, dtype=float)
+    except OSError as exc:
+        raise MissingOutcomeError(f"{where}: {exc}") from None
+    except (TypeError, ValueError, OverflowError, csv.Error) as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 
@@ -96,12 +82,12 @@ def load_panel(manifest_path):
     if not units or not isinstance(units, list):
         raise ParseError("manifest needs a non-empty 'units' array")
     periods = manifest.get("periods")
-    if periods is None:
-        raise ParseError("manifest lacks 'periods'")
     if type(periods) is not int or periods < 1:
         raise ParseError(f"'periods' must be a positive integer, got {periods!r}")
+    grid_size = manifest.get("grid_size", DEFAULT_GRID_SIZE)
+    if type(grid_size) is not int or grid_size < 2:
+        raise ParseError(f"'grid_size' must be an integer >= 2, got {grid_size!r}")
 
-    backend = _BACKENDS[space]
     base_dir = manifest_path.parent
     outcomes, treatment, ids = [], [], []
     for k, unit in enumerate(units):
@@ -110,23 +96,21 @@ def load_panel(manifest_path):
         uid = unit.get("id", f"unit{k}")
         treat = unit.get("treatment")
         if not isinstance(treat, list) or len(treat) != periods:
-            raise ParseError(
-                f"unit {uid}: treatment must list {periods} indicators"
-            )
+            raise ParseError(f"unit {uid}: treatment must list {periods} indicators")
         outs = unit.get("outcomes")
         if not isinstance(outs, list) or len(outs) != periods:
-            raise MissingOutcomeError(
-                f"unit {uid}: expected {periods} outcomes, got "
-                f"{len(outs) if isinstance(outs, list) else 0}"
-            )
-        row = [
-            _load_outcome(backend, spec, manifest, base_dir, f"unit {uid} period {t}")
-            for t, spec in enumerate(outs)
-        ]
-        outcomes.append(tuple(row))
-        treatment.append(list(treat))
+            got = len(outs) if isinstance(outs, list) else 0
+            raise MissingOutcomeError(f"unit {uid}: expected {periods} outcomes, got {got}")
+        for t, spec in enumerate(outs):
+            outcomes.append(_read_outcome(spec, fmt, base_dir, f"unit {uid} period {t}"))
+        treatment.append(treat)
         ids.append(uid)
-    return PanelDataset(tuple(outcomes), np.array(treatment), unit_ids=tuple(ids))
+    try:
+        stack, fields = _BACKENDS[space].from_data(outcomes, manifest)
+    except InvariantViolationError as exc:
+        raise locate(exc, periods, ids) from None
+    data = stack.reshape(len(ids), periods, *stack.shape[1:])
+    return PanelDataset.from_array(data, np.array(treatment), space, fields, unit_ids=ids)
 
 
 def save_panel(panel, manifest_path, fmt=FORMAT_INLINE):
@@ -136,16 +120,20 @@ def save_panel(panel, manifest_path, fmt=FORMAT_INLINE):
     backend = _BACKENDS[space]
     if fmt not in backend.FORMATS or fmt == FORMAT_SAMPLES:
         raise ValueError(f"cannot save space {space!r} in format {fmt!r}")
+    uids = [str(panel._name(i)) for i in range(panel.n_units)]
+    # a unit's id names its data files
+    clashes = [uid for uid, n in Counter(uids).items() if n > 1 or "/" in uid or os.sep in uid]
+    if clashes and fmt != FORMAT_INLINE:
+        raise ValueError(f"unit ids repeated or holding a path separator: {clashes[:5]}")
     manifest = {
         "space": space,
         "periods": panel.n_periods,
         "format": fmt,
         "units": [],
-        **backend.manifest_fields(panel.point(0, 0)),
+        **backend.manifest_fields(panel.data.shape[2:], **panel.fields),
     }
     base_dir = manifest_path.parent
-    for i in range(panel.n_units):
-        uid = str(panel._name(i))
+    for i, uid in enumerate(uids):
         record = {
             "id": uid,
             "treatment": [int(x) for x in panel.treatment[i]],
@@ -173,9 +161,7 @@ def _write_data_file(path, data, fmt):
         return
     rows = data if fmt == FORMAT_MATRIX_CSV else [data]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in rows:
-            writer.writerow([repr(float(x)) for x in row])
+        csv.writer(fh).writerows([repr(float(x)) for x in row] for row in rows)
 
 
 def point_to_jsonable(point):

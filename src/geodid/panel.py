@@ -12,6 +12,14 @@ from .geometry import _BACKENDS, backend_of
 NEVER_TREATED = math.inf
 
 
+def locate(exc, n_periods, unit_ids):
+    """`exc`, raised on a panel's unit-major outcome stack, prefixed with its unit and period."""
+    if exc.index is None:
+        return exc
+    i, t = divmod(exc.index, n_periods)
+    return InvariantViolationError(f"unit {unit_ids[i]} period {t}: {exc}")
+
+
 @dataclass(frozen=True, init=False)
 class PanelDataset:
     """Outcomes of n units over T periods in one space, with treatment indicators.
@@ -76,10 +84,7 @@ class PanelDataset:
         try:
             _BACKENDS[space_id].validate(data.reshape(n * periods, *data.shape[2:]), **fields)
         except InvariantViolationError as exc:
-            if exc.index is None:
-                raise
-            i, t = divmod(exc.index, periods)
-            raise InvariantViolationError(f"unit {self._name(i)} period {t}: {exc}") from None
+            raise locate(exc, periods, self.unit_ids or range(n)) from None
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "treatment", treatment)

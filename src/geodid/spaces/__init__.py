@@ -6,6 +6,8 @@ Each module defines `distance`, `interpolate`, `transport`, `validate`,
 layout), and is registered in `geometry._BACKENDS`.
 """
 
+import numpy as np
+
 from ..errors import InvariantViolationError, SpaceMismatchError
 
 # manifest format whose outcomes are written into the manifest itself
@@ -13,8 +15,8 @@ FORMAT_INLINE = "inline"
 
 
 def check_points(bad, message):
-    """Raise for the first point of a stack flagged in the boolean array `bad`."""
-    if bad.any():
+    """Raise for the first point of a stack flagged in `bad` (count_nonzero tests it fastest)."""
+    if np.count_nonzero(bad):
         raise InvariantViolationError(message, index=int(bad.argmax()))
 
 

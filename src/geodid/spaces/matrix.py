@@ -127,10 +127,10 @@ def mean(stack, weights, kind):
     return _result(np.average(stack, axis=0, weights=weights), kind), 0
 
 
-def from_data(data, manifest):
-    return SymmetricMatrixPoint(
-        np.asarray(data, dtype=float), kind=manifest.get("matrix_kind", KIND_FREE)
-    )
+def from_data(outcomes, manifest):
+    """The panel's matrices as one (k, m, m) stack, of the manifest's kind."""
+    check_same_shape(*outcomes)
+    return np.array(outcomes), {"kind": manifest.get("matrix_kind", KIND_FREE)}
 
 
 def to_data(entries):
@@ -141,5 +141,5 @@ def to_jsonable(point):
     return {"space": "frobenius", "kind": point.kind, "entries": to_data(point.entries)}
 
 
-def manifest_fields(point):
-    return {"matrix_kind": point.kind}
+def manifest_fields(shape, kind):
+    return {"matrix_kind": kind}

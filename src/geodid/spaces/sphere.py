@@ -27,7 +27,8 @@ def validate(stack):
     """Check a (k, d) stack of unit vectors on the positive orthant (NaN fails the norm)."""
     if stack.ndim != 2 or stack.shape[1] < 2:
         raise InvariantViolationError("sphere point needs >= 2 coordinates")
-    off_sphere = ~(np.abs(np.linalg.norm(stack, axis=1) - 1.0) <= UNIT_TOL)
+    # np.linalg.norm's arithmetic without its dispatch, which costs more than one point's check
+    off_sphere = ~(abs(np.sqrt(np.add.reduce(stack * stack, axis=1)) - 1.0) <= UNIT_TOL)
     check_points(off_sphere, "sphere point is not unit norm")
     check_points((stack < -ORTHANT_SLACK).any(axis=1), "sphere point leaves the positive orthant")
 
@@ -114,16 +115,20 @@ def transport(alpha, beta, omega):
     return _finish(coords)
 
 
+def _embed(shares):
+    """Square-root embedding of a (k, d) stack of compositions (rows summing to 1)."""
+    # ufunc reductions, not the ndarray methods: embed_composition passes one row per call
+    check_points(np.logical_or.reduce(shares < -1e-8, axis=1), "composition has a negative entry")
+    total = np.add.reduce(shares, axis=1, keepdims=True)
+    off = abs(total - 1.0) > 1e-8
+    if np.count_nonzero(off):
+        check_points(off, f"composition sums to {total[off.argmax(), 0]}, not 1")
+    return np.sqrt(np.maximum(shares, 0.0) / total)
+
+
 def embed_composition(shares):
     """Square-root embedding of a composition (shares summing to 1)."""
-    shares = np.asarray(shares, dtype=float)
-    if np.any(shares < -1e-8):
-        raise InvariantViolationError("composition has a negative entry")
-    total = shares.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise InvariantViolationError(f"composition sums to {total}, not 1")
-    shares = np.clip(shares, 0.0, None) / total
-    return UnitCompositionPoint(np.sqrt(shares))
+    return UnitCompositionPoint(_embed(np.asarray(shares, dtype=float).reshape(1, -1))[0])
 
 
 def unembed(point):
@@ -188,8 +193,11 @@ def mean(coords, weights):
     )
 
 
-def from_data(data, manifest):
-    return embed_composition(np.asarray(data, dtype=float).ravel())
+def from_data(outcomes, manifest):
+    """The panel's compositions, flattened, as one (k, d) stack of embeddings."""
+    shares = [np.ravel(x) for x in outcomes]
+    check_same_shape(*shares)
+    return _embed(np.array(shares)), {}
 
 
 def to_data(coords):
@@ -200,5 +208,5 @@ def to_jsonable(point):
     return {"space": "sphere", "coords": point.coords.tolist(), "shares": to_data(point.coords)}
 
 
-def manifest_fields(point):
+def manifest_fields(shape):
     return {}

@@ -77,10 +77,6 @@ class QuantileCurve:
         validate(values[None])
 
     @property
-    def grid_size(self):
-        return len(self.values)
-
-    @property
     def grid(self):
         return midpoint_grid(len(self.values))
 
@@ -161,22 +157,25 @@ def transport(alpha, beta, omega):
     return QuantileCurve(np.maximum.accumulate(out))
 
 
+def _sample_quantiles(draws, grid_size):
+    """The (k, grid_size) quantiles of k arrays of draws; flags the first with fewer than two."""
+    check_points(np.array([d.ndim != 1 or len(d) < 2 for d in draws]), "need at least two samples")
+    values = [np.quantile(d, midpoint_grid(grid_size)) for d in draws]
+    return np.array([pav_projection(v) if np.any(np.diff(v) < -POINT_TOL) else v for v in values])
+
+
 def quantile_from_samples(samples, grid_size=DEFAULT_GRID_SIZE):
     """Empirical quantile curve from raw samples (order statistics, linear interpolation)."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or len(samples) < 2:
-        raise InvariantViolationError("need at least two samples")
-    values = np.quantile(samples, midpoint_grid(grid_size))
-    if np.any(np.diff(values) < -POINT_TOL):
-        values = pav_projection(values)
-    return QuantileCurve(values)
+    return QuantileCurve(_sample_quantiles([np.asarray(samples, dtype=float)], grid_size)[0])
 
 
-def from_data(data, manifest):
-    flat = np.asarray(data, dtype=float).ravel()
+def from_data(outcomes, manifest):
+    """The panel's curves, flattened, as one (k, M) stack (samples-csv: quantiles of the draws)."""
+    flat = [np.ravel(x) for x in outcomes]
     if manifest.get("format") == FORMAT_SAMPLES:
-        return quantile_from_samples(flat, manifest.get("grid_size", DEFAULT_GRID_SIZE))
-    return QuantileCurve(flat)
+        return _sample_quantiles(flat, manifest.get("grid_size", DEFAULT_GRID_SIZE)), {}
+    check_same_shape(*flat)
+    return np.array(flat), {}
 
 
 def to_data(values):
@@ -187,5 +186,5 @@ def to_jsonable(curve):
     return {"space": "wasserstein", "quantiles": to_data(curve.values)}
 
 
-def manifest_fields(curve):
-    return {"grid_size": curve.grid_size}
+def manifest_fields(shape):
+    return {"grid_size": shape[0]}

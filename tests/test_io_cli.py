@@ -10,11 +10,13 @@ from geodid.errors import (
     MissingOutcomeError,
     ParseError,
 )
-from geodid.geometry import distance
+from geodid.geometry import _BACKENDS, distance
 from geodid.panel import PanelDataset
 from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.spaces.sphere import embed_composition
 from geodid.spaces.wasserstein import QuantileCurve, quantile_from_samples
+
+from conftest import random_composition, random_curve, random_matrix
 
 
 def write_manifest(path, payload):
@@ -66,24 +68,127 @@ def test_load_rejects_format_space_mismatch(tmp_path):
         gio.load_panel(path)
 
 
-def test_load_reports_bad_composition_with_context(tmp_path):
-    payload = {
-        "space": "sphere",
-        "periods": 2,
-        "format": "inline",
-        "units": [
-            {
-                "id": "u7",
-                "treatment": [0, 0],
-                "outcomes": [[0.5, 0.5], [0.9, 0.3]],
-            },
-        ],
-    }
-    path = write_manifest(tmp_path / "bad.json", payload)
-    with pytest.raises(InvariantViolationError) as exc:
+# a data file that is never written
+MISSING = object()
+
+
+def data_manifest(tmp_path, space, fmt, outcomes, ids=None, **fields):
+    """Manifest of units with outcomes[i]: inline data or, in a file format, each file's text.
+
+    Unit i is treated in its last period when i is odd.
+    """
+    units = []
+    for i, row in enumerate(outcomes):
+        uid = ids[i] if ids else f"u{i}"
+        specs = []
+        for t, value in enumerate(row):
+            if fmt != "inline":
+                name = f"{uid}_t{t}.{'json' if fmt == 'matrix-json' else 'csv'}"
+                if value is not MISSING:
+                    (tmp_path / name).write_text(value)
+                value = name
+            specs.append(value)
+        units.append({"id": uid, "treatment": [0] * (len(row) - 1) + [i % 2], "outcomes": specs})
+    payload = {"space": space, "periods": len(outcomes[0]), "format": fmt, "units": units}
+    return write_manifest(tmp_path / "m.json", {**payload, **fields})
+
+
+@pytest.mark.parametrize(
+    "space, fmt, good, bad, error",
+    [
+        ("wasserstein", "quantile-csv", "0.1,0.2,0.3", "0.1,0.5,0.2", InvariantViolationError),
+        ("sphere", "composition-csv", "0.2,0.3,0.5", "0.7,0.4,-0.1", InvariantViolationError),
+        ("sphere", "composition-csv", "0.5,0.5", "0.9,0.3", InvariantViolationError),
+        ("sphere", "inline", [0.5, 0.5], [0.9, 0.3], InvariantViolationError),
+        ("frobenius", "matrix-csv", "1,2\n2,1", "1,2\n3,4", InvariantViolationError),
+        ("wasserstein", "samples-csv", "0.3\n-1.2,0.8", "1.5", InvariantViolationError),
+        ("wasserstein", "quantile-csv", "0.1,0.2,0.3", "0.1,abc,0.3", ParseError),
+        ("wasserstein", "quantile-csv", "0.1,0.2,0.3", MISSING, MissingOutcomeError),
+        ("frobenius", "inline", [[1.0]], {"a": 1}, ParseError),
+        ("wasserstein", "inline", [0.1, 0.2], [0.1, 2**1024], ParseError),
+    ],
+    ids=[
+        "quantile-drop",
+        "composition-negative",
+        "composition-bad-sum",
+        "inline-composition-bad-sum",
+        "matrix-asymmetric",
+        "samples-one-draw",
+        "non-numeric-cell",
+        "missing-file",
+        "non-numeric-inline",
+        "inline-integer-beyond-float",
+    ],
+)
+def test_load_reports_bad_outcome_with_context(tmp_path, space, fmt, good, bad, error):
+    path = data_manifest(tmp_path, space, fmt, [[good, good], [good, bad]], ids=["a", "u7"])
+    with pytest.raises(error) as exc:
         gio.load_panel(path)
-    assert "u7" in str(exc.value)
-    assert "period 1" in str(exc.value)
+    assert str(exc.value).startswith("unit u7 period 1: ")
+
+
+def test_load_joins_an_outcome_split_over_lines(tmp_path):
+    # a curve or a composition may run over lines of unequal length
+    curves = [["0.1\n0.2,0.3", "0.1,0.2\n0.4"]] * 2
+    panel = gio.load_panel(data_manifest(tmp_path, "wasserstein", "quantile-csv", curves))
+    np.testing.assert_array_equal(panel.point(1, 1).values, [0.1, 0.2, 0.4])
+    shares = [["0.2\n0.3,0.5", "0.5,0.5\n0.0"]] * 2
+    panel = gio.load_panel(data_manifest(tmp_path, "sphere", "composition-csv", shares))
+    expected = embed_composition([0.2, 0.3, 0.5]).coords
+    np.testing.assert_array_equal(panel.point(0, 0).coords, expected)
+
+
+@pytest.mark.parametrize(
+    "space, fmt",
+    [(space, fmt) for space in sorted(_BACKENDS) for fmt in _BACKENDS[space].FORMATS],
+)
+def test_load_validates_once_and_builds_no_point(tmp_path, monkeypatch, space, fmt):
+    rng = np.random.default_rng(3)
+    sample = {"wasserstein": random_curve, "sphere": random_composition, "frobenius": random_matrix}
+    points = tuple(tuple(sample[space](rng) for _ in range(3)) for _ in range(4))
+    panel = PanelDataset(points, np.array([[0, 0, 0], [0, 0, 1]] * 2))
+    if fmt == "samples-csv":
+        draws = [
+            [",".join(map(repr, rng.normal(size=5).tolist())) for _ in range(3)] for _ in range(4)
+        ]
+        path = data_manifest(tmp_path, space, fmt, draws, grid_size=7)
+    else:
+        gio.save_panel(panel, tmp_path / "m.json", fmt=fmt)
+        path = tmp_path / "m.json"
+    backend = _BACKENDS[space]
+    checked, validate = [], backend.validate
+
+    def counting_validate(stack, **fields):
+        checked.append(len(stack))
+        validate(stack, **fields)
+
+    def no_point(*args, **kwargs):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(backend, "validate", counting_validate)
+    monkeypatch.setattr(backend, "POINT", no_point)
+    loaded = gio.load_panel(path)
+    assert checked == [12]
+    if fmt != "samples-csv":
+        # the sphere stores shares, coords**2, whose square roots may differ in the last bit
+        np.testing.assert_allclose(loaded.data, panel.data, rtol=0, atol=1e-15)
+        # saving reads the panel's array and fields, and builds no point either
+        gio.save_panel(loaded, tmp_path / "again.json", fmt=fmt)
+        assert checked == [12]
+
+
+@pytest.mark.parametrize(
+    "space, fmt, small, large",
+    [
+        ("wasserstein", "quantile-csv", "0.1,0.2,0.3", "0.1,0.2,0.3,0.4"),
+        ("sphere", "inline", [0.5, 0.5], [0.2, 0.3, 0.5]),
+        ("frobenius", "inline", [[1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+    ],
+)
+def test_cli_rejects_outcomes_of_mixed_shapes(tmp_path, capsys, space, fmt, small, large):
+    manifest = data_manifest(tmp_path, space, fmt, [[small, small], [small, large]])
+    assert main(["estimate", "--manifest", manifest]) == EXIT_ESTIMATION
+    assert single_error_line(capsys)["error"] == "SpaceMismatchError"
 
 
 def test_load_missing_outcome_names_unit(tmp_path):
@@ -130,6 +235,20 @@ def test_matrix_round_trip(tmp_path, fmt):
     for i in range(2):
         for t in range(2):
             assert distance(loaded.point(i, t), panel.point(i, t)) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "ids", [("u", "u"), (1, "1"), ("a", "b/c")], ids=["same", "same-text", "separator"]
+)
+def test_save_rejects_unit_ids_that_name_one_file(tmp_path, ids):
+    curves = [[QuantileCurve([0.0, 1.0 + i + t]) for t in range(2)] for i in range(2)]
+    panel = PanelDataset(curves, np.array([[0, 0], [0, 1]]), unit_ids=ids)
+    with pytest.raises(ValueError, match="unit ids"):
+        gio.save_panel(panel, tmp_path / "q.json", fmt="quantile-csv")
+    assert not any(tmp_path.iterdir())
+    # inline data names no file
+    gio.save_panel(panel, tmp_path / "q.json")
+    assert gio.load_panel(tmp_path / "q.json").point(1, 1).values[1] == 3.0
 
 
 def test_quantile_round_trip(tmp_path):
@@ -239,6 +358,20 @@ def single_error_line(capsys):
             "MissingOutcomeError",
             "expected 2 outcomes",
         ),
+    ]
+    + [
+        (
+            {
+                "space": "wasserstein",
+                "periods": 1,
+                "format": "samples-csv",
+                "grid_size": grid_size,
+                "units": [{"id": "a", "treatment": [0], "outcomes": [[0.0, 1.0, 2.0]]}],
+            },
+            "ParseError",
+            "'grid_size' must be an integer >= 2",
+        )
+        for grid_size in (1.5, "7", True, 1)
     ],
     ids=[
         "top-level-array",
@@ -250,6 +383,10 @@ def single_error_line(capsys):
         "units-not-array",
         "treatment-not-array",
         "outcomes-not-array",
+        "grid-size-fraction",
+        "grid-size-string",
+        "grid-size-bool",
+        "grid-size-one",
     ],
 )
 def test_cli_rejects_malformed_manifest(tmp_path, capsys, payload, error, message):
