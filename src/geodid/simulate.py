@@ -172,15 +172,17 @@ def generate_panel(config, rng):
 def single_run_error(config, run):
     """One replication: generate, estimate, measure error in the quotient metric.
 
-    Returns the error, or None when estimation failed (e.g. an empty group).
+    Returns the error, or None when estimating or measuring failed (e.g. an
+    empty group, or an estimated start curve that is constant and cannot be
+    transported).
     """
     rng = _run_rng(config, run)
     panel, truth = generate_panel(config, rng)
     try:
         estimate = estimate_gatt(panel)
+        return quotient_distance(estimate.effect, truth, reference=truth.start)
     except GeodidError:
         return None
-    return quotient_distance(estimate.effect, truth, reference=truth.start)
 
 
 def _run_job(args):

@@ -8,7 +8,7 @@ layout), and is registered in `geometry._BACKENDS`.
 
 import numpy as np
 
-from ..errors import InvariantViolationError, SpaceMismatchError
+from ..errors import GeodidError, InvariantViolationError, SpaceMismatchError
 
 # manifest format whose outcomes are written into the manifest itself
 FORMAT_INLINE = "inline"
@@ -24,3 +24,9 @@ def check_same_shape(*arrays):
     """Raise SpaceMismatchError unless the points' arrays all have one shape."""
     if len(shapes := {a.shape for a in arrays}) > 1:
         raise SpaceMismatchError(f"point shapes differ: {sorted(shapes)}")
+
+
+def check_overflow(values, what):
+    """Raise GeodidError (an estimation failure) when arithmetic on valid points left `values` non-finite."""
+    if not np.isfinite(values).all():
+        raise GeodidError(f"{what} of finite points overflows the float range")

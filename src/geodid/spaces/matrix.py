@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvariantViolationError, KindViolationWarning
-from . import FORMAT_INLINE, check_points, check_same_shape
+from . import FORMAT_INLINE, check_overflow, check_points, check_same_shape
 
 SYMMETRY_TOL = 1e-10
 LAPLACIAN_TOL = 1e-8
@@ -89,6 +89,7 @@ def transport(alpha, beta, omega):
 
 def _result(entries, kind):
     entries = 0.5 * (entries + entries.T)
+    check_overflow(entries, "matrix result")
     if not _kind_ok(entries[None], kind)[0]:
         warnings.warn(
             f"result violates {kind} structure; kept with kind='free'",

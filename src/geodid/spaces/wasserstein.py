@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateTransportError, InvariantViolationError
-from . import FORMAT_INLINE, check_points, check_same_shape
+from . import FORMAT_INLINE, check_overflow, check_points, check_same_shape
 
 POINT_TOL = 1e-10
 DEFAULT_GRID_SIZE = 100
@@ -107,6 +107,7 @@ def stack_points(curves):
 def mean(stack, weights):
     """Weighted Frechet mean of a (k, M) stack: the average quantile function, kept monotone."""
     values = np.average(stack, axis=0, weights=weights)
+    check_overflow(values, "quantile curve mean")
     if np.any(np.diff(values) < -1e-10):
         values = pav_projection(values)
     return QuantileCurve(values), 0

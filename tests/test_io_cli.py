@@ -362,6 +362,22 @@ def single_error_line(capsys):
     + [
         (
             {
+                "space": "frobenius",
+                "periods": 2,
+                "format": "inline",
+                "units": [
+                    {"id": "c", "treatment": [0, 0], "outcomes": [[[0.0]], [[1.0]]]},
+                    {"id": "t", "treatment": treat, "outcomes": [[[0.0]], [[3.0]]]},
+                ],
+            },
+            "ParseError",
+            "unit t: treatment must list 2 indicators of 0 or 1",
+        )
+        for treat in ([0, [1]], [[0], [1]], [0, "1"], [0, None])
+    ]
+    + [
+        (
+            {
                 "space": "wasserstein",
                 "periods": 1,
                 "format": "samples-csv",
@@ -383,6 +399,10 @@ def single_error_line(capsys):
         "units-not-array",
         "treatment-not-array",
         "outcomes-not-array",
+        "treatment-entry-list",
+        "treatment-entries-lists",
+        "treatment-entry-string",
+        "treatment-entry-null",
         "grid-size-fraction",
         "grid-size-string",
         "grid-size-bool",
@@ -395,6 +415,39 @@ def test_cli_rejects_malformed_manifest(tmp_path, capsys, payload, error, messag
     err = single_error_line(capsys)
     assert err["error"] == error
     assert message in err["message"]
+
+
+def test_load_accepts_boolean_and_float_indicators(tmp_path):
+    payload = json.loads(open(scalar_manifest(tmp_path)).read())
+    payload["units"][0]["treatment"] = [False, 0.0]
+    payload["units"][1]["treatment"] = [0, True]
+    panel = gio.load_panel(write_manifest(tmp_path / "m.json", payload))
+    np.testing.assert_array_equal(panel.treatment, [[0, 0], [0, 1]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "space, large, small",
+    [("frobenius", [[1e308]], [[0.0]]), ("wasserstein", [0.0, 1e308], [0.0, 1.0])],
+    ids=["frobenius", "wasserstein"],
+)
+def test_cli_mean_that_overflows_is_an_estimation_failure(tmp_path, capsys, space, large, small):
+    # two control outcomes of 1e308 are valid, and their sum is not finite
+    payload = {
+        "space": space,
+        "periods": 2,
+        "format": "inline",
+        "units": [
+            {"id": "c1", "treatment": [0, 0], "outcomes": [large, large]},
+            {"id": "c2", "treatment": [0, 0], "outcomes": [large, large]},
+            {"id": "t", "treatment": [0, 1], "outcomes": [small, small]},
+        ],
+    }
+    manifest = write_manifest(tmp_path / "m.json", payload)
+    assert main(["estimate", "--manifest", manifest]) == EXIT_ESTIMATION
+    err = single_error_line(capsys)
+    assert err["error"] == "GeodidError"
+    assert "overflows" in err["message"]
 
 
 @pytest.mark.parametrize(
@@ -475,6 +528,21 @@ def test_cli_simulate_deterministic(tmp_path):
     payload = json.loads(out1.read_text())
     assert payload["space"] == "wasserstein"
     assert set(payload["errors"]) == {"20", "40"}
+
+
+def test_cli_simulate_excludes_a_replicate_whose_error_cannot_be_measured(tmp_path):
+    # with two draws per distribution, replicate 2 at n=50 estimates a constant
+    # start curve, which the quotient metric cannot transport
+    out = tmp_path / "r.json"
+    args = [
+        "simulate", "--space", "wasserstein", "--n", "50,200", "--q", "5", "--seed", "0",
+        "--samples-per-dist", "2", "--out", str(out),
+    ]
+    assert main(args) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert sum(payload["excluded"].values()) >= 1
+    for n, errors in payload["errors"].items():
+        assert len(errors) + payload["excluded"][n] == 5
 
 
 @pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")

@@ -197,6 +197,16 @@ def test_run_monte_carlo_deterministic():
     assert r1.slope == r2.slope
 
 
+@pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
+@pytest.mark.parametrize("space", ["wasserstein", "network"])
+def test_process_pool_gives_the_serial_report(space):
+    configs = configs_for_sizes(SimConfig(space=space, q=8, seed=5), [50, 200])
+    serial = run_monte_carlo(configs, workers=1)
+    pooled = run_monte_carlo(configs, workers=2)
+    # repr spells every float exactly, so equal reprs are equal bits
+    assert repr(pooled) == repr(serial)
+
+
 def test_error_shrinks_even_without_treatment_effect():
     # with beta = 0 the estimand is trivial but sampling noise remains;
     # the median error over runs should fall as n grows
