@@ -48,4 +48,4 @@ def group_means(panel, period, selector):
         raise EmptyGroupError(f"selected group is empty at period {period}")
     stack = panel.data[selector, period]
     backend = _BACKENDS[panel.space_id]
-    return FrechetResult(*backend.mean(stack, np.ones(len(stack)), **panel.fields))
+    return FrechetResult(*backend.mean(stack, None, **panel.fields))

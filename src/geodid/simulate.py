@@ -63,6 +63,9 @@ class SimConfig:
         for p in (self.p11, self.p12, self.p21, self.p22):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("edge probabilities must lie in [0, 1]")
+        # a network needs at least one edge, so at least two nodes
+        if self.m1 < 0 or self.m2 < 0 or self.m1 + self.m2 < 2:
+            raise ValueError("block sizes m1 and m2 must be >= 0 with m1 + m2 >= 2")
 
 
 @dataclass(frozen=True)
@@ -144,17 +147,34 @@ def generate_network_panel(config, rng):
     m, probs = _block_probabilities(config)
     d = (rng.random(n) < config.treat_prob).astype(int)
     iu = np.triu_indices(m, k=1)
+    n_edges = len(iu[0])
     # per unit and period the edge-presence uniforms, then the edge-noise ones,
     # as a unit-by-unit loop draws them (rng.uniform(-1, 1) computes -1 + 2u)
-    draws = rng.random((n, 2, 2, len(iu[0])))
+    draws = rng.random((n, 2, 2, n_edges))
+    present = draws[:, :, 0] < probs[iu]
     t, dc = np.arange(2), d[:, None]
-    w = -1.0 + 2.0 * draws[:, :, 1]
-    w += (config.alpha1 + config.alpha2 * t + config.alpha3 * dc + config.beta * dc * t)[..., None]
-    w[draws[:, :, 0] >= probs[iu]] = 0.0
+    base = config.alpha1 + config.alpha2 * t + config.alpha3 * dc + config.beta * dc * t
+    # the edge weights overwrite the noise draws, in place
+    w = draws[:, :, 1]
+    w *= 2.0
+    w += -1.0
+    w += base[..., None]
+    if np.isfinite(base).all():
+        # a present weight is never -0.0, so adding 0.0 only turns the
+        # absent ones' -0.0 into +0.0; inf * 0 would be NaN, hence the guard
+        w *= present
+        w += 0.0
+    else:
+        w[~present] = 0.0
     kind = KIND_LAPLACIAN if w.min() >= 0.0 else KIND_FREE
-    laps = np.zeros((n, 2, m, m))
-    laps[..., iu[0], iu[1]] = laps[..., iu[1], iu[0]] = w
-    del draws, w  # peak memory: freed before validation makes its temporaries
+    # one gather builds every Laplacian from the (n, 2, 2 * n_edges) draws:
+    # cell (i, j) reads edge {i, j}'s weight in both triangles, and the
+    # diagonal reads a spent presence draw that is set to 0
+    draws[:, :, 0, 0] = 0.0
+    cell_edge = np.zeros((m, m), dtype=np.intp)
+    cell_edge[iu] = cell_edge[iu[::-1]] = n_edges + np.arange(n_edges)
+    laps = np.take(draws.reshape(n, 2, 2 * n_edges), cell_edge, axis=-1)
+    del draws, w, present  # peak memory: freed before validation makes its temporaries
     degrees = laps.sum(axis=-1)
     np.negative(laps, out=laps)
     laps[..., np.arange(m), np.arange(m)] = degrees

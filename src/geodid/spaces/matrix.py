@@ -28,21 +28,33 @@ FORMATS = (FORMAT_MATRIX_CSV, FORMAT_MATRIX_JSON, FORMAT_INLINE)
 def _kind_ok(stack, kind):
     """Per matrix of a (k, m, m) stack: whether it has `kind`'s structure."""
     if kind == KIND_LAPLACIAN:
-        off = ~np.eye(stack.shape[-1], dtype=bool)
-        rows_sum_to_zero = ~(np.abs(stack.sum(axis=-1)) > LAPLACIAN_TOL).any(axis=-1)
-        return rows_sum_to_zero & ~((stack > LAPLACIAN_TOL) & off).any(axis=(1, 2))
+        row_sum_off = np.abs(stack.sum(axis=-1)) > LAPLACIAN_TOL
+        m = stack.shape[-1]
+        positive = np.greater(stack, LAPLACIAN_TOL, order="C")
+        # only off-diagonal entries must not be positive: clear the diagonal
+        # through a flat view (C order makes the reshape a view, not a copy)
+        positive.reshape(len(stack), m * m)[:, :: m + 1] = False
+        if not (row_sum_off.any() or positive.any()):
+            return np.ones(len(stack), dtype=bool)
+        return ~(row_sum_off.any(axis=-1) | positive.any(axis=(1, 2)))
     if kind == KIND_COVARIANCE:
         return np.linalg.eigvalsh(stack)[:, 0] >= -PSD_TOL
     return np.ones(len(stack), dtype=bool)
 
 
 def validate(stack, kind):
-    """Check a (k, m, m) stack of symmetric matrices of one kind."""
+    """Check a (k, m, m) stack of symmetric matrices of one kind (the tolerance test runs on asymmetric rows)."""
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise InvariantViolationError("matrix point must be square")
-    check_points(~np.isfinite(stack).all(axis=(1, 2)), "matrix has non-finite entries")
-    gap = stack - stack.swapaxes(1, 2)
-    check_points(np.abs(gap, out=gap).max(axis=(1, 2)) > SYMMETRY_TOL, "matrix is not symmetric")
+    finite = np.isfinite(stack)
+    if not finite.all():
+        check_points(~finite.all(axis=(1, 2)), "matrix has non-finite entries")
+    differs = stack != stack.swapaxes(1, 2)
+    if differs.any():
+        asymmetric = differs.any(axis=(1, 2))
+        rows = stack[asymmetric]
+        asymmetric[asymmetric] = np.abs(rows - rows.swapaxes(1, 2)).max(axis=(1, 2)) > SYMMETRY_TOL
+        check_points(asymmetric, "matrix is not symmetric")
     if kind not in (KIND_LAPLACIAN, KIND_COVARIANCE, KIND_FREE):
         raise InvariantViolationError(f"unknown matrix kind {kind!r}")
     check_points(~_kind_ok(stack, kind), f"matrix violates {kind} structure")
@@ -124,7 +136,7 @@ def stack_points(points):
 
 
 def mean(stack, weights, kind):
-    """Weighted Frechet mean of a (k, m, m) stack: the entrywise average."""
+    """Weighted Frechet mean of a (k, m, m) stack: the entrywise average (plain when weights is None)."""
     return _result(np.average(stack, axis=0, weights=weights), kind), 0
 
 

@@ -162,7 +162,9 @@ def stack_points(points):
 
 
 def mean(coords, weights):
-    """Weighted Karcher mean of a (k, d) stack by unit-step tangent-space averaging."""
+    """Weighted Karcher mean of a (k, d) stack by unit-step tangent-space averaging (equal weights when None)."""
+    if weights is None:
+        weights = np.ones(len(coords))
     w = weights / weights.sum()
     extrinsic = w @ coords
     if np.linalg.norm(extrinsic) < 1e-8:

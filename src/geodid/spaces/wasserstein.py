@@ -105,7 +105,7 @@ def stack_points(curves):
 
 
 def mean(stack, weights):
-    """Weighted Frechet mean of a (k, M) stack: the average quantile function, kept monotone."""
+    """Weighted Frechet mean of a (k, M) stack: the average quantile function (plain when weights is None), kept monotone."""
     values = np.average(stack, axis=0, weights=weights)
     check_overflow(values, "quantile curve mean")
     if np.any(np.diff(values) < -1e-10):

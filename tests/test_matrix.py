@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from geodid.errors import InvariantViolationError, KindViolationWarning, SpaceMismatchError
+from geodid.spaces import check_points
 from geodid.spaces.matrix import (
     KIND_COVARIANCE,
+    KIND_FREE,
     KIND_LAPLACIAN,
     SymmetricMatrixPoint,
     distance,
     laplacian_from_adjacency,
     transport,
+    validate,
 )
 
 from conftest import random_matrix
@@ -118,3 +121,109 @@ def test_sbm_mean_laplacian_transport():
     np.testing.assert_allclose(
         truth.end.entries[off_mask], -4.0 * probs[off_mask], atol=1e-12
     )
+
+
+def oracle_kind_ok(stack, kind):
+    """`_kind_ok` before its diagonal mask became an in-place write, kept as its oracle."""
+    if kind == KIND_LAPLACIAN:
+        off = ~np.eye(stack.shape[-1], dtype=bool)
+        rows_sum_to_zero = ~(np.abs(stack.sum(axis=-1)) > 1e-8).any(axis=-1)
+        return rows_sum_to_zero & ~((stack > 1e-8) & off).any(axis=(1, 2))
+    if kind == KIND_COVARIANCE:
+        return np.linalg.eigvalsh(stack)[:, 0] >= -1e-8
+    return np.ones(len(stack), dtype=bool)
+
+
+def oracle_validate(stack, kind):
+    """`validate` before its symmetry test went exact-first, kept as its oracle."""
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise InvariantViolationError("matrix point must be square")
+    check_points(~np.isfinite(stack).all(axis=(1, 2)), "matrix has non-finite entries")
+    gap = stack - stack.swapaxes(1, 2)
+    check_points(np.abs(gap, out=gap).max(axis=(1, 2)) > 1e-10, "matrix is not symmetric")
+    if kind not in (KIND_LAPLACIAN, KIND_COVARIANCE, KIND_FREE):
+        raise InvariantViolationError(f"unknown matrix kind {kind!r}")
+    check_points(~oracle_kind_ok(stack, kind), f"matrix violates {kind} structure")
+
+
+def validation_outcome(check, stack, kind):
+    try:
+        check(stack, kind)
+    except InvariantViolationError as exc:
+        return type(exc), str(exc), exc.index
+    return None
+
+
+def valid_stack(rng, k, m, kind):
+    """k random (m, m) matrices of `kind`."""
+    a = rng.normal(size=(k, m, m))
+    if kind == KIND_LAPLACIAN:
+        w = np.abs(a + a.swapaxes(1, 2))
+        w[:, np.arange(m), np.arange(m)] = 0.0
+        stack = -w
+        stack[:, np.arange(m), np.arange(m)] = w.sum(axis=-1)
+        return stack
+    if kind == KIND_COVARIANCE:
+        return a @ a.swapaxes(1, 2)
+    return a + a.swapaxes(1, 2)
+
+
+def _asymmetric(by):
+    def perturb(x, rng):
+        i, j = rng.choice(len(x), 2, replace=False)
+        x[i, j] += by
+    return perturb
+
+
+def _entry(value):
+    def perturb(x, rng):
+        i, j = rng.integers(len(x), size=2)
+        x[i, j] = value
+    return perturb
+
+
+def _positive_off_diagonal(x, rng):
+    i, j = rng.choice(len(x), 2, replace=False)
+    x[i, j] = x[j, i] = 0.5
+
+
+def _positive_diagonal(x, rng):
+    i = rng.integers(len(x))
+    x[i, i] = abs(x[i, i]) + 1.0
+
+
+def _row_sum_off(x, rng):
+    i = rng.integers(len(x))
+    x[i, i] += 2e-8
+
+
+PERTURBATIONS = {
+    "asymmetric by 1e-12": _asymmetric(1e-12),
+    "asymmetric by 5e-11": _asymmetric(5e-11),
+    "asymmetric by 1e-9": _asymmetric(1e-9),
+    "nan": _entry(np.nan),
+    "inf": _entry(np.inf),
+    "-inf": _entry(-np.inf),
+    "positive off-diagonal": _positive_off_diagonal,
+    "positive diagonal": _positive_diagonal,
+    "row sum off by 2e-8": _row_sum_off,
+}
+
+
+@pytest.mark.parametrize("kind", [KIND_LAPLACIAN, KIND_COVARIANCE, KIND_FREE, "bogus"])
+@pytest.mark.parametrize("perturbation", [None, *PERTURBATIONS])
+def test_validate_matches_its_oracle(kind, perturbation):
+    rng = np.random.default_rng(20)
+    for k in (1, 2, 9):
+        for trial in range(10):
+            stack = valid_stack(rng, k, int(rng.integers(2, 7)), kind)
+            # exactly symmetric; then some rows get the perturbation, and
+            # in every other stack some rows a second, random one
+            names = [perturbation] if perturbation else []
+            if trial % 2:
+                names.append(rng.choice(list(PERTURBATIONS)))
+            for name in names:
+                for row in np.flatnonzero(rng.random(k) < 0.6):
+                    PERTURBATIONS[name](stack[row], rng)
+            expected = validation_outcome(oracle_validate, stack, kind)
+            assert validation_outcome(validate, stack, kind) == expected

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from geodid.cli import EXIT_INVALID_INPUT, main
 from geodid.frechet import frechet_mean, group_means
 from geodid.geometry import distance
 from geodid.simulate import (
@@ -28,6 +31,19 @@ def test_config_validation():
         SimConfig(space="network", p11=1.5)
     with pytest.raises(ValueError):
         SimConfig(sample_size_per_dist=1)
+
+
+@pytest.mark.parametrize("m1, m2", [(0, 0), (1, 0), (-1, 3)])
+def test_config_rejects_block_sizes_without_an_edge(m1, m2, capsys):
+    with pytest.raises(ValueError, match="block sizes"):
+        SimConfig(space="network", m1=m1, m2=m2)
+    argv = ["simulate", "--space", "network", "--n", "20", "--q", "2", "--m1", str(m1), "--m2", str(m2)]
+    assert main(argv) == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
 
 
 def test_true_wasserstein_gatt_unit_params():
@@ -138,6 +154,53 @@ def test_network_panel_matches_per_unit_loop(knobs):
                 mean = group_means(panel, t, treatment[:, 1] == d).mean
                 looped = frechet_mean([outcomes[i][t] for i in units]).mean
                 np.testing.assert_array_equal(mean.entries, looped.entries)
+
+
+def bits(a):
+    """The raw bits of a float array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {},
+        {"alpha1": -0.5},
+        {"m1": 3, "m2": 6, "p12": 0.7, "p21": 0.7, "treat_prob": 0.6},
+        {"m1": 1, "m2": 1},
+        {"m1": 0, "m2": 3},
+        {"m1": 2, "m2": 0},
+        # the treated post-period weight overflows to inf, yet every edge is
+        # absent: absent weights stay 0, not inf * 0 (the truth stays finite)
+        {
+            "alpha1": 0.0, "alpha2": 1e308, "alpha3": 1e308, "beta": -1e308,
+            "p11": 0.0, "p12": 0.0, "p21": 0.0, "p22": 0.0,
+        },
+    ],
+    ids=[
+        "default",
+        "negative weights",
+        "uneven blocks",
+        "blocks 1-1",
+        "blocks 0-3",
+        "blocks 2-0",
+        "overflowing weight, no edges",
+    ],
+)
+def test_network_panel_matches_per_unit_loop_bit_for_bit(knobs):
+    for seed in range(4):
+        config = SimConfig(space="network", n=60, seed=seed, **knobs)
+        panel, _ = generate_panel(config, np.random.default_rng(seed))
+        outcomes, treatment = loop_network_panel(config, np.random.default_rng(seed))
+        expected = np.array([[p.entries for p in row] for row in outcomes])
+        np.testing.assert_array_equal(bits(panel.data), bits(expected))
+        for d in (0, 1):
+            for t in (0, 1):
+                mean = group_means(panel, t, treatment[:, 1] == d).mean
+                looped = frechet_mean([row[t] for row, g in zip(outcomes, treatment[:, 1]) if g == d]).mean
+                np.testing.assert_array_equal(bits(mean.entries), bits(looped.entries))
 
 
 @pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
