@@ -108,19 +108,11 @@ class PanelDataset:
 
     @cached_property
     def group_label_array(self):
-        """`group_labels` as a read-only float array (inf for never treated)."""
+        """First treated period per unit as a read-only float array (inf for never treated)."""
         labels = self.treatment.argmax(axis=1).astype(float)
         labels[~self.treatment.any(axis=1)] = NEVER_TREATED
         labels.flags.writeable = False
         return labels
-
-    @cached_property
-    def group_labels(self):
-        """First treated period per unit (an int), or inf for never-treated units."""
-        return tuple(
-            NEVER_TREATED if g == NEVER_TREATED else int(g)
-            for g in self.group_label_array.tolist()
-        )
 
     def ever_treated(self):
         return self.treatment[:, -1] == 1

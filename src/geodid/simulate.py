@@ -8,6 +8,7 @@ quotient metric anchored at the true counterfactual mean, and fits a log-log
 slope across sample sizes.
 """
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -20,10 +21,12 @@ from .errors import GeodidError
 from .geometry import Geodesic, quotient_distance
 from .panel import PanelDataset
 from .spaces.matrix import SymmetricMatrixPoint, KIND_FREE, KIND_LAPLACIAN
-from .spaces.wasserstein import QuantileCurve, midpoint_grid
+from .spaces.wasserstein import QuantileCurve, _sample_quantiles, midpoint_grid
 
 SPACE_WASSERSTEIN = "wasserstein"
 SPACE_NETWORK = "network"
+# the largest |normal quantile| of a uniform draw in (0, 1) on numpy's 2**-53 lattice
+_Z_MAX = float(-norm.ppf(2.0**-53))
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,17 @@ class SimConfig:
         # a network needs at least one edge, so at least two nodes
         if self.m1 < 0 or self.m2 < 0 or self.m1 + self.m2 < 2:
             raise ValueError("block sizes m1 and m2 must be >= 0 with m1 + m2 >= 2")
+        coefs = [abs(c) for c in (self.alpha1, self.alpha2, self.alpha3, self.beta)]
+        a1, a2, a3, b = coefs
+        if self.space == SPACE_WASSERSTEIN:
+            bound = a2 + (a1 + b) * _Z_MAX
+        elif max(self.p11, self.p12, self.p21, self.p22) > 0.0:
+            # a degree sums m - 1 edge weights, each the trend plus noise in [-1, 1)
+            bound = (self.m1 + self.m2 - 1) * (a1 + a2 + a3 + b + 1.0)
+        else:
+            bound = 0.0  # no edge can exist, so every weight is 0
+        if not all(map(math.isfinite, (*coefs, bound))):
+            raise ValueError(f"coefficients are not finite or overflow the {self.space} DGP")
 
 
 @dataclass(frozen=True)
@@ -101,14 +115,13 @@ def generate_wasserstein_panel(config, rng):
     """Two-period panel of empirical quantile curves, plus the true effect."""
     n, s = config.n, config.sample_size_per_dist
     d = (rng.random(n) < config.treat_prob).astype(int)
-    grid = midpoint_grid(config.grid_size)
     curves = np.empty((n, 2, config.grid_size))
     for t in (0, 1):
         mu = rng.normal(config.alpha2 * t, 1.0, size=n)
         sigma = config.alpha1 + config.beta * d * t
         # inverse-CDF sampling keeps a single source of truth for the normal quantile
         draws = mu[:, None] + sigma[:, None] * norm.ppf(rng.random((n, s)))
-        curves[:, t, :] = np.quantile(draws, grid, axis=1).T
+        curves[:, t, :] = _sample_quantiles(draws, config.grid_size)
     treatment = np.column_stack([np.zeros(n, dtype=int), d])
     panel = PanelDataset.from_array(curves, treatment, "wasserstein", {})
     return panel, true_wasserstein_gatt(config)

@@ -25,32 +25,12 @@ def midpoint_grid(m):
     return (np.arange(m) + 0.5) / m
 
 
-def pav_projection(values):
-    """Project onto non-decreasing sequences (least squares, pool adjacent violators)."""
-    v = np.asarray(values, dtype=float)
-    level = v.copy()
-    weight = np.ones_like(v)
-    n = len(v)
-    # blocks[i] holds the start index of the block ending at position i
-    start = np.arange(n)
-    j = 0
-    for i in range(1, n):
-        j += 1
-        level[j] = v[i]
-        weight[j] = 1.0
-        start[j] = i
-        while j > 0 and level[j - 1] > level[j]:
-            total = weight[j - 1] + weight[j]
-            level[j - 1] = (weight[j - 1] * level[j - 1] + weight[j] * level[j]) / total
-            weight[j - 1] = total
-            j -= 1
-    out = np.empty(n)
-    pos = n
-    while j >= 0:
-        out[start[j]:pos] = level[j]
-        pos = start[j]
-        j -= 1
-    return out
+def _nondecreasing(values):
+    """`values` (a curve or a (k, M) stack) with each row that drops beyond POINT_TOL replaced, in place, by its running maximum."""
+    drops = (np.diff(values, axis=-1) < -POINT_TOL).any(axis=-1)
+    if drops.any():
+        values[drops] = np.maximum.accumulate(values[drops], axis=-1)
+    return values
 
 
 def validate(stack):
@@ -108,9 +88,7 @@ def mean(stack, weights):
     """Weighted Frechet mean of a (k, M) stack: the average quantile function (plain when weights is None), kept monotone."""
     values = np.average(stack, axis=0, weights=weights)
     check_overflow(values, "quantile curve mean")
-    if np.any(np.diff(values) < -1e-10):
-        values = pav_projection(values)
-    return QuantileCurve(values), 0
+    return QuantileCurve(_nondecreasing(values)), 0
 
 
 def cdf_eval(curve, x):
@@ -132,7 +110,7 @@ def cdf_eval(curve, x):
     inner = ~(below | above)
     i = idx[inner]
     lo, hi = values[i - 1], values[i]
-    exact = np.isclose(hi, x[inner], rtol=0.0, atol=0.0)
+    exact = hi == x[inner]
     frac = np.where(hi > lo, (x[inner] - lo) / np.where(hi > lo, hi - lo, 1.0), 1.0)
     out[inner] = np.where(exact, grid[i], grid[i - 1] + frac * (grid[i] - grid[i - 1]))
     return out
@@ -158,23 +136,39 @@ def transport(alpha, beta, omega):
     return QuantileCurve(np.maximum.accumulate(out))
 
 
+def _check_draws(draws):
+    """Flag the first of a list of draw arrays that is not 1-D with two draws, then the first with a non-finite draw."""
+    sizes = np.array([d.size if d.ndim == 1 else 0 for d in draws])
+    check_points(sizes < 2, "need at least two samples")
+    finite = np.logical_and.reduceat(np.isfinite(np.concatenate(draws)), np.cumsum(sizes) - sizes)
+    check_points(~finite, "sample has non-finite draws")
+    return sizes
+
+
 def _sample_quantiles(draws, grid_size):
-    """The (k, grid_size) quantiles of k arrays of draws; flags the first with fewer than two."""
-    check_points(np.array([d.ndim != 1 or len(d) < 2 for d in draws]), "need at least two samples")
-    values = [np.quantile(d, midpoint_grid(grid_size)) for d in draws]
-    return np.array([pav_projection(v) if np.any(np.diff(v) < -POINT_TOL) else v for v in values])
+    """The (k, grid_size) midpoint-grid quantiles of a (k, s) stack of draws (numpy's linear estimate)."""
+    return _nondecreasing(np.quantile(draws, midpoint_grid(grid_size), axis=1).T)
 
 
 def quantile_from_samples(samples, grid_size=DEFAULT_GRID_SIZE):
     """Empirical quantile curve from raw samples (order statistics, linear interpolation)."""
-    return QuantileCurve(_sample_quantiles([np.asarray(samples, dtype=float)], grid_size)[0])
+    draws = np.asarray(samples, dtype=float)
+    _check_draws([draws])
+    return QuantileCurve(_sample_quantiles(draws[None], grid_size)[0])
 
 
 def from_data(outcomes, manifest):
     """The panel's curves, flattened, as one (k, M) stack (samples-csv: quantiles of the draws)."""
     flat = [np.ravel(x) for x in outcomes]
     if manifest.get("format") == FORMAT_SAMPLES:
-        return _sample_quantiles(flat, manifest.get("grid_size", DEFAULT_GRID_SIZE)), {}
+        sizes = _check_draws(flat)
+        grid_size = manifest.get("grid_size", DEFAULT_GRID_SIZE)
+        stack = np.empty((len(flat), grid_size))
+        # one kernel call per draw count, each outcome keeping its row
+        for s in np.unique(sizes):
+            rows = np.flatnonzero(sizes == s)
+            stack[rows] = _sample_quantiles(np.array([flat[i] for i in rows]), grid_size)
+        return stack, {}
     check_same_shape(*flat)
     return np.array(flat), {}
 

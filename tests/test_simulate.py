@@ -46,6 +46,50 @@ def test_config_rejects_block_sizes_without_an_edge(m1, m2, capsys):
     assert json.loads(lines[0])["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "knobs",
+    [
+        {"space": "network", "alpha1": 1e308, "alpha3": 1e308},
+        {"space": "network", "alpha1": 1e307, "m1": 10, "m2": 10},
+        {"space": "network", "beta": float("nan")},
+        {"space": "network", "alpha2": float("inf"), "p11": 0.0, "p12": 0.0, "p21": 0.0, "p22": 0.0},
+        {"space": "wasserstein", "alpha1": 1e308, "beta": 1e308},
+        {"space": "wasserstein", "alpha1": 3e307},
+        {"space": "wasserstein", "alpha2": float("inf")},
+        {"space": "wasserstein", "alpha3": float("-inf")},
+    ],
+    ids=[
+        "network-sum",
+        "network-degree",
+        "network-nan",
+        "network-inf-no-edges",
+        "wasserstein-sum",
+        "wasserstein-scale",
+        "wasserstein-inf",
+        "wasserstein-unused-inf",
+    ],
+)
+def test_config_rejects_coefficients_that_overflow(knobs, capsys, recwarn):
+    with pytest.raises(ValueError, match="coefficients"):
+        SimConfig(**knobs)
+    argv = ["simulate", "--n", "20", "--q", "2"]
+    for name, value in knobs.items():
+        argv.append(f"--{name}={value}")
+    assert main(argv) == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ValueError"
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_config_accepts_coefficients_below_the_bounds():
+    # near the largest float: 18 * 9.8e306 and 1e307 + 2e307 * 8.21
+    SimConfig(space="network", alpha1=4.9e306, alpha2=4.9e306, m1=10, m2=9)
+    SimConfig(space="wasserstein", alpha1=1e307, beta=1e307, alpha2=-1e307)
+
+
 def test_true_wasserstein_gatt_unit_params():
     truth = true_wasserstein_gatt(SimConfig(grid_size=200))
     from scipy.stats import norm

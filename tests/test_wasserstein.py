@@ -3,12 +3,16 @@ import pytest
 from scipy.stats import norm
 
 from geodid.errors import DegenerateTransportError, InvariantViolationError, SpaceMismatchError
+from geodid.frechet import frechet_mean
 from geodid.spaces.wasserstein import (
+    POINT_TOL,
     QuantileCurve,
+    _nondecreasing,
+    _sample_quantiles,
     cdf_eval,
     distance,
+    mean,
     midpoint_grid,
-    pav_projection,
     quantile_from_samples,
     transport,
 )
@@ -166,8 +170,56 @@ def test_geodesic_linearity_in_quantile_space():
         )
 
 
-def test_pav_projection():
-    np.testing.assert_allclose(pav_projection([1.0, 3.0, 2.0]), [1.0, 2.5, 2.5])
-    np.testing.assert_allclose(pav_projection([3.0, 2.0, 1.0]), [2.0, 2.0, 2.0])
-    x = [0.0, 1.0, 2.0]
-    np.testing.assert_allclose(pav_projection(x), x)
+def test_sample_quantiles_match_per_row_quantiles_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for _ in range(80):
+        k, s, m = rng.integers(1, 40), rng.integers(2, 250), rng.integers(2, 150)
+        scale = 10.0 ** rng.uniform(-3.0, 8.0)
+        draws = scale * (rng.standard_normal((k, s)) + rng.normal(0.0, 3.0, (k, 1)))
+        stacked = _sample_quantiles(draws, m)
+        per_row = np.array([np.quantile(row, midpoint_grid(m)) for row in draws])
+        assert stacked.shape == (k, m)
+        np.testing.assert_array_equal(stacked.view(np.uint64), per_row.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "samples, message",
+    [
+        ([1.0], "need at least two samples"),
+        ([], "need at least two samples"),
+        ([[0.0, 1.0], [2.0, 3.0]], "need at least two samples"),
+        ([0.0, np.inf, 1.0], "sample has non-finite draws"),
+        ([np.nan, 0.0], "sample has non-finite draws"),
+    ],
+    ids=["one-draw", "no-draw", "2-d", "inf", "nan"],
+)
+def test_quantile_from_samples_rejects_bad_draws(samples, message, recwarn):
+    with pytest.raises(InvariantViolationError) as exc:
+        quantile_from_samples(samples)
+    assert str(exc.value) == message
+    assert exc.value.index == 0
+    # the draws are checked before numpy computes a quantile of them
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_running_maximum_repairs_only_drops_beyond_the_slack():
+    stack = np.array([[0.0, 1.0, 1.0 - 0.5 * POINT_TOL, 2.0], [0.0, 1.0, 1.0 - 2.0 * POINT_TOL, 2.0]])
+    out = _nondecreasing(stack.copy())
+    np.testing.assert_array_equal(out[0], stack[0])
+    np.testing.assert_array_equal(out[1], [0.0, 1.0, 1.0, 2.0])
+
+
+# This curve drops 8.7e-11 at its end, inside the slack, but the plain average
+# of three copies drops 1.16e-10 and needs the repair. PAV_MEAN is what the
+# pool-adjacent-violators projection this space once used returned for it.
+REPAIR_ROW = [91294.46776531238, 145754.7203029883, 209760.77740163874, 209760.77740163865]
+PAV_MEAN = [91294.46776531237, 145754.7203029883, 209760.7774016387, 209760.7774016387]
+
+
+def test_mean_repairs_a_drop_that_averaging_widens():
+    stack = np.array([REPAIR_ROW] * 3)
+    assert np.diff(np.average(stack, axis=0))[-1] < -POINT_TOL
+    means = (mean(stack, None)[0], frechet_mean([QuantileCurve(REPAIR_ROW)] * 3).mean)
+    for curve in means:
+        assert np.all(np.diff(curve.values) >= 0.0)
+        np.testing.assert_allclose(curve.values, PAV_MEAN, rtol=0.0, atol=POINT_TOL)
