@@ -27,6 +27,10 @@ def check_same_shape(*arrays):
 
 
 def check_overflow(values, what):
-    """Raise GeodidError (an estimation failure) when arithmetic on valid points left `values` non-finite."""
+    """Raise GeodidError (an estimation failure) when arithmetic on valid points left `values` non-finite.
+
+    That arithmetic runs under np.errstate(over="ignore", invalid="ignore"):
+    this error is the one report of the overflow, not a numpy warning.
+    """
     if not np.isfinite(values).all():
         raise GeodidError(f"{what} of finite points overflows the float range")

@@ -28,8 +28,15 @@ FORMATS = (FORMAT_MATRIX_CSV, FORMAT_MATRIX_JSON, FORMAT_INLINE)
 def _kind_ok(stack, kind):
     """Per matrix of a (k, m, m) stack: whether it has `kind`'s structure."""
     if kind == KIND_LAPLACIAN:
-        row_sum_off = np.abs(stack.sum(axis=-1)) > LAPLACIAN_TOL
+        row_sum = np.abs(stack.sum(axis=-1))
+        row_sum_off = row_sum > LAPLACIAN_TOL
         m = stack.shape[-1]
+        if row_sum_off.any():
+            # rounding grows with the row: rows that fail the absolute test
+            # get LAPLACIAN_TOL + 4 m eps sum|row|, room for the row sum and a
+            # mean or transport before it (scaled first, so it cannot overflow)
+            rows = np.abs(stack[row_sum_off]) * (4 * m * np.finfo(float).eps)
+            row_sum_off[row_sum_off] = row_sum[row_sum_off] > LAPLACIAN_TOL + rows.sum(axis=-1)
         positive = np.greater(stack, LAPLACIAN_TOL, order="C")
         # only off-diagonal entries must not be positive: clear the diagonal
         # through a flat view (C order makes the reshape a view, not a copy)
@@ -90,17 +97,22 @@ def distance(a, b):
 def interpolate(a, b, t):
     """Point at fraction t of the line segment from a to b."""
     check_same_shape(a.entries, b.entries)
-    return _result((1.0 - t) * a.entries + t * b.entries, a.kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = (1.0 - t) * a.entries + t * b.entries
+    return _result(entries, a.kind)
 
 
 def transport(alpha, beta, omega):
     """Additive transport: omega + (beta - alpha)."""
     check_same_shape(alpha.entries, beta.entries, omega.entries)
-    return _result(omega.entries + beta.entries - alpha.entries, omega.kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = omega.entries + beta.entries - alpha.entries
+    return _result(entries, omega.kind)
 
 
 def _result(entries, kind):
-    entries = 0.5 * (entries + entries.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = 0.5 * (entries + entries.T)
     check_overflow(entries, "matrix result")
     if not _kind_ok(entries[None], kind)[0]:
         warnings.warn(
@@ -137,7 +149,9 @@ def stack_points(points):
 
 def mean(stack, weights, kind):
     """Weighted Frechet mean of a (k, m, m) stack: the entrywise average (plain when weights is None)."""
-    return _result(np.average(stack, axis=0, weights=weights), kind), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = np.average(stack, axis=0, weights=weights)
+    return _result(entries, kind), 0
 
 
 def from_data(outcomes, manifest):

@@ -86,7 +86,8 @@ def stack_points(curves):
 
 def mean(stack, weights):
     """Weighted Frechet mean of a (k, M) stack: the average quantile function (plain when weights is None), kept monotone."""
-    values = np.average(stack, axis=0, weights=weights)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.average(stack, axis=0, weights=weights)
     check_overflow(values, "quantile curve mean")
     return QuantileCurve(_nondecreasing(values)), 0
 

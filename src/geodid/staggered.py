@@ -1,10 +1,11 @@
 """Group-time treatment effects under staggered adoption.
 
 Two comparison schemes are supported: the never-treated cohort and the
-not-yet-treated cohort. The default estimator transports the treated group's
-baseline mean forward one period at a time along the comparison cohort's
-trend; spaces with a path-independent transport map admit a single-transport
-shortcut that is used unless the cell asks for the recursive form.
+not-yet-treated cohort. The estimator transports the treated group's baseline
+mean along the comparison cohort's trend: one period at a time in the
+recursive form, or in one step from the base period to t in the shortcut
+form, which is the same walk on spaces whose transport map is
+path-independent and is used there unless the cell asks for the recursion.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 
 from .errors import EmptyCohortError, InadmissibleCellError
 from .frechet import group_means
-from .geometry import Geodesic, distance, geodesic_difference, is_path_independent, transport
+from .geometry import Geodesic, distance, is_path_independent, transport
 
 COMPARISON_NEVER = "never"
 COMPARISON_NOT_YET = "notyet"
@@ -106,25 +107,6 @@ def _memo_mean(panel, mask, period, memo):
     return memo[key]
 
 
-def _cohort_mean(panel, mask, period, cell, memo):
-    if not mask.any():
-        raise EmptyCohortError(
-            f"comparison cohort for cell (g={cell.g}, t={cell.t}) is empty "
-            f"at period {period}",
-            period=period,
-        )
-    return _memo_mean(panel, mask, period, memo)
-
-
-def _treated_mean(panel, cell, period, memo):
-    mask = panel.group_label_array == cell.g
-    if not mask.any():
-        raise EmptyCohortError(
-            f"no units in group g={cell.g}", period=period
-        )
-    return _memo_mean(panel, mask, period, memo)
-
-
 def estimate_group_time_gatt(panel, cell, *, _memo=None):
     """Group-time effect for one admissible cell, in the cell's `estimator_form`
     (None: the shortcut on path-independent spaces, else the recursion).
@@ -147,35 +129,27 @@ def estimate_group_time_gatt(panel, cell, *, _memo=None):
         )
     memo = {} if _memo is None else _memo
     mask = _cohort_mask(panel, cell)
+    treated = panel.group_label_array == cell.g
     base = cell.g - cell.delta - 1
-    treated_base = _treated_mean(panel, cell, base, memo)
-    treated_end = _treated_mean(panel, cell, cell.t, memo)
-
-    if form == FORM_SHORTCUT:
-        comparison_trend = Geodesic(
-            _cohort_mean(panel, mask, base, cell, memo),
-            _cohort_mean(panel, mask, cell.t, cell, memo),
+    beta_path = [_memo_mean(panel, treated, base, memo)]
+    treated_end = _memo_mean(panel, treated, cell.t, memo)
+    if not mask.any():
+        raise EmptyCohortError(
+            f"comparison cohort for cell (g={cell.g}, t={cell.t}) is empty "
+            f"at period {base}",
+            period=base,
         )
-        treated_trend = Geodesic(treated_base, treated_end)
-        effect = geodesic_difference(comparison_trend, treated_trend)
-        beta_path = (treated_base, effect.start)
-    else:
-        beta = treated_base
-        beta_path = [beta]
-        prev = _cohort_mean(panel, mask, base, cell, memo)
-        for s in range(base + 1, cell.t + 1):
-            curr = _cohort_mean(panel, mask, s, cell, memo)
-            beta = transport(prev, curr, beta)
-            beta_path.append(beta)
-            prev = curr
-        effect = Geodesic(beta, treated_end)
-        beta_path = tuple(beta_path)
-
+    # the shortcut is the recursion's walk in one step from base to t
+    periods = (base, cell.t) if form == FORM_SHORTCUT else range(base, cell.t + 1)
+    trend = [_memo_mean(panel, mask, s, memo) for s in periods]
+    for prev, curr in zip(trend, trend[1:]):
+        beta_path.append(transport(prev, curr, beta_path[-1]))
+    effect = Geodesic(beta_path[-1], treated_end)
     return GroupTimeGatt(
         cell=GroupTimeCell(cell.g, cell.t, cell.delta, cell.comparison, form),
         effect=effect,
         magnitude=distance(effect.start, effect.end),
-        beta_path=beta_path,
+        beta_path=tuple(beta_path),
     )
 
 

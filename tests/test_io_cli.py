@@ -445,7 +445,6 @@ def test_load_accepts_boolean_and_float_indicators(tmp_path):
     np.testing.assert_array_equal(panel.treatment, [[0, 0], [0, 1]])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize(
     "space, large, small",
     [("frobenius", [[1e308]], [[0.0]]), ("wasserstein", [0.0, 1e308], [0.0, 1.0])],

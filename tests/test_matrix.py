@@ -27,6 +27,20 @@ def test_laplacian_kind_checks_row_sums():
         SymmetricMatrixPoint([[1.0, 0.0], [0.0, 1.0]], kind=KIND_LAPLACIAN)
 
 
+def test_laplacian_row_sum_tolerance_scales_with_the_row():
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.5, 1.5, size=(10, 10)) * 1e8
+    w = np.triu(w, 1) + np.triu(w, 1).T
+    lap = laplacian_from_adjacency(w)
+    # the row sums of a 1e8-scale Laplacian round off far beyond 1e-8
+    assert np.abs(lap.entries.sum(axis=1)).max() > 1e-8
+    for off in (1e-2 * 1e8, 1e-2):
+        entries = lap.entries.copy()
+        entries[3, 3] += off
+        with pytest.raises(InvariantViolationError, match="laplacian"):
+            SymmetricMatrixPoint(entries, kind=KIND_LAPLACIAN)
+
+
 def test_covariance_kind_checks_psd():
     with pytest.raises(InvariantViolationError):
         SymmetricMatrixPoint([[1.0, 2.0], [2.0, 1.0]], kind=KIND_COVARIANCE)

@@ -84,6 +84,20 @@ def test_config_rejects_coefficients_that_overflow(knobs, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
+@pytest.mark.parametrize("alpha1", [1e8, 1e12, 1e15])
+def test_network_panel_with_large_weights_stays_laplacian(alpha1, tmp_path, capsys):
+    # row sums round off in proportion to the weights, not below an absolute 1e-8
+    config = SimConfig(space="network", n=50, alpha1=alpha1)
+    panel, _ = generate_panel(config, np.random.default_rng(0))
+    assert panel.fields == {"kind": KIND_LAPLACIAN}
+    out = tmp_path / "r.json"
+    argv = ["simulate", "--space", "network", "--n", "20,40", "--q", "2", f"--alpha1={alpha1}", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["excluded"] == {"20": 0, "40": 0}
+
+
 def test_config_accepts_coefficients_below_the_bounds():
     # near the largest float: 18 * 9.8e306 and 1e307 + 2e307 * 8.21
     SimConfig(space="network", alpha1=4.9e306, alpha2=4.9e306, m1=10, m2=9)

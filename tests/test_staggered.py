@@ -7,7 +7,7 @@ import pytest
 from geodid import staggered
 from geodid.did import estimate_gatt
 from geodid.errors import EmptyCohortError, InadmissibleCellError
-from geodid.geometry import distance, is_path_independent, quotient_distance
+from geodid.geometry import distance, is_path_independent
 from geodid.io import staggered_to_jsonable
 from geodid.panel import PanelDataset
 from geodid.spaces.matrix import SymmetricMatrixPoint
@@ -107,15 +107,24 @@ def test_inadmissible_anticipation_cell_refused():
         estimate_group_time_gatt(panel, cell)
 
 
+POINT_ARRAY = {"wasserstein": "values", "sphere": "coords", "frobenius": "entries"}
+
+
+def bits(gatt):
+    """The raw bits of an estimate's effect endpoints and magnitude."""
+    arrays = [getattr(p, POINT_ARRAY[p.space_id]) for p in (gatt.effect.start, gatt.effect.end)]
+    return [np.ascontiguousarray(a, dtype=float).view(np.uint64).tolist() for a in arrays] + [
+        np.array([gatt.magnitude]).view(np.uint64).tolist()
+    ]
+
+
 def test_two_period_cell_reduces_to_did():
     rng = np.random.default_rng(37)
-    panel = random_staggered_panel(rng, "frobenius", [None, None, 1, 1], n_periods=2)
-    plain = estimate_gatt(panel)
-    cell = GroupTimeCell(g=1, t=1)
-    result = estimate_group_time_gatt(panel, cell)
-    assert quotient_distance(result.effect, plain.effect, plain.effect.end) < 1e-10
-    assert abs(result.magnitude - plain.magnitude) < 1e-10
-    assert distance(result.effect.start, plain.effect.start) < 1e-10
+    for space in POINT_ARRAY:
+        panel = random_staggered_panel(rng, space, [None, None, 1, 1], n_periods=2)
+        plain = estimate_gatt(panel)
+        result = estimate_group_time_gatt(panel, GroupTimeCell(g=1, t=1))
+        assert bits(result) == bits(plain)
 
 
 def test_recursive_beta_path_on_linear_trend():
@@ -151,6 +160,9 @@ def test_shortcut_matches_recursive(space):
             rec = estimate_group_time_gatt(panel, replace(cell, estimator_form=FORM_RECURSIVE))
             assert distance(short.effect.start, rec.effect.start) < 1e-8
             assert abs(short.magnitude - rec.magnitude) < 1e-8
+            if cell.t == cell.g - cell.delta:
+                # one step from the base period: the two forms are one walk
+                assert bits(short) == bits(rec)
 
 
 def test_sphere_defaults_to_recursive_and_refuses_shortcut():
