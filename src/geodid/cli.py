@@ -14,7 +14,7 @@ from .errors import (
     MissingOutcomeError,
     ParseError,
 )
-from .simulate import SimConfig, configs_for_sizes, run_monte_carlo
+from .simulate import SimConfig, run_monte_carlo
 from .staggered import FORM_RECURSIVE, estimate_all_cells
 
 EXIT_OK = 0
@@ -116,12 +116,8 @@ def _cmd_staggered(args):
 
 
 def _cmd_simulate(args):
-    sizes = _int_list(args.n)
-    if not sizes:
-        raise ParseError("--n expects at least one sample size")
     knobs = {knob.name: getattr(args, knob.name) for knob in _SIM_KNOBS}
-    base = SimConfig(space=args.space, n=sizes[0], **knobs)
-    report = run_monte_carlo(configs_for_sizes(base, sizes))
+    report = run_monte_carlo(SimConfig(space=args.space, **knobs), _int_list(args.n))
     _emit(gio.report_to_jsonable(report), args.out)
     if args.errors_csv:
         gio.write_errors_csv(report, args.errors_csv)
@@ -140,7 +136,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, InvariantViolationError, MissingOutcomeError, ValueError) as exc:
+    except (ParseError, InvariantViolationError, MissingOutcomeError, ValueError, OSError) as exc:
         return _fail(exc, EXIT_INVALID_INPUT)
     except GeodidError as exc:
         return _fail(exc, EXIT_ESTIMATION)

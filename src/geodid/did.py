@@ -34,30 +34,15 @@ def estimate_gatt(panel):
         raise InvariantViolationError(
             f"two-period estimator got {panel.n_periods} periods"
         )
-    treated = panel.treatment[:, 1] == 1
-    if not treated.any():
-        raise EmptyGroupError("no treated units")
-    if treated.all():
-        raise EmptyGroupError("no control units")
-    means = {}
-    for d, mask in ((0, ~treated), (1, treated)):
-        for t in (0, 1):
-            means[(d, t)] = group_means(panel, t, mask).mean
-    counterfactual = transport(means[(0, 0)], means[(0, 1)], means[(1, 0)])
-    effect = Geodesic(counterfactual, means[(1, 1)])
-    return GattEstimate(
-        effect=effect,
-        magnitude=distance(effect.start, effect.end),
-        means=means,
-    )
+    return _gatt(panel, panel.treatment[:, 1] == 1, (0, 1))
 
 
 def placebo_pretrend(panel, pre_periods=(0, 1), groups=None):
     """Parallel-trends diagnostic: rerun the estimator on two untreated periods.
 
     The second pre-period is treated as if it were the post period, with
-    eventual treatment status (or an explicit `groups` 0/1 array) as the group
-    label. A small magnitude supports the parallel trends assumption; no
+    eventual treatment status (or `groups`, one 0/1 indicator per unit) as the
+    group label. A small magnitude supports the parallel trends assumption; no
     pass/fail threshold is imposed.
     """
     a, b = pre_periods
@@ -68,13 +53,34 @@ def placebo_pretrend(panel, pre_periods=(0, 1), groups=None):
             f"periods {a} and {b} must both be untreated for every unit"
         )
     if groups is None:
-        eventually_treated = panel.ever_treated().astype(int)
+        treated = np.isfinite(panel.group_label_array)
     else:
-        eventually_treated = np.asarray(groups, dtype=int)
-    if not eventually_treated.any():
+        # checked before any cast, which would truncate 0.5 to 0
+        groups = np.asarray(groups)
+        if groups.shape != (panel.n_units,) or not np.isin(groups, (0, 1)).all():
+            raise InvariantViolationError(
+                f"groups must list {panel.n_units} indicators of 0 or 1"
+            )
+        treated = groups == 1
+    if not treated.any():
         raise EmptyGroupError("no eventually-treated units for the placebo split")
-    synthetic_treatment = np.column_stack(
-        [np.zeros(panel.n_units, dtype=int), eventually_treated]
+    return _gatt(panel, treated, (a, b))
+
+
+def _gatt(panel, treated, periods):
+    """The estimate with `treated` units as the treated group, `periods` as (pre, post)."""
+    if not treated.any():
+        raise EmptyGroupError("no treated units")
+    if treated.all():
+        raise EmptyGroupError("no control units")
+    means = {}
+    for d, mask in ((0, ~treated), (1, treated)):
+        for t, period in enumerate(periods):
+            means[(d, t)] = group_means(panel, period, mask).mean
+    counterfactual = transport(means[(0, 0)], means[(0, 1)], means[(1, 0)])
+    effect = Geodesic(counterfactual, means[(1, 1)])
+    return GattEstimate(
+        effect=effect,
+        magnitude=distance(effect.start, effect.end),
+        means=means,
     )
-    two_period = panel.subset_periods((a, b), treatment=synthetic_treatment)
-    return estimate_gatt(two_period)

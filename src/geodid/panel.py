@@ -113,19 +113,3 @@ class PanelDataset:
         labels[~self.treatment.any(axis=1)] = NEVER_TREATED
         labels.flags.writeable = False
         return labels
-
-    def ever_treated(self):
-        return self.treatment[:, -1] == 1
-
-    def subset_periods(self, periods, treatment=None):
-        """New panel restricted to the given periods (in order).
-
-        `treatment` overrides the indicator matrix, e.g. to recast a pre-period
-        pair as a synthetic two-period design.
-        """
-        periods = list(periods)
-        if treatment is None:
-            treatment = self.treatment[:, periods]
-        return PanelDataset.from_array(
-            self.data[:, periods], treatment, self.space_id, self.fields, self.unit_ids
-        )

@@ -242,26 +242,27 @@ def slope_regression(points):
     return float(slope), float(intercept)
 
 
-def run_monte_carlo(configs, workers=None):
-    """Run all replications of each config and fit the log-log convergence slope."""
-    configs = list(configs)
-    if not configs:
-        raise ValueError("need at least one configuration")
-    space = configs[0].space
-    seed = configs[0].seed
-    q = configs[0].q
+def run_monte_carlo(base, n_values, workers=None):
+    """Run `base.q` replications at each sample size and fit the log-log convergence slope.
+
+    Each size runs `base` with only its `n` replaced; the sizes must be distinct.
+    """
+    n_values = tuple(n_values)
+    if not n_values or len(set(n_values)) != len(n_values):
+        raise ValueError(f"sample sizes must be distinct and at least one, got {list(n_values)}")
     if workers is None:
         workers = worker_count()
 
-    jobs = [(config, run) for config in configs for run in range(config.q)]
+    configs = [replace(base, n=n) for n in n_values]
+    jobs = [(config, run) for config in configs for run in range(base.q)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs, chunksize=8))
     else:
         results = [_run_job(job) for job in jobs]
 
-    errors = {config.n: [] for config in configs}
-    excluded = {config.n: 0 for config in configs}
+    errors = {n: [] for n in n_values}
+    excluded = {n: 0 for n in n_values}
     for (config, _), err in zip(jobs, results):
         if err is None:
             excluded[config.n] += 1
@@ -277,18 +278,13 @@ def run_monte_carlo(configs, workers=None):
             [(np.log(n), np.log(e)) for n, e in sorted(mean_error.items())]
         )
     return SimReport(
-        space=space,
-        seed=seed,
-        q=q,
-        n_values=tuple(config.n for config in configs),
+        space=base.space,
+        seed=base.seed,
+        q=base.q,
+        n_values=n_values,
         errors=errors,
         mean_error=mean_error,
         excluded=excluded,
         slope=slope,
         intercept=intercept,
     )
-
-
-def configs_for_sizes(base, n_values):
-    """Copies of `base` across sample sizes, sharing seed and all DGP knobs."""
-    return [replace(base, n=n) for n in n_values]

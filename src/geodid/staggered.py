@@ -94,9 +94,8 @@ def _cohort_mask(panel, cell):
     labels = panel.group_label_array
     if cell.comparison == COMPARISON_NEVER:
         return np.isinf(labels)
-    # not yet treated by t + delta, and not in group g
-    untreated = panel.treatment[:, cell.t + cell.delta] == 0
-    return untreated & (labels != cell.g)
+    # first treated after t + delta; admissibility puts g at or before it
+    return labels > cell.t + cell.delta
 
 
 def _memo_mean(panel, mask, period, memo):

@@ -20,7 +20,7 @@ from geodid.geometry import (
     transport,
 )
 from geodid.panel import PanelDataset
-from geodid.simulate import SimConfig, configs_for_sizes, run_monte_carlo
+from geodid.simulate import SimConfig, run_monte_carlo
 from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.spaces.wasserstein import QuantileCurve, midpoint_grid
 from geodid.staggered import (
@@ -51,14 +51,14 @@ def report(number, label, ok):
 
 def test_criterion_1_network_convergence_slope():
     base = SimConfig(space="network", q=200, seed=0)
-    result = run_monte_carlo(configs_for_sizes(base, [50, 200, 1000]))
+    result = run_monte_carlo(base, [50, 200, 1000])
     ok = -0.60 <= result.slope <= -0.42
     report(1, f"network slope {result.slope:.3f} in [-0.60, -0.42]", ok)
 
 
 def test_criterion_2_wasserstein_convergence_slope():
     base = SimConfig(space="wasserstein", q=200, seed=0)
-    result = run_monte_carlo(configs_for_sizes(base, [50, 200, 1000]))
+    result = run_monte_carlo(base, [50, 200, 1000])
     ok = -0.55 <= result.slope <= -0.28
     report(2, f"wasserstein slope {result.slope:.3f} in [-0.55, -0.28]", ok)
 

@@ -6,6 +6,8 @@ from geodid.errors import EmptyGroupError, InvariantViolationError
 from geodid.panel import PanelDataset
 from geodid.spaces.matrix import SymmetricMatrixPoint
 
+from conftest import random_composition, random_curve, random_matrix
+
 
 def scalar(x):
     return SymmetricMatrixPoint(np.array([[float(x)]]))
@@ -147,3 +149,76 @@ def test_placebo_explicit_groups_override():
         placebo_pretrend(panel, pre_periods=(0, 1))
     est = placebo_pretrend(panel, pre_periods=(0, 1), groups=[0, 0, 1, 1])
     assert est.magnitude < 1e-12
+
+
+SAMPLERS = {
+    "wasserstein": lambda rng: random_curve(rng, grid_size=20).values,
+    "sphere": lambda rng: random_composition(rng, dim=4).coords,
+    "frobenius": lambda rng: random_matrix(rng, size=3).entries,
+}
+FIELDS = {"wasserstein": {}, "sphere": {}, "frobenius": {"kind": "free"}}
+POINT_ARRAY = {"wasserstein": "values", "sphere": "coords", "frobenius": "entries"}
+
+
+def bits(estimate):
+    """The raw bits of an estimate's effect endpoints, magnitude and four means."""
+    points = [estimate.effect.start, estimate.effect.end]
+    points += [estimate.means[key] for key in sorted(estimate.means)]
+    arrays = [getattr(p, POINT_ARRAY[p.space_id]) for p in points]
+    return [np.ascontiguousarray(a, dtype=float).view(np.uint64).tolist() for a in arrays] + [
+        np.array([estimate.magnitude]).view(np.uint64).tolist()
+    ]
+
+
+def four_period_panel(space, seed, n=9):
+    """Random panel of n units over four periods; a third of them are treated at period 3."""
+    rng = np.random.default_rng(seed)
+    data = np.array([[SAMPLERS[space](rng) for _ in range(4)] for _ in range(n)])
+    treatment = np.zeros((n, 4), dtype=int)
+    treatment[n - n // 3 :, 3] = 1
+    return PanelDataset.from_array(data, treatment, space, FIELDS[space])
+
+
+@pytest.mark.parametrize("explicit_groups", [False, True], ids=["ever-treated", "groups"])
+@pytest.mark.parametrize("pre_periods", [(0, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("space", sorted(SAMPLERS))
+def test_placebo_is_the_estimator_on_the_two_period_panel(space, pre_periods, explicit_groups):
+    # the placebo equals, bit for bit, estimate_gatt on the two chosen periods
+    # with the placebo groups as the period-1 treatment
+    panel = four_period_panel(space, seed=len(space) + 10 * sum(pre_periods))
+    groups = np.isfinite(panel.group_label_array).astype(int)
+    if explicit_groups:
+        groups = np.roll(groups, 2)
+    a, b = pre_periods
+    two_period = PanelDataset.from_array(
+        panel.data[:, [a, b]],
+        np.column_stack([np.zeros(panel.n_units, dtype=int), groups]),
+        space,
+        panel.fields,
+    )
+    placebo = placebo_pretrend(
+        panel, pre_periods=pre_periods, groups=groups if explicit_groups else None
+    )
+    assert bits(placebo) == bits(estimate_gatt(two_period))
+
+
+def test_placebo_builds_no_panel(monkeypatch):
+    panel = four_period_panel("frobenius", seed=3)
+
+    def no_new_panel(*args, **kwargs):
+        raise AssertionError("placebo built a panel")
+
+    monkeypatch.setattr(PanelDataset, "from_array", no_new_panel)
+    assert placebo_pretrend(panel, pre_periods=(0, 2)).magnitude >= 0.0
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [[0.5, 0, 1, 1], [[0], [0], [1], [1]], [0, 1, 1], [0, 2, 1, 1]],
+    ids=["fraction", "column", "short", "not-0-or-1"],
+)
+def test_placebo_rejects_malformed_groups(groups):
+    outcomes = tuple((scalar(base), scalar(base + 1.0)) for base in (0.0, 1.0, 2.0, 3.0))
+    panel = PanelDataset(outcomes, np.zeros((4, 2), dtype=int))
+    with pytest.raises(InvariantViolationError, match="groups must list 4 indicators of 0 or 1"):
+        placebo_pretrend(panel, pre_periods=(0, 1), groups=groups)

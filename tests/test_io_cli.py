@@ -471,8 +471,8 @@ def test_cli_mean_that_overflows_is_an_estimation_failure(tmp_path, capsys, spac
 
 @pytest.mark.parametrize(
     "bad",
-    [["--n", ","], ["--samples-per-dist", "0"], ["--samples-per-dist", "1"]],
-    ids=["no-sizes", "no-samples", "one-sample"],
+    [["--n", ","], ["--n", "20,20,40"], ["--samples-per-dist", "0"], ["--samples-per-dist", "1"]],
+    ids=["no-sizes", "repeated-sizes", "no-samples", "one-sample"],
 )
 def test_cli_simulate_rejects_bad_arguments(tmp_path, capsys, bad):
     out = tmp_path / "r.json"
@@ -480,6 +480,44 @@ def test_cli_simulate_rejects_bad_arguments(tmp_path, capsys, bad):
     assert main(args + bad) == EXIT_INVALID_INPUT
     assert single_error_line(capsys)["error"] in ("ParseError", "ValueError")
     assert not out.exists()
+
+
+def three_period_manifest(tmp_path):
+    """Inline 1x1 matrix panel over three periods: one unit never treated, one from period 2."""
+    payload = {
+        "space": "frobenius",
+        "periods": 3,
+        "format": "inline",
+        "units": [
+            {"id": "c", "treatment": [0, 0, 0], "outcomes": [[[0.0]], [[1.0]], [[2.0]]]},
+            {"id": "t", "treatment": [0, 0, 1], "outcomes": [[[0.0]], [[1.0]], [[5.0]]]},
+        ],
+    }
+    return write_manifest(tmp_path / "three.json", payload)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("estimate", "--out"),
+        ("placebo", "--out"),
+        ("staggered", "--out"),
+        ("simulate", "--out"),
+        ("simulate", "--errors-csv"),
+    ],
+)
+def test_cli_unwritable_output_path_is_invalid_input(tmp_path, capsys, command, flag):
+    argv = {
+        "estimate": ["estimate", "--manifest", scalar_manifest(tmp_path)],
+        "placebo": ["placebo", "--manifest", three_period_manifest(tmp_path)],
+        "staggered": ["staggered", "--manifest", three_period_manifest(tmp_path)],
+        "simulate": ["simulate", "--space", "wasserstein", "--n", "20", "--q", "2"],
+    }[command]
+    if flag != "--out":
+        argv += ["--out", str(tmp_path / "report.json")]
+    argv += [flag, str(tmp_path / "no-such-dir" / "out")]
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert single_error_line(capsys)["error"] == "FileNotFoundError"
 
 
 def test_cli_estimation_failure_exit_code(tmp_path, capsys):

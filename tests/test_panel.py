@@ -42,7 +42,6 @@ def test_basic_properties():
     assert panel.n_periods == 3
     assert panel.space_id == "frobenius"
     assert panel.group_label_array.tolist() == [NEVER_TREATED, 1, 2]
-    np.testing.assert_array_equal(panel.ever_treated(), [False, True, True])
 
 
 def test_rejects_treatment_at_period_zero():
@@ -107,21 +106,6 @@ def test_group_labels_match_per_unit_loop(design):
         assert labels.tolist() == loop_group_labels(panel.treatment)
         assert not labels.flags.writeable
         assert panel.group_label_array is labels
-
-
-def test_subset_periods():
-    panel = make_panel([[0, 0, 1], [0, 0, 0]])
-    sub = panel.subset_periods((0, 1))
-    assert sub.n_periods == 2
-    assert sub.point(0, 1).entries[0, 0] == 1.0
-    np.testing.assert_array_equal(sub.treatment, [[0, 0], [0, 0]])
-
-
-def test_subset_periods_with_replacement_treatment():
-    panel = make_panel([[0, 0, 0], [0, 0, 0]])
-    new_treat = np.array([[0, 1], [0, 0]])
-    sub = panel.subset_periods((1, 2), treatment=new_treat)
-    np.testing.assert_array_equal(sub.treatment, new_treat)
 
 
 def random_outcomes(space, n=6, periods=3, seed=41):

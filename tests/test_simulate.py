@@ -9,7 +9,6 @@ from geodid.geometry import distance
 from geodid.simulate import (
     SimConfig,
     _block_probabilities,
-    configs_for_sizes,
     generate_panel,
     run_monte_carlo,
     single_run_error,
@@ -303,7 +302,7 @@ def test_slope_regression_rejects_degenerate_x():
 
 def test_run_monte_carlo_report_fields():
     base = SimConfig(n=20, q=5, seed=11)
-    report = run_monte_carlo(configs_for_sizes(base, [20, 40]))
+    report = run_monte_carlo(base, [20, 40])
     assert report.n_values == (20, 40)
     assert set(report.errors) == {20, 40}
     assert all(len(v) + report.excluded[n] == 5 for n, v in report.errors.items())
@@ -312,8 +311,8 @@ def test_run_monte_carlo_report_fields():
 
 def test_run_monte_carlo_deterministic():
     base = SimConfig(n=20, q=4, seed=21)
-    r1 = run_monte_carlo(configs_for_sizes(base, [20, 40]))
-    r2 = run_monte_carlo(configs_for_sizes(base, [20, 40]))
+    r1 = run_monte_carlo(base, [20, 40])
+    r2 = run_monte_carlo(base, [20, 40])
     assert r1.errors == r2.errors
     assert r1.slope == r2.slope
 
@@ -321,9 +320,9 @@ def test_run_monte_carlo_deterministic():
 @pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
 @pytest.mark.parametrize("space", ["wasserstein", "network"])
 def test_process_pool_gives_the_serial_report(space):
-    configs = configs_for_sizes(SimConfig(space=space, q=8, seed=5), [50, 200])
-    serial = run_monte_carlo(configs, workers=1)
-    pooled = run_monte_carlo(configs, workers=2)
+    base = SimConfig(space=space, q=8, seed=5)
+    serial = run_monte_carlo(base, [50, 200], workers=1)
+    pooled = run_monte_carlo(base, [50, 200], workers=2)
     # repr spells every float exactly, so equal reprs are equal bits
     assert repr(pooled) == repr(serial)
 
@@ -340,8 +339,9 @@ def test_error_shrinks_even_without_treatment_effect():
     assert medians[1] < medians[0]
 
 
-def test_configs_for_sizes_share_everything_but_n():
-    base = SimConfig(n=10, q=7, seed=3, beta=2.0)
-    configs = configs_for_sizes(base, [10, 20, 30])
-    assert [c.n for c in configs] == [10, 20, 30]
-    assert all(c.seed == 3 and c.q == 7 and c.beta == 2.0 for c in configs)
+@pytest.mark.parametrize("sizes", [[50, 50], [20, 40, 20], []], ids=["pair", "apart", "none"])
+def test_run_monte_carlo_rejects_repeated_or_no_sizes(sizes):
+    # a repeated size would rerun the same seeded replicates and count them twice
+    with pytest.raises(ValueError, match="sample sizes"):
+        run_monte_carlo(SimConfig(space="network", q=2), sizes)
+

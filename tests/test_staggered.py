@@ -217,6 +217,27 @@ def test_not_yet_treated_uses_larger_pool():
     assert notyet.magnitude == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("delta", [0, 1, 2])
+def test_not_yet_treated_mask_is_untreated_at_t_plus_delta_and_not_g(delta):
+    # the cohort "first treated after t + delta" is the units untreated at
+    # t + delta outside group g, on every admissible cell
+    rng = np.random.default_rng(61 + delta)
+    cells_seen = 0
+    for _ in range(20):
+        n_periods = int(rng.integers(3, 8))
+        first = rng.integers(1, n_periods + 1, size=int(rng.integers(4, 15)))
+        first[rng.random(first.size) < 0.3] = n_periods  # never treated
+        treatment = (np.arange(n_periods)[None, :] >= first[:, None]).astype(int)
+        data = rng.normal(size=(first.size, n_periods, 1, 1))
+        panel = PanelDataset.from_array(data, treatment, "frobenius", {"kind": "free"})
+        labels = panel.group_label_array
+        for cell in enumerate_cells(panel, delta=delta, comparison=COMPARISON_NOT_YET):
+            expected = (panel.treatment[:, cell.t + cell.delta] == 0) & (labels != cell.g)
+            np.testing.assert_array_equal(staggered._cohort_mask(panel, cell), expected)
+            cells_seen += 1
+    assert cells_seen > 0
+
+
 def record_group_means(monkeypatch):
     """Replace `staggered.group_means` by a wrapper that logs (selector bytes, period)."""
     calls = []
