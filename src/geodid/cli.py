@@ -2,9 +2,11 @@
 and the Monte Carlo convergence study."""
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 
 from . import io as gio
 from .did import estimate_gatt, placebo_pretrend
@@ -26,8 +28,57 @@ _SIM_KNOBS = [f for f in fields(SimConfig) if f.name not in ("space", "n")]
 _SIM_FLAG_NAMES = {"sample_size_per_dist": "samples-per-dist"}
 
 
+# the float.__repr__ spellings that json.dumps replaces
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, newline="\n"):
+    """The text of `json.dumps(obj, indent=1)`, with `newline` (a line end and
+    the indent of obj's depth) in place of each line end.
+
+    json's indented encoder is pure Python; this one joins a list of floats in
+    one step. Types other than dict (with str keys), list, str, float, int,
+    bool and None are left to json.dumps.
+    """
+    kind = type(obj)
+    if kind is float:
+        text = float.__repr__(obj)
+        return _FLOAT_WORDS.get(text, text)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is list or kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "[]" if kind is list else "{}"
+        inner = newline + " "
+        sep = "," + inner
+        if kind is dict:
+            items = sep.join(
+                encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+                for key, value in obj.items()
+            )
+            return "{" + inner + items + newline + "}"
+        try:
+            floats = list(map(float.__repr__, obj))
+        except TypeError:
+            items = sep.join([_json_text(x, inner) for x in obj])
+        else:
+            items = sep.join(floats)
+            # only the repr of a nan or an inf holds an "n"
+            if "n" in items:
+                items = sep.join([_FLOAT_WORDS.get(x, x) for x in floats])
+        return "[" + inner + items + newline + "]"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return int.__repr__(obj)
+    return json.dumps(obj, indent=1).replace("\n", newline)
+
+
 def _emit(payload, out_path):
-    text = json.dumps(payload, indent=1)
+    """Write `payload` as the bytes of `json.dumps(payload, indent=1)` and a line end."""
+    text = _json_text(payload)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -118,9 +169,13 @@ def _cmd_staggered(args):
 def _cmd_simulate(args):
     knobs = {knob.name: getattr(args, knob.name) for knob in _SIM_KNOBS}
     report = run_monte_carlo(SimConfig(space=args.space, **knobs), _int_list(args.n))
-    _emit(gio.report_to_jsonable(report), args.out)
-    if args.errors_csv:
-        gio.write_errors_csv(report, args.errors_csv)
+    # both outputs are opened before either is written, so a path that cannot
+    # be opened leaves no report behind
+    with contextlib.ExitStack() as files:
+        errors_fh = args.errors_csv and files.enter_context(open(args.errors_csv, "w", newline=""))
+        _emit(gio.report_to_jsonable(report), args.out)
+        if errors_fh:
+            gio.write_errors_csv(report, errors_fh)
     return EXIT_OK
 
 

@@ -8,6 +8,7 @@ file in the declared format.
 
 import csv
 import json
+import locale
 import os
 from collections import Counter
 from pathlib import Path
@@ -23,6 +24,8 @@ from .spaces.sphere import FORMAT_COMPOSITION
 from .spaces.wasserstein import DEFAULT_GRID_SIZE, FORMAT_QUANTILE, FORMAT_SAMPLES
 
 SCHEMA_VERSION = 1
+# bytes asked of each os.read of a data file
+_READ_CHUNK = 1 << 16
 # the JSON types of a treatment indicator
 _INDICATOR_TYPES = frozenset((int, float, bool))
 
@@ -43,22 +46,35 @@ def _read_csv_lines(path):
     return rows
 
 
-def _read_numbers_csv(path):
+def _read_numbers_csv(path, encoding=None, limit=None):
     """All the numbers of a data file in reading order, split and cast in one step each.
 
-    numpy's string-to-float cast accepts and rejects the same cells as `float`,
-    so a file whose every cell is a number reads as `_read_csv_lines` reads it.
-    Returns None for any other file (blank, quoted or bad cells, a cell over
-    csv's field limit, or a file that cannot be opened or decoded): the caller
-    reads it line by line, which skips, unquotes or names the line.
+    The file's bytes are read with one `os.open` and decoded once, strictly,
+    with `encoding`: by default the one text-mode `open` uses. `limit` is csv's
+    field limit, by default the current one; a load looks both up once per
+    manifest. numpy's string-to-float cast accepts and rejects the same cells
+    as `float`, so a file whose every cell is a number reads as
+    `_read_csv_lines` reads it. Returns None for any other file (blank, quoted
+    or bad cells, a cell over the field limit, or a file that cannot be opened
+    or decoded): the caller reads it line by line, which skips, unquotes or
+    names the line.
     """
+    if encoding is None:
+        encoding = locale.getpreferredencoding(False)
+    if limit is None:
+        limit = csv.field_size_limit()
     try:
-        with open(path, newline="") as fh:
-            text = fh.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode(encoding)
         cells = text.replace("\r\n", ",").replace("\r", ",").replace("\n", ",").split(",")
         if text.endswith(("\r", "\n")):
             cells.pop()
-        limit = csv.field_size_limit()
         if len(text) <= limit or max(map(len, cells)) <= limit:
             return np.array(cells, dtype=float)
     except (OSError, ValueError):
@@ -66,17 +82,29 @@ def _read_numbers_csv(path):
     return None
 
 
-def _read_outcome(spec, fmt, base_dir, where):
-    """One outcome as a float array: its inline data or the numbers in its data file."""
-    if spec is None:
-        raise MissingOutcomeError(f"{where}: outcome missing")
-    try:
+def _outcome_reader(fmt, base_dir):
+    """A function reading one of a manifest's outcomes as a float array: its
+    inline data or the numbers in its data file.
+
+    What every read shares is worked out here, once per manifest. The function
+    raises MissingOutcomeError for a null outcome, OSError for a file it cannot
+    read and TypeError, ValueError, OverflowError or csv.Error for bad data;
+    `_outcome_error` names the outcome.
+    """
+    # one curve or composition may run over several lines of any length
+    flat = fmt in (FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_COMPOSITION)
+    encoding = locale.getpreferredencoding(False)
+    limit = csv.field_size_limit()
+
+    def read(spec):
+        if spec is None:
+            raise MissingOutcomeError("outcome missing")
         if not isinstance(spec, str):
             return np.asarray(spec, dtype=float)
-        # one curve or composition may run over several lines of any length
-        flat = fmt in (FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_COMPOSITION)
         # os.path.join costs a few microseconds less per file than a Path join
-        if flat and (numbers := _read_numbers_csv(os.path.join(base_dir, spec))) is not None:
+        if flat and (
+            numbers := _read_numbers_csv(os.path.join(base_dir, spec), encoding, limit)
+        ) is not None:
             return numbers
         # matrix files, and flat files the one-step read gives up on; an error
         # names the file as Path spells it
@@ -88,10 +116,26 @@ def _read_outcome(spec, fmt, base_dir, where):
         if flat:
             rows = [x for row in rows for x in row]
         return np.asarray(rows, dtype=float)
-    except OSError as exc:
-        raise MissingOutcomeError(f"{where}: {exc}") from None
-    except (TypeError, ValueError, OverflowError, csv.Error) as exc:
-        raise ParseError(f"{where}: {exc}") from None
+
+    return read
+
+
+# what an outcome reader raises for an outcome it cannot read
+_OUTCOME_ERRORS = (MissingOutcomeError, OSError, TypeError, ValueError, OverflowError, csv.Error)
+
+
+def _outcome_error(exc, where):
+    """The error a load raises for `exc`, one of `_OUTCOME_ERRORS`, named by `where`."""
+    kind = MissingOutcomeError if isinstance(exc, (MissingOutcomeError, OSError)) else ParseError
+    return kind(f"{where}: {exc}")
+
+
+def _read_outcome(spec, fmt, base_dir, where):
+    """One outcome as a float array, read and named by `where` as a load reads and names it."""
+    try:
+        return _outcome_reader(fmt, base_dir)(spec)
+    except _OUTCOME_ERRORS as exc:
+        raise _outcome_error(exc, where) from None
 
 
 def load_panel(manifest_path):
@@ -123,7 +167,7 @@ def load_panel(manifest_path):
     if type(grid_size) is not int or grid_size < 2:
         raise ParseError(f"'grid_size' must be an integer >= 2, got {grid_size!r}")
 
-    base_dir = str(manifest_path.parent)
+    read = _outcome_reader(fmt, str(manifest_path.parent))
     outcomes, treatment, ids = [], [], []
     for k, unit in enumerate(units):
         if not isinstance(unit, dict):
@@ -142,7 +186,11 @@ def load_panel(manifest_path):
             got = len(outs) if isinstance(outs, list) else 0
             raise MissingOutcomeError(f"unit {uid}: expected {periods} outcomes, got {got}")
         for t, spec in enumerate(outs):
-            outcomes.append(_read_outcome(spec, fmt, base_dir, f"unit {uid} period {t}"))
+            try:
+                outcomes.append(read(spec))
+            except _OUTCOME_ERRORS as exc:
+                # the label is built only for an error
+                raise _outcome_error(exc, f"unit {uid} period {t}") from None
         treatment.append(treat)
         ids.append(uid)
     try:
@@ -264,10 +312,10 @@ def report_to_jsonable(report):
     }
 
 
-def write_errors_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "run", "error"])
-        for n in sorted(report.errors):
-            for run, err in enumerate(report.errors[n]):
-                writer.writerow([n, run, repr(err)])
+def write_errors_csv(report, fh):
+    """Write every run's error as `n,run,error` rows to `fh`, a text file opened with newline=""."""
+    writer = csv.writer(fh)
+    writer.writerow(["n", "run", "error"])
+    for n in sorted(report.errors):
+        for run, err in enumerate(report.errors[n]):
+            writer.writerow([n, run, repr(err)])

@@ -25,22 +25,29 @@ FORMAT_MATRIX_JSON = "matrix-json"
 FORMATS = (FORMAT_MATRIX_CSV, FORMAT_MATRIX_JSON, FORMAT_INLINE)
 
 
+def _row_tol(rows):
+    """LAPLACIAN_TOL + 4 m eps sum|row| per row of a (..., m) array: room for the
+    rounding of a row sum and of a mean or transport before it, which grows with
+    the row (scaled before the sum, so it cannot overflow)."""
+    return LAPLACIAN_TOL + (np.abs(rows) * (4 * rows.shape[-1] * np.finfo(float).eps)).sum(axis=-1)
+
+
 def _kind_ok(stack, kind):
     """Per matrix of a (k, m, m) stack: whether it has `kind`'s structure."""
     if kind == KIND_LAPLACIAN:
         row_sum = np.abs(stack.sum(axis=-1))
         row_sum_off = row_sum > LAPLACIAN_TOL
         m = stack.shape[-1]
+        # rows and entries that fail the absolute test get their row's room
         if row_sum_off.any():
-            # rounding grows with the row: rows that fail the absolute test
-            # get LAPLACIAN_TOL + 4 m eps sum|row|, room for the row sum and a
-            # mean or transport before it (scaled first, so it cannot overflow)
-            rows = np.abs(stack[row_sum_off]) * (4 * m * np.finfo(float).eps)
-            row_sum_off[row_sum_off] = row_sum[row_sum_off] > LAPLACIAN_TOL + rows.sum(axis=-1)
+            row_sum_off[row_sum_off] = row_sum[row_sum_off] > _row_tol(stack[row_sum_off])
         positive = np.greater(stack, LAPLACIAN_TOL, order="C")
         # only off-diagonal entries must not be positive: clear the diagonal
         # through a flat view (C order makes the reshape a view, not a copy)
         positive.reshape(len(stack), m * m)[:, :: m + 1] = False
+        if positive.any():
+            k, i, j = np.nonzero(positive)
+            positive[k, i, j] = stack[k, i, j] > _row_tol(stack[k, i])
         if not (row_sum_off.any() or positive.any()):
             return np.ones(len(stack), dtype=bool)
         return ~(row_sum_off.any(axis=-1) | positive.any(axis=(1, 2)))

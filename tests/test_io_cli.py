@@ -518,6 +518,8 @@ def test_cli_unwritable_output_path_is_invalid_input(tmp_path, capsys, command, 
     argv += [flag, str(tmp_path / "no-such-dir" / "out")]
     assert main(argv) == EXIT_INVALID_INPUT
     assert single_error_line(capsys)["error"] == "FileNotFoundError"
+    # a run that exits 2 leaves no report behind for a caller to take as a success
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_cli_estimation_failure_exit_code(tmp_path, capsys):

@@ -3,6 +3,8 @@ and the join writer against csv.writer."""
 
 import csv
 import io
+import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodid import io as gio
-from geodid.errors import ParseError
+from geodid.errors import GeodidError, MissingOutcomeError, ParseError
 from geodid.spaces.wasserstein import FORMAT_QUANTILE
 
 WHERE = "unit u period 0"
@@ -149,3 +151,71 @@ def test_writer_bytes_match_csv_writer(tmp_path, fmt):
     path = tmp_path / "w.csv"
     gio._write_data_file(path, data, fmt)
     assert path.read_bytes() == csv_writer_bytes(data, fmt)
+
+
+def line_reader_outcome(path):
+    """The outcome as a load reads a file the one-step read gives up on."""
+    try:
+        return per_line_outcome(path)
+    except OSError as exc:
+        raise MissingOutcomeError(f"{WHERE}: {exc}") from None
+
+
+def longer_than_a_chunk():
+    """Numbers past one os.read, a three-byte number character astride the chunk boundary."""
+    head = b"1.25," * (gio._READ_CHUNK // 5)
+    head += b"0" * (gio._READ_CHUNK - 1 - len(head))
+    return head + "\u30007\n".encode() + b"2.5\r\n" * 10
+
+
+BYTE_FILES = {
+    "invalid-utf8": b"0.1,\xff0.2\n",
+    "utf8-bom": b"\xef\xbb\xbf0.1,0.2\n",
+    "longer-than-a-chunk": longer_than_a_chunk(),
+    "empty": b"",
+    "directory": None,
+    "missing": None,
+}
+
+
+def make_data_file(tmp_path, case):
+    path = tmp_path / "c.csv"
+    if case == "directory":
+        path.mkdir()
+    elif case != "missing":
+        path.write_bytes(BYTE_FILES[case])
+    return path
+
+
+@pytest.mark.parametrize("case", BYTE_FILES)
+def test_byte_level_files_read_as_the_line_by_line_reader_reads_them(tmp_path, case):
+    path = make_data_file(tmp_path, case)
+    expected = outcome_or_error(line_reader_outcome, path)
+    fast = gio._read_numbers_csv(str(path))
+    # only the file of numbers is read in one step; the rest fall back
+    assert (fast is None) == (case != "longer-than-a-chunk")
+    if fast is not None:
+        assert len(path.read_bytes()) > gio._READ_CHUNK
+        assert outcome_or_error(lambda: fast) == expected
+    assert outcome_or_error(gio._read_outcome, "c.csv", FORMAT_QUANTILE, str(tmp_path), WHERE) == expected
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_loads_that_fall_back_or_fail_leave_no_file_open(tmp_path):
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    for case in BYTE_FILES:
+        folder = tmp_path / case
+        folder.mkdir()
+        make_data_file(folder, case)
+        manifest = folder / "m.json"
+        unit = {"id": "u", "treatment": [0], "outcomes": ["c.csv"]}
+        manifest.write_text(json.dumps({"space": "wasserstein", "periods": 1,
+                                        "format": FORMAT_QUANTILE, "units": [unit]}))
+        try:
+            gio.load_panel(manifest)
+        except GeodidError:
+            pass
+    assert open_fds() == before

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from geodid.did import estimate_gatt
 from geodid.errors import InvariantViolationError, KindViolationWarning, SpaceMismatchError
+from geodid.simulate import SimConfig, _run_rng, generate_panel
 from geodid.spaces import check_points
 from geodid.spaces.matrix import (
     KIND_COVARIANCE,
@@ -39,6 +43,37 @@ def test_laplacian_row_sum_tolerance_scales_with_the_row():
         entries[3, 3] += off
         with pytest.raises(InvariantViolationError, match="laplacian"):
             SymmetricMatrixPoint(entries, kind=KIND_LAPLACIAN)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e100])
+def test_laplacian_off_diagonal_tolerance_scales_with_the_row(scale):
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.5, 1.5, size=(10, 10)) * scale
+    w = np.triu(w, 1) + np.triu(w, 1).T
+    entries = laplacian_from_adjacency(w).entries
+    row = np.abs(entries[3]).sum()
+    # a positive off-diagonal entry, its rows still summing to zero
+    for relative, ok in ((1e-16, True), (1e-3, False)):
+        positive = entries.copy()
+        positive[3, 3] -= w[3, 4] + relative * row
+        positive[4, 4] -= w[3, 4] + relative * row
+        positive[3, 4] = positive[4, 3] = relative * row
+        if ok:
+            assert SymmetricMatrixPoint(positive, kind=KIND_LAPLACIAN).kind == KIND_LAPLACIAN
+        else:
+            with pytest.raises(InvariantViolationError, match="laplacian"):
+                SymmetricMatrixPoint(positive, kind=KIND_LAPLACIAN)
+
+
+def test_large_scale_network_estimate_stays_a_laplacian():
+    # on this draw an off-diagonal entry of the counterfactual is zero but for
+    # rounding, about 3e-17 of its row
+    config = SimConfig(space="network", n=50, seed=2, alpha1=1e100)
+    panel, _ = generate_panel(config, _run_rng(config, 17))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", KindViolationWarning)
+        estimate = estimate_gatt(panel)
+    assert estimate.effect.start.kind == KIND_LAPLACIAN
 
 
 def test_covariance_kind_checks_psd():
