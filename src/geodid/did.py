@@ -5,8 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGroupError, InvariantViolationError
-from .frechet import group_means
-from .geometry import Geodesic, distance, transport
+from .geometry import _BACKENDS, Geodesic
 
 
 @dataclass(frozen=True)
@@ -67,20 +66,29 @@ def placebo_pretrend(panel, pre_periods=(0, 1), groups=None):
     return _gatt(panel, treated, (a, b))
 
 
-def _gatt(panel, treated, periods):
-    """The estimate with `treated` units as the treated group, `periods` as (pre, post)."""
+def gatt_arrays(panel, treated, periods):
+    """The panel's backend, and `_gatt`'s means by (group, period index) and counterfactual as arrays."""
     if not treated.any():
         raise EmptyGroupError("no treated units")
     if treated.all():
         raise EmptyGroupError("no control units")
+    backend = _BACKENDS[panel.space_id]
     means = {}
     for d, mask in ((0, ~treated), (1, treated)):
         for t, period in enumerate(periods):
-            means[(d, t)] = group_means(panel, period, mask).mean
-    counterfactual = transport(means[(0, 0)], means[(0, 1)], means[(1, 0)])
-    effect = Geodesic(counterfactual, means[(1, 1)])
+            means[(d, t)] = backend.mean(panel.data[mask, period])[0]
+    counterfactual = backend.transport(means[(0, 0)], means[(0, 1)], means[(1, 0)])
+    return backend, means, counterfactual
+
+
+def _gatt(panel, treated, periods):
+    """The estimate with `treated` units as the treated group, `periods` as (pre, post)."""
+    backend, means, counterfactual = gatt_arrays(panel, treated, periods)
+    points = {key: backend.wrap(mean, **panel.fields) for key, mean in means.items()}
+    # a transport keeps the fields of the point it moves (the Frobenius kind)
+    start = backend.wrap(counterfactual, **backend.unwrap((points[(1, 0)],))[1])
     return GattEstimate(
-        effect=effect,
-        magnitude=distance(effect.start, effect.end),
-        means=means,
+        effect=Geodesic(start, points[(1, 1)]),
+        magnitude=backend.distance(counterfactual, means[(1, 1)]),
+        means=points,
     )

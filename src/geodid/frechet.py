@@ -20,22 +20,15 @@ class FrechetResult:
     iterations: int
 
 
-def frechet_mean(points, weights=None):
-    """Weighted Frechet mean of points that all live in one space."""
+def frechet_mean(points):
+    """Frechet mean of points that all live in one space."""
     points = list(points)
     if not points:
         raise EmptyGroupError("cannot average an empty set of points")
-    if weights is None:
-        weights = np.ones(len(points))
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if len(weights) != len(points):
-            raise ValueError("weights and points must have equal length")
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
     backend = backend_of(*points)
-    stack, fields = backend.stack_points(points)
-    return FrechetResult(*backend.mean(stack, weights, **fields))
+    stack, fields = backend.unwrap(points)
+    mean, iterations = backend.mean(stack)
+    return FrechetResult(backend.wrap(mean, **fields), iterations)
 
 
 def group_means(panel, period, selector):
@@ -46,6 +39,6 @@ def group_means(panel, period, selector):
     selector = np.asarray(selector, dtype=bool)
     if not selector.any():
         raise EmptyGroupError(f"selected group is empty at period {period}")
-    stack = panel.data[selector, period]
     backend = _BACKENDS[panel.space_id]
-    return FrechetResult(*backend.mean(stack, None, **panel.fields))
+    mean, iterations = backend.mean(panel.data[selector, period])
+    return FrechetResult(backend.wrap(mean, **panel.fields), iterations)

@@ -34,17 +34,15 @@ def backend_of(*points):
 
 def distance(a, b):
     """Native metric of the points' common space."""
-    return backend_of(a, b).distance(a, b)
+    backend = backend_of(a, b)
+    return backend.distance(*backend.unwrap((a, b))[0])
 
 
 def transport(alpha, beta, omega):
-    """Geodesic transport of omega along the geodesic from alpha to beta."""
-    return backend_of(alpha, beta, omega).transport(alpha, beta, omega)
-
-
-def is_path_independent(space_id):
-    """Whether transports along consecutive geodesics compose to the direct one."""
-    return _BACKENDS[space_id].PATH_INDEPENDENT
+    """Geodesic transport of omega along the geodesic from alpha to beta (a point with omega's fields)."""
+    backend = backend_of(alpha, beta, omega)
+    (a, b, w), _ = backend.unwrap((alpha, beta, omega))
+    return backend.wrap(backend.transport(a, b, w), **backend.unwrap((omega,))[1])
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,9 @@ class Geodesic:
     def evaluate(self, t):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"geodesic parameter t={t} outside [0, 1]")
-        return backend_of(self.start, self.end).interpolate(self.start, self.end, t)
+        backend = backend_of(self.start, self.end)
+        (a, b), _ = backend.unwrap((self.start, self.end))
+        return backend.wrap(backend.interpolate(a, b, t), **backend.unwrap((self.start,))[1])
 
     def __call__(self, t):
         return self.evaluate(t)

@@ -11,6 +11,7 @@ import json
 import locale
 import os
 from collections import Counter
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +34,23 @@ _INDICATOR_TYPES = frozenset((int, float, bool))
 def _read_csv_lines(path):
     """The numbers on each non-blank line of a data file (blank cells skipped, quoted ones read).
 
-    A bad cell raises ValueError naming the file and line.
+    The bytes are decoded once, strictly, as text-mode `open` decodes them. A bad
+    cell or undecodable byte raises ValueError naming the file and line.
     """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError as exc:
+        # csv ends a line at \r\n, \r or \n
+        line = len(raw[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n"))
+        raise ValueError(f"{path}:{line}: {exc}") from None
     rows = []
-    with open(path, newline="") as fh:
-        for line_no, row in enumerate(csv.reader(fh), start=1):
-            try:
-                if numbers := [float(cell) for cell in row if cell.strip()]:
-                    rows.append(numbers)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
+    for line_no, row in enumerate(csv.reader(StringIO(text, newline="")), start=1):
+        try:
+            if numbers := [float(cell) for cell in row if cell.strip()]:
+                rows.append(numbers)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return rows
 
 

@@ -42,7 +42,7 @@ class PanelDataset:
         grid = np.array(outcomes, dtype=object)
         if grid.size == 0 or grid.ndim != 2:
             raise InvariantViolationError("outcomes must be a non-empty units x periods table")
-        stack, fields = backend_of(*grid.flat).stack_points(grid.ravel())
+        stack, fields = backend_of(*grid.flat).unwrap(grid.ravel())
         data = stack.reshape(grid.shape + stack.shape[1:])
         self._set(data, treatment, grid[0, 0].space_id, fields, unit_ids)
 
@@ -104,7 +104,7 @@ class PanelDataset:
 
     def point(self, i, t):
         """Outcome of unit i at period t as a point of the panel's space."""
-        return _BACKENDS[self.space_id].POINT(self.data[i, t], **self.fields)
+        return _BACKENDS[self.space_id].wrap(self.data[i, t], **self.fields)
 
     @cached_property
     def group_label_array(self):

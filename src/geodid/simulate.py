@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.stats import norm
 
-from .did import estimate_gatt
+from .did import gatt_arrays
 from .errors import GeodidError
-from .geometry import Geodesic, quotient_distance
+from .geometry import Geodesic
 from .panel import PanelDataset
 from .spaces.matrix import SymmetricMatrixPoint, KIND_FREE, KIND_LAPLACIAN
 from .spaces.wasserstein import QuantileCurve, _sample_quantiles, midpoint_grid
@@ -212,8 +212,11 @@ def single_run_error(config, run):
     rng = _run_rng(config, run)
     panel, truth = generate_panel(config, rng)
     try:
-        estimate = estimate_gatt(panel)
-        return quotient_distance(estimate.effect, truth, reference=truth.start)
+        backend, means, counterfactual = gatt_arrays(panel, panel.treatment[:, 1] == 1, (0, 1))
+        (start, end), _ = backend.unwrap((truth.start, truth.end))
+        # `quotient_distance(estimate, truth, reference=truth.start)` on arrays
+        moved = backend.transport(counterfactual, means[(1, 1)], start)
+        return backend.distance(moved, backend.transport(start, end, start))
     except GeodidError:
         return None
 

@@ -1,9 +1,9 @@
 """Space backends: Wasserstein, positive-orthant sphere, Frobenius matrices.
 
-Each module defines `distance`, `interpolate`, `transport`, `validate`,
-`stack_points`, `POINT`, `mean`, `from_data`, `to_data`, `to_jsonable`,
-`manifest_fields`, `FORMATS` and `PATH_INDEPENDENT` (see the README's package
-layout), and is registered in `geometry._BACKENDS`.
+Each module defines `distance`, `interpolate`, `transport` and `mean` on
+arrays, `wrap` and `unwrap` between arrays and points, `validate`, `from_data`,
+`to_data`, `to_jsonable`, `manifest_fields`, `FORMATS` and `PATH_INDEPENDENT`
+(see the README's package layout), and is registered in `geometry._BACKENDS`.
 """
 
 import numpy as np
@@ -20,10 +20,18 @@ def check_points(bad, message):
         raise InvariantViolationError(message, index=int(bad.argmax()))
 
 
-def check_same_shape(*arrays):
-    """Raise SpaceMismatchError unless the points' arrays all have one shape."""
+def stack_arrays(arrays):
+    """A list of arrays as one (k, *shape) array; SpaceMismatchError unless they share one shape."""
     if len(shapes := {a.shape for a in arrays}) > 1:
         raise SpaceMismatchError(f"point shapes differ: {sorted(shapes)}")
+    return np.array(arrays)
+
+
+def bare(cls, **attrs):
+    """A point of `cls` holding `attrs`, not validated: for arrays whose arithmetic and checks cover `validate`."""
+    point = object.__new__(cls)
+    point.__dict__.update(attrs)
+    return point
 
 
 def check_overflow(values, what):

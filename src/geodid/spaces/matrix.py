@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvariantViolationError, KindViolationWarning
-from . import FORMAT_INLINE, check_overflow, check_points, check_same_shape
+from . import FORMAT_INLINE, bare, check_overflow, check_points, stack_arrays
 
 SYMMETRY_TOL = 1e-10
 LAPLACIAN_TOL = 1e-8
@@ -92,42 +92,41 @@ class SymmetricMatrixPoint:
         return self.entries.shape[0]
 
 
-POINT = SymmetricMatrixPoint
-
-
 def distance(a, b):
     """Frobenius distance ||a - b||_F."""
-    check_same_shape(a.entries, b.entries)
-    return float(np.linalg.norm(a.entries - b.entries))
+    return float(np.linalg.norm(a - b))
 
 
 def interpolate(a, b, t):
-    """Point at fraction t of the line segment from a to b."""
-    check_same_shape(a.entries, b.entries)
+    """Matrix at fraction t of the line segment from a to b."""
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = (1.0 - t) * a.entries + t * b.entries
-    return _result(entries, a.kind)
+        entries = (1.0 - t) * a + t * b
+        return _symmetric(entries)
 
 
 def transport(alpha, beta, omega):
     """Additive transport: omega + (beta - alpha)."""
-    check_same_shape(alpha.entries, beta.entries, omega.entries)
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = omega.entries + beta.entries - alpha.entries
-    return _result(entries, omega.kind)
+        entries = omega + beta - alpha
+        return _symmetric(entries)
 
 
-def _result(entries, kind):
-    with np.errstate(over="ignore", invalid="ignore"):
-        entries = 0.5 * (entries + entries.T)
+def _symmetric(entries):
+    """`entries` made exactly symmetric, checked finite (under the caller's np.errstate)."""
+    entries = 0.5 * (entries + entries.T)
     check_overflow(entries, "matrix result")
+    return entries
+
+
+def wrap(entries, kind):
+    """The point of a finite symmetric matrix, of `kind`, or free with a KindViolationWarning if it breaks `kind`."""
     if not _kind_ok(entries[None], kind)[0]:
         warnings.warn(
             f"result violates {kind} structure; kept with kind='free'",
             KindViolationWarning,
         )
         kind = KIND_FREE
-    return SymmetricMatrixPoint(entries, kind=kind)
+    return bare(SymmetricMatrixPoint, entries=entries, kind=kind)
 
 
 def laplacian_from_adjacency(weights):
@@ -146,25 +145,23 @@ def laplacian_from_adjacency(weights):
     return SymmetricMatrixPoint(lap, kind=KIND_LAPLACIAN)
 
 
-def stack_points(points):
-    """The points' entries as one (k, m, m) array, and their common kind (else free)."""
-    entries = [p.entries for p in points]
-    check_same_shape(*entries)
+def unwrap(points):
+    """The points' entries as one (k, m, m) stack, and their common kind (else free)."""
     kinds = {p.kind for p in points}
-    return np.array(entries), {"kind": kinds.pop() if len(kinds) == 1 else KIND_FREE}
+    kind = kinds.pop() if len(kinds) == 1 else KIND_FREE
+    return stack_arrays([p.entries for p in points]), {"kind": kind}
 
 
-def mean(stack, weights, kind):
-    """Weighted Frechet mean of a (k, m, m) stack: the entrywise average (plain when weights is None)."""
+def mean(stack):
+    """Frechet mean of a (k, m, m) stack: the entrywise average."""
     with np.errstate(over="ignore", invalid="ignore"):
-        entries = np.average(stack, axis=0, weights=weights)
-    return _result(entries, kind), 0
+        entries = stack.mean(axis=0)
+        return _symmetric(entries), 0
 
 
 def from_data(outcomes, manifest):
     """The panel's matrices as one (k, m, m) stack, of the manifest's kind."""
-    check_same_shape(*outcomes)
-    return np.array(outcomes), {"kind": manifest.get("matrix_kind", KIND_FREE)}
+    return stack_arrays(outcomes), {"kind": manifest.get("matrix_kind", KIND_FREE)}
 
 
 def to_data(entries):

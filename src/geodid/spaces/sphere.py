@@ -11,7 +11,7 @@ from ..errors import (
     NonConvergenceError,
     OrthantExitWarning,
 )
-from . import FORMAT_INLINE, check_points, check_same_shape
+from . import FORMAT_INLINE, bare, check_points, stack_arrays
 
 UNIT_TOL = 1e-10
 ORTHANT_SLACK = 1e-12
@@ -50,9 +50,6 @@ class UnitCompositionPoint:
         return len(self.coords)
 
 
-POINT = UnitCompositionPoint
-
-
 def _clamped_dot(x, y):
     return float(np.clip(np.dot(x, y), -1.0, 1.0))
 
@@ -64,21 +61,18 @@ def distance(z1, z2):
     the same angle but stays accurate for nearly identical points where
     arccos of the dot product loses half the significant digits.
     """
-    check_same_shape(z1.coords, z2.coords)
-    half_chord = 0.5 * np.linalg.norm(z1.coords - z2.coords)
+    half_chord = 0.5 * np.linalg.norm(z1 - z2)
     return float(2.0 * np.arcsin(min(half_chord, 1.0)))
 
 
 def interpolate(z1, z2, t):
     """Slerp: point at fraction t of the geodesic from z1 to z2."""
-    check_same_shape(z1.coords, z2.coords)
-    a, b = z1.coords, z2.coords
-    theta = np.arccos(_clamped_dot(a, b))
+    theta = np.arccos(_clamped_dot(z1, z2))
     if theta < 1e-14:
         return z1
-    v = b - np.dot(a, b) * a
+    v = z2 - np.dot(z1, z2) * z1
     u = v / np.linalg.norm(v)
-    coords = np.cos(theta * t) * a + np.sin(theta * t) * u
+    coords = np.cos(theta * t) * z1 + np.sin(theta * t) * u
     return _finish(coords)
 
 
@@ -88,31 +82,33 @@ def _finish(coords):
         warnings.warn(
             "result left the positive orthant of the sphere", OrthantExitWarning
         )
-    return _unchecked(coords)
-
-
-def _unchecked(coords):
-    point = object.__new__(UnitCompositionPoint)
-    object.__setattr__(point, "coords", coords)
-    return point
+    return coords
 
 
 def transport(alpha, beta, omega):
     """Rotate omega along the geodesic direction determined by alpha and beta."""
-    check_same_shape(alpha.coords, beta.coords, omega.coords)
-    a, b, w = alpha.coords, beta.coords, omega.coords
-    theta = np.arccos(_clamped_dot(a, b))
+    theta = np.arccos(_clamped_dot(alpha, beta))
     if theta < 1e-14:
         return omega
-    v_ab = b - np.dot(a, b) * a
-    v = v_ab - np.dot(w, v_ab) * w
+    v_ab = beta - np.dot(alpha, beta) * alpha
+    v = v_ab - np.dot(omega, v_ab) * omega
     nv = np.linalg.norm(v)
     if nv < 1e-12:
         raise DegenerateTangentError(
             "tangent projection vanished; transport direction undefined at omega"
         )
-    coords = np.cos(theta) * w + np.sin(theta) * v / nv
+    coords = np.cos(theta) * omega + np.sin(theta) * v / nv
     return _finish(coords)
+
+
+def wrap(coords):
+    """The point of coordinates that `_finish` normalised or `validate` checked (not validated again)."""
+    return bare(UnitCompositionPoint, coords=coords)
+
+
+def unwrap(points):
+    """The points' coordinates as one (k, d) stack; a sphere point has no other fields."""
+    return stack_arrays([p.coords for p in points]), {}
 
 
 def _embed(shares):
@@ -138,10 +134,10 @@ def unembed(point):
 
 def log_map(base, point):
     """Tangent vector at `base` pointing to `point` with length d(base, point)."""
-    theta = np.arccos(_clamped_dot(base.coords, point.coords))
+    theta = np.arccos(_clamped_dot(base, point))
     if theta < 1e-14:
-        return np.zeros(base.dim)
-    u = point.coords - np.cos(theta) * base.coords
+        return np.zeros(len(base))
+    u = point - np.cos(theta) * base
     return theta * u / np.linalg.norm(u)
 
 
@@ -150,34 +146,25 @@ def exp_map(base, tangent):
     norm = np.linalg.norm(tangent)
     if norm < 1e-16:
         return base
-    coords = np.cos(norm) * base.coords + np.sin(norm) * tangent / norm
+    coords = np.cos(norm) * base + np.sin(norm) * tangent / norm
     return _finish(coords)
 
 
-def stack_points(points):
-    """The points' coordinates as one (k, d) array; a sphere point has no other fields."""
-    coords = [p.coords for p in points]
-    check_same_shape(*coords)
-    return np.array(coords), {}
-
-
-def mean(coords, weights):
-    """Weighted Karcher mean of a (k, d) stack by unit-step tangent-space averaging (equal weights when None)."""
-    if weights is None:
-        weights = np.ones(len(coords))
-    w = weights / weights.sum()
+def mean(coords):
+    """Karcher mean of a (k, d) stack by unit-step tangent-space averaging."""
+    w = np.full(len(coords), 1.0 / len(coords))
     extrinsic = w @ coords
     if np.linalg.norm(extrinsic) < 1e-8:
         # near-degenerate configuration; start from the first point instead
-        current = _unchecked(coords[0])
+        current = coords[0]
     else:
         current = _finish(extrinsic)
     for iteration in range(1, MEAN_MAX_ITER + 1):
         # every point's log map at once: row i of u points from the mean to
         # point i and is scaled to length theta_i; points within 1e-14 of
         # the mean add nothing, without a 0/0
-        theta = np.arccos(np.clip(coords @ current.coords, -1.0, 1.0))
-        u = coords - np.cos(theta)[:, None] * current.coords
+        theta = np.arccos(np.clip(coords @ current, -1.0, 1.0))
+        u = coords - np.cos(theta)[:, None] * current
         norms = np.linalg.norm(u, axis=1)
         scale = np.divide(
             w * theta, norms, out=np.zeros_like(theta), where=theta >= 1e-14
@@ -198,8 +185,7 @@ def mean(coords, weights):
 def from_data(outcomes, manifest):
     """The panel's compositions, flattened, as one (k, d) stack of embeddings."""
     shares = [np.ravel(x) for x in outcomes]
-    check_same_shape(*shares)
-    return _embed(np.array(shares)), {}
+    return _embed(stack_arrays(shares)), {}
 
 
 def to_data(coords):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateTransportError, InvariantViolationError
-from . import FORMAT_INLINE, check_overflow, check_points, check_same_shape
+from . import FORMAT_INLINE, bare, check_overflow, check_points, stack_arrays
 
 POINT_TOL = 1e-10
 DEFAULT_GRID_SIZE = 100
@@ -61,47 +61,45 @@ class QuantileCurve:
         return midpoint_grid(len(self.values))
 
 
-POINT = QuantileCurve
-
-
 def distance(a, b):
     """Wasserstein-2 distance via midpoint-rule quadrature of the quantile gap."""
-    check_same_shape(a.values, b.values)
-    diff = a.values - b.values
+    diff = a - b
     return float(np.sqrt(np.mean(diff * diff)))
 
 
 def interpolate(a, b, t):
-    """Point at fraction t of the geodesic from a to b (linear in quantile space)."""
-    check_same_shape(a.values, b.values)
-    return QuantileCurve((1.0 - t) * a.values + t * b.values)
+    """Curve at fraction t of the geodesic from a to b (linear), validated: rounding can make it drop."""
+    values = (1.0 - t) * a + t * b
+    validate(values[None])
+    return values
 
 
-def stack_points(curves):
-    """The curves' values as one (k, M) array; a curve has no other fields."""
-    values = [c.values for c in curves]
-    check_same_shape(*values)
-    return np.array(values), {}
+def wrap(values):
+    """The point of a curve that is finite and non-decreasing by construction or check (not validated again)."""
+    return bare(QuantileCurve, values=values)
 
 
-def mean(stack, weights):
-    """Weighted Frechet mean of a (k, M) stack: the average quantile function (plain when weights is None), kept monotone."""
+def unwrap(curves):
+    """The curves' values as one (k, M) stack; a curve has no other fields."""
+    return stack_arrays([c.values for c in curves]), {}
+
+
+def mean(stack):
+    """Frechet mean of a (k, M) stack: the average quantile function, kept monotone."""
     with np.errstate(over="ignore", invalid="ignore"):
-        values = np.average(stack, axis=0, weights=weights)
+        values = stack.mean(axis=0)
     check_overflow(values, "quantile curve mean")
-    return QuantileCurve(_nondecreasing(values)), 0
+    return _nondecreasing(values), 0
 
 
-def cdf_eval(curve, x):
-    """Evaluate the CDF implied by a quantile curve at points x.
+def cdf_eval(values, x):
+    """Evaluate the CDF implied by quantile curve values at points x.
 
     Monotone linear interpolation of the inverse of the curve; flat segments
     resolve to the leftmost grid probability and output is clamped to
     [p_0, p_{M-1}].
     """
-    values = curve.values
-    grid = curve.grid
-    x = np.asarray(x, dtype=float)
+    grid = midpoint_grid(len(values))
     idx = np.searchsorted(values, x, side="left")
     out = np.empty(x.shape)
     below = idx == 0
@@ -117,24 +115,18 @@ def cdf_eval(curve, x):
     return out
 
 
-def quantile_eval(curve, p):
-    """Evaluate the quantile curve at probabilities p by linear interpolation."""
-    return np.interp(np.asarray(p, dtype=float), curve.grid, curve.values)
-
-
 def transport(alpha, beta, omega):
     """Optimal-transport push of omega along the geodesic from alpha to beta.
 
     The output quantile function is the composition of beta's quantile
     function, alpha's CDF and omega's quantile function.
     """
-    check_same_shape(alpha.values, beta.values, omega.values)
-    if alpha.values[-1] - alpha.values[0] < POINT_TOL:
+    if alpha[-1] - alpha[0] < POINT_TOL:
         raise DegenerateTransportError("alpha is a constant curve; its CDF has no spread")
-    p = cdf_eval(alpha, omega.values)
-    out = quantile_eval(beta, p)
+    p = cdf_eval(alpha, omega)
+    out = np.interp(p, midpoint_grid(len(beta)), beta)
     # monotone compositions stay monotone; cummax guards against fp dust
-    return QuantileCurve(np.maximum.accumulate(out))
+    return np.maximum.accumulate(out)
 
 
 def _check_draws(draws):
@@ -170,8 +162,7 @@ def from_data(outcomes, manifest):
             rows = np.flatnonzero(sizes == s)
             stack[rows] = _sample_quantiles(np.array([flat[i] for i in rows]), grid_size)
         return stack, {}
-    check_same_shape(*flat)
-    return np.array(flat), {}
+    return stack_arrays(flat), {}
 
 
 def to_data(values):

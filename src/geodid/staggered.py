@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyCohortError, InadmissibleCellError
-from .frechet import group_means
-from .geometry import Geodesic, distance, is_path_independent, transport
+from .geometry import _BACKENDS, Geodesic
 
 COMPARISON_NEVER = "never"
 COMPARISON_NOT_YET = "notyet"
@@ -98,11 +97,11 @@ def _cohort_mask(panel, cell):
     return labels > cell.t + cell.delta
 
 
-def _memo_mean(panel, mask, period, memo):
-    """Mean over the units in `mask` at `period`, computed once per memo."""
+def _memo_mean(backend, panel, mask, period, memo):
+    """Mean array over the units in `mask` at `period`, computed once per memo."""
     key = (mask.tobytes(), period)
     if key not in memo:
-        memo[key] = group_means(panel, period, mask).mean
+        memo[key] = backend.mean(panel.data[mask, period])[0]
     return memo[key]
 
 
@@ -110,28 +109,32 @@ def estimate_group_time_gatt(panel, cell, *, _memo=None):
     """Group-time effect for one admissible cell, in the cell's `estimator_form`
     (None: the shortcut on path-independent spaces, else the recursion).
 
-    `_memo` maps (unit selector bytes, period) to a group mean; it lets
-    `estimate_all_cells` share means between the cells of one call.
+    `_memo` is two dicts: mean arrays by (unit selector bytes, period), and the
+    points of treated means by (g, period); `estimate_all_cells` shares them.
     """
     if not cell_admissible(panel, cell):
         raise InadmissibleCellError(
             f"cell (g={cell.g}, t={cell.t}, delta={cell.delta}, "
             f"{cell.comparison}) is not admissible for this panel"
         )
+    backend = _BACKENDS[panel.space_id]
     form = cell.estimator_form
     if form is None:
-        form = FORM_SHORTCUT if is_path_independent(panel.space_id) else FORM_RECURSIVE
-    if form == FORM_SHORTCUT and not is_path_independent(panel.space_id):
+        form = FORM_SHORTCUT if backend.PATH_INDEPENDENT else FORM_RECURSIVE
+    if form == FORM_SHORTCUT and not backend.PATH_INDEPENDENT:
         raise InadmissibleCellError(
             f"shortcut form requires a path-independent transport map; "
             f"space {panel.space_id!r} does not provide one"
         )
-    memo = {} if _memo is None else _memo
+    means, points = ({}, {}) if _memo is None else _memo
     mask = _cohort_mask(panel, cell)
     treated = panel.group_label_array == cell.g
     base = cell.g - cell.delta - 1
-    beta_path = [_memo_mean(panel, treated, base, memo)]
-    treated_end = _memo_mean(panel, treated, cell.t, memo)
+    beta = _memo_mean(backend, panel, treated, base, means)
+    end = _memo_mean(backend, panel, treated, cell.t, means)
+    for period, mean in ((base, beta), (cell.t, end)):
+        if (cell.g, period) not in points:
+            points[cell.g, period] = backend.wrap(mean, **panel.fields)
     if not mask.any():
         raise EmptyCohortError(
             f"comparison cohort for cell (g={cell.g}, t={cell.t}) is empty "
@@ -140,14 +143,15 @@ def estimate_group_time_gatt(panel, cell, *, _memo=None):
         )
     # the shortcut is the recursion's walk in one step from base to t
     periods = (base, cell.t) if form == FORM_SHORTCUT else range(base, cell.t + 1)
-    trend = [_memo_mean(panel, mask, s, memo) for s in periods]
+    trend = [_memo_mean(backend, panel, mask, s, means) for s in periods]
+    beta_path = [points[cell.g, base]]
     for prev, curr in zip(trend, trend[1:]):
-        beta_path.append(transport(prev, curr, beta_path[-1]))
-    effect = Geodesic(beta_path[-1], treated_end)
+        beta = backend.transport(prev, curr, beta)
+        beta_path.append(backend.wrap(beta, **backend.unwrap(beta_path[-1:])[1]))
     return GroupTimeGatt(
         cell=GroupTimeCell(cell.g, cell.t, cell.delta, cell.comparison, form),
-        effect=effect,
-        magnitude=distance(effect.start, effect.end),
+        effect=Geodesic(beta_path[-1], points[cell.g, cell.t]),
+        magnitude=backend.distance(beta, end),
         beta_path=tuple(beta_path),
     )
 
@@ -158,7 +162,7 @@ def estimate_all_cells(panel, delta=0, comparison=COMPARISON_NEVER, estimator_fo
     Each distinct (unit set, period) mean is computed once per call and
     shared by the cells that need it; nothing is kept between calls.
     """
-    memo = {}
+    memo = ({}, {})
     return [
         estimate_group_time_gatt(
             panel, replace(cell, estimator_form=estimator_form), _memo=memo

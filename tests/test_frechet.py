@@ -124,7 +124,7 @@ def test_sphere_mean_first_order_condition():
     rng = np.random.default_rng(13)
     points = [random_composition(rng, dim=4) for _ in range(6)]
     result = frechet_mean(points)
-    grad = np.sum([ssp.log_map(result.mean, p) for p in points], axis=0)
+    grad = np.sum([ssp.log_map(result.mean.coords, p.coords) for p in points], axis=0)
     assert np.linalg.norm(grad) / len(points) < 1e-8
 
 
@@ -139,22 +139,6 @@ def test_objective_not_above_any_input_point():
         result = frechet_mean(points)
         for p in points:
             assert objective(result.mean, points) <= objective(p, points) + 1e-10
-
-
-def test_weights_scale_invariance():
-    rng = np.random.default_rng(19)
-    points = [random_composition(rng, dim=3) for _ in range(4)]
-    w = np.array([1.0, 2.0, 3.0, 4.0])
-    r1 = frechet_mean(points, weights=w)
-    r2 = frechet_mean(points, weights=w / w.sum())
-    assert distance(r1.mean, r2.mean) < 1e-10
-
-
-def test_weighted_wasserstein_mean():
-    a = gaussian_curve(0, 1)
-    b = gaussian_curve(4, 1)
-    result = frechet_mean([a, b], weights=[3.0, 1.0])
-    np.testing.assert_allclose(result.mean.values, gaussian_curve(1, 1).values, atol=1e-12)
 
 
 def test_group_means_splits_by_treatment():

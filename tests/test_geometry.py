@@ -9,7 +9,6 @@ from geodid.geometry import (
     concatenate,
     distance,
     geodesic_difference,
-    is_path_independent,
     quotient_distance,
     reverse,
     transport,
@@ -212,8 +211,8 @@ BACKEND_PROTOCOL = (
     "interpolate",
     "transport",
     "validate",
-    "stack_points",
-    "POINT",
+    "wrap",
+    "unwrap",
     "mean",
     "from_data",
     "to_data",
@@ -234,6 +233,6 @@ def test_backend_defines_protocol(space):
 
 
 def test_path_independence_flags():
-    assert is_path_independent("wasserstein")
-    assert is_path_independent("frobenius")
-    assert not is_path_independent("sphere")
+    assert _BACKENDS["wasserstein"].PATH_INDEPENDENT
+    assert _BACKENDS["frobenius"].PATH_INDEPENDENT
+    assert not _BACKENDS["sphere"].PATH_INDEPENDENT

@@ -186,7 +186,7 @@ def test_load_validates_once_and_builds_no_point(tmp_path, monkeypatch, space, f
         raise AssertionError("a point was built")
 
     monkeypatch.setattr(backend, "validate", counting_validate)
-    monkeypatch.setattr(backend, "POINT", no_point)
+    monkeypatch.setattr(backend, "wrap", no_point)
     loaded = gio.load_panel(path)
     assert checked == [12]
     if fmt != "samples-csv":

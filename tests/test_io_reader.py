@@ -1,10 +1,13 @@
 """The data-file reader and writer: the one-step parse against the line-by-line reader,
 and the join writer against csv.writer."""
 
+import codecs
 import csv
 import io
 import json
+import locale
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -219,3 +222,22 @@ def test_loads_that_fall_back_or_fail_leave_no_file_open(tmp_path):
         except GeodidError:
             pass
     assert open_fds() == before
+
+
+@pytest.mark.skipif(
+    codecs.lookup(locale.getpreferredencoding(False)).name != "utf-8",
+    reason="the bytes are invalid UTF-8",
+)
+@pytest.mark.parametrize(
+    "raw, line, offset",
+    [(b"0.5," * 5000 + b"\xff\n", 1, 20000), (b"0.1\r\n0.2\r0.3\n0.4,\xe2\x82\n", 4, 17)],
+    ids=["past-a-text-chunk", "mixed-line-ends"],
+)
+def test_undecodable_byte_is_named_by_file_line_and_offset(tmp_path, raw, line, offset):
+    (tmp_path / "c.csv").write_bytes(raw)
+    with pytest.raises(ParseError) as info:
+        gio._read_outcome("c.csv", FORMAT_QUANTILE, str(tmp_path), WHERE)
+    message = str(info.value)
+    assert message.startswith(f"{WHERE}: {tmp_path / 'c.csv'}:{line}: ")
+    # the codec's position is the byte's offset in the file, not in a chunk of it
+    assert re.search(rf"decode bytes? (0x{raw[offset]:02x} )?in position {offset}\b", message)

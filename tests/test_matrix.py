@@ -5,6 +5,7 @@ import pytest
 
 from geodid.did import estimate_gatt
 from geodid.errors import InvariantViolationError, KindViolationWarning, SpaceMismatchError
+from geodid.geometry import distance, transport
 from geodid.simulate import SimConfig, _run_rng, generate_panel
 from geodid.spaces import check_points
 from geodid.spaces.matrix import (
@@ -12,9 +13,7 @@ from geodid.spaces.matrix import (
     KIND_FREE,
     KIND_LAPLACIAN,
     SymmetricMatrixPoint,
-    distance,
     laplacian_from_adjacency,
-    transport,
     validate,
 )
 

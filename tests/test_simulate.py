@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import geodid
 from geodid.cli import EXIT_INVALID_INPUT, main
 from geodid.frechet import frechet_mean, group_means
 from geodid.geometry import distance
@@ -83,7 +89,6 @@ def test_config_rejects_coefficients_that_overflow(knobs, capsys, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
 @pytest.mark.parametrize("alpha1", [1e8, 1e12, 1e15])
 def test_network_panel_with_large_weights_stays_laplacian(alpha1, tmp_path, capsys):
     # row sums round off in proportion to the weights, not below an absolute 1e-8
@@ -95,6 +100,38 @@ def test_network_panel_with_large_weights_stays_laplacian(alpha1, tmp_path, caps
     assert main(argv) == 0
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["excluded"] == {"20": 0, "40": 0}
+
+
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        (
+            ["--n", "50,200", "--q", "40", "--seed", "3"],
+            "4ad542dd9bbfd489f667ece6648dcf05e46104644525b4f9ca0cb839c4625782",
+        ),
+        (
+            ["--n", "20,40", "--q", "2", "--alpha1", "1e8"],
+            "3fa87d13f43624e01be9920a390c80a16fffb3d4d159a1b6e4b8d3ab633601f8",
+        ),
+    ],
+    ids=["seed-3", "alpha1-1e8"],
+)
+def test_simulate_network_writes_nothing_to_stderr(tmp_path, args, sha256):
+    # an estimate inside a replicate reaches no output, so nothing about it is
+    # printed (here a Laplacian kind violation); the report's bytes are pinned
+    out = tmp_path / "r.json"
+    src = str(Path(geodid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["simulate", "--space", "network", *args, "--out", str(out)]
+    run = subprocess.run(
+        [sys.executable, "-m", "geodid.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert run.returncode == 0
+    assert run.stderr == b""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_config_accepts_coefficients_below_the_bounds():
@@ -184,7 +221,6 @@ def loop_network_panel(config, rng):
     return outcomes, np.column_stack([np.zeros(n, dtype=int), d])
 
 
-@pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
 @pytest.mark.parametrize(
     "knobs",
     [{}, {"alpha1": -0.5}, {"m1": 3, "m2": 6, "p12": 0.7, "p21": 0.7, "treat_prob": 0.6}],
@@ -218,7 +254,6 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
 
 
-@pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "knobs",
@@ -260,7 +295,6 @@ def test_network_panel_matches_per_unit_loop_bit_for_bit(knobs):
                 np.testing.assert_array_equal(bits(mean.entries), bits(looped.entries))
 
 
-@pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
 @pytest.mark.parametrize("space", ["wasserstein", "network"])
 def test_single_run_error_deterministic(space):
     config = SimConfig(space=space, n=30, seed=123)
@@ -317,7 +351,6 @@ def test_run_monte_carlo_deterministic():
     assert r1.slope == r2.slope
 
 
-@pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
 @pytest.mark.parametrize("space", ["wasserstein", "network"])
 def test_process_pool_gives_the_serial_report(space):
     base = SimConfig(space=space, q=8, seed=5)

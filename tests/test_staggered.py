@@ -7,7 +7,7 @@ import pytest
 from geodid import staggered
 from geodid.did import estimate_gatt
 from geodid.errors import EmptyCohortError, InadmissibleCellError
-from geodid.geometry import distance, is_path_independent
+from geodid.geometry import _BACKENDS, distance
 from geodid.io import staggered_to_jsonable
 from geodid.panel import PanelDataset
 from geodid.spaces.matrix import SymmetricMatrixPoint
@@ -238,16 +238,18 @@ def test_not_yet_treated_mask_is_untreated_at_t_plus_delta_and_not_g(delta):
     assert cells_seen > 0
 
 
-def record_group_means(monkeypatch):
-    """Replace `staggered.group_means` by a wrapper that logs (selector bytes, period)."""
+def record_means(monkeypatch, space):
+    """Replace the space's array `mean` by a wrapper that logs each stack's bytes,
+    which on random outcomes tell the (unit set, period) of the mean apart."""
     calls = []
-    original = staggered.group_means
+    backend = _BACKENDS[space]
+    original = backend.mean
 
-    def logged(panel, period, selector):
-        calls.append((np.asarray(selector, dtype=bool).tobytes(), period))
-        return original(panel, period, selector)
+    def logged(stack):
+        calls.append(stack.tobytes())
+        return original(stack)
 
-    monkeypatch.setattr(staggered, "group_means", logged)
+    monkeypatch.setattr(backend, "mean", logged)
     return calls
 
 
@@ -259,9 +261,9 @@ def test_estimate_all_cells_computes_each_mean_once(monkeypatch, space, comparis
     panel = random_staggered_panel(
         rng, space, [None, None, 2, 2, 3, 4], n_periods=6, units_per_group=2
     )
-    calls = record_group_means(monkeypatch)
+    calls = record_means(monkeypatch, space)
     forms = [None, FORM_RECURSIVE]
-    if is_path_independent(space):
+    if _BACKENDS[space].PATH_INDEPENDENT:
         forms.append(FORM_SHORTCUT)
     for form in forms:
         cells = [
