@@ -193,7 +193,7 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except (ParseError, InvariantViolationError, MissingOutcomeError, ValueError, OSError) as exc:
         return _fail(exc, EXIT_INVALID_INPUT)
-    except GeodidError as exc:
+    except (GeodidError, MemoryError) as exc:
         return _fail(exc, EXIT_ESTIMATION)
 
 

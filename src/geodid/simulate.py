@@ -63,6 +63,8 @@ class SimConfig:
             raise ValueError("need at least one Monte Carlo run")
         if self.sample_size_per_dist < 2:
             raise ValueError("need at least 2 samples per distribution")
+        if self.grid_size < 2:
+            raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
         for p in (self.p11, self.p12, self.p21, self.p22):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("edge probabilities must lie in [0, 1]")
@@ -258,6 +260,8 @@ def run_monte_carlo(base, n_values, workers=None):
 
     configs = [replace(base, n=n) for n in n_values]
     jobs = [(config, run) for config in configs for run in range(base.q)]
+    # a fork-started pool starts all its processes at once, whatever the job count
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_job, jobs, chunksize=8))

@@ -50,30 +50,25 @@ class UnitCompositionPoint:
         return len(self.coords)
 
 
-def _clamped_dot(x, y):
-    return float(np.clip(np.dot(x, y), -1.0, 1.0))
+def _angle(x, y):
+    """Great-circle angle arccos(x'y) along the last axis, through the chord.
+
+    2 arcsin(|x - y| / 2) is the same angle but stays accurate for nearly
+    identical points, where arccos of the dot product loses half the
+    significant digits (about 1.5e-8 where the angle is 0).
+    """
+    half_chord = 0.5 * np.linalg.norm(x - y, axis=-1)
+    return 2.0 * np.arcsin(np.minimum(half_chord, 1.0))
 
 
 def distance(z1, z2):
-    """Great-circle distance arccos(z1'z2).
-
-    Evaluated through the chord length, 2 arcsin(|z1 - z2| / 2), which is
-    the same angle but stays accurate for nearly identical points where
-    arccos of the dot product loses half the significant digits.
-    """
-    half_chord = 0.5 * np.linalg.norm(z1 - z2)
-    return float(2.0 * np.arcsin(min(half_chord, 1.0)))
+    """Great-circle distance arccos(z1'z2), evaluated as `_angle`."""
+    return float(_angle(z1, z2))
 
 
 def interpolate(z1, z2, t):
     """Slerp: point at fraction t of the geodesic from z1 to z2."""
-    theta = np.arccos(_clamped_dot(z1, z2))
-    if theta < 1e-14:
-        return z1
-    v = z2 - np.dot(z1, z2) * z1
-    u = v / np.linalg.norm(v)
-    coords = np.cos(theta * t) * z1 + np.sin(theta * t) * u
-    return _finish(coords)
+    return exp_map(z1, t * log_map(z1, z2))
 
 
 def _finish(coords):
@@ -87,7 +82,7 @@ def _finish(coords):
 
 def transport(alpha, beta, omega):
     """Rotate omega along the geodesic direction determined by alpha and beta."""
-    theta = np.arccos(_clamped_dot(alpha, beta))
+    theta = _angle(alpha, beta)
     if theta < 1e-14:
         return omega
     v_ab = beta - np.dot(alpha, beta) * alpha
@@ -132,13 +127,14 @@ def unembed(point):
     return point.coords**2
 
 
-def log_map(base, point):
-    """Tangent vector at `base` pointing to `point` with length d(base, point)."""
-    theta = np.arccos(_clamped_dot(base, point))
-    if theta < 1e-14:
-        return np.zeros(len(base))
-    u = point - np.cos(theta) * base
-    return theta * u / np.linalg.norm(u)
+def log_map(base, points):
+    """Tangent vectors at `base` pointing to `points` (one point or a (k, d)
+    stack), each of length d(base, point); a point within 1e-14 of `base`
+    gives 0, without a 0/0."""
+    theta = _angle(base, points)[..., None]
+    u = points - np.cos(theta) * base
+    norms = np.linalg.norm(u, axis=-1, keepdims=True)
+    return np.divide(theta * u, norms, out=np.zeros_like(u), where=theta >= 1e-14)
 
 
 def exp_map(base, tangent):
@@ -160,16 +156,7 @@ def mean(coords):
     else:
         current = _finish(extrinsic)
     for iteration in range(1, MEAN_MAX_ITER + 1):
-        # every point's log map at once: row i of u points from the mean to
-        # point i and is scaled to length theta_i; points within 1e-14 of
-        # the mean add nothing, without a 0/0
-        theta = np.arccos(np.clip(coords @ current, -1.0, 1.0))
-        u = coords - np.cos(theta)[:, None] * current
-        norms = np.linalg.norm(u, axis=1)
-        scale = np.divide(
-            w * theta, norms, out=np.zeros_like(theta), where=theta >= 1e-14
-        )
-        tangent = scale @ u
+        tangent = w @ log_map(current, coords)
         step = float(np.linalg.norm(tangent))
         current = exp_map(current, tangent)
         if step < MEAN_TOL:

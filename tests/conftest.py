@@ -26,3 +26,16 @@ def random_curve(rng, grid_size=DEFAULT_GRID_SIZE, loc_scale=2.0):
     mu = rng.normal(0.0, loc_scale)
     sigma = 0.3 + rng.uniform(0.0, loc_scale)
     return QuantileCurve(mu + sigma * norm.ppf(midpoint_grid(grid_size)))
+
+
+# first treated period per unit (None is never treated): three controls and
+# one unit in each of cohorts 2, 3 and 4, over five periods
+ONE_UNIT_COHORTS = (None, None, None, 2, 3, 4)
+
+
+def one_unit_cohort_panel(seed):
+    """(shares, treatment) of a seeded `ONE_UNIT_COHORTS` panel: Dirichlet(5)
+    compositions of 5 parts."""
+    shares = np.random.default_rng(seed).dirichlet(np.full(5, 5.0), size=(len(ONE_UNIT_COHORTS), 5))
+    treatment = np.array([[int(g is not None and t >= g) for t in range(5)] for g in ONE_UNIT_COHORTS])
+    return shares, treatment

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from geodid import cli
 from geodid import io as gio
 from geodid.cli import EXIT_ESTIMATION, EXIT_INVALID_INPUT, EXIT_OK, main
 from geodid.errors import (
@@ -16,7 +17,7 @@ from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.spaces.sphere import embed_composition
 from geodid.spaces.wasserstein import QuantileCurve, quantile_from_samples
 
-from conftest import random_composition, random_curve, random_matrix
+from conftest import one_unit_cohort_panel, random_composition, random_curve, random_matrix
 
 
 def write_manifest(path, payload):
@@ -471,8 +472,12 @@ def test_cli_mean_that_overflows_is_an_estimation_failure(tmp_path, capsys, spac
 
 @pytest.mark.parametrize(
     "bad",
-    [["--n", ","], ["--n", "20,20,40"], ["--samples-per-dist", "0"], ["--samples-per-dist", "1"]],
-    ids=["no-sizes", "repeated-sizes", "no-samples", "one-sample"],
+    [
+        ["--n", ","], ["--n", "20,20,40"], ["--samples-per-dist", "0"], ["--samples-per-dist", "1"],
+        ["--grid-size", "1"], ["--grid-size", "0"], ["--grid-size", "-3"],
+    ],
+    ids=["no-sizes", "repeated-sizes", "no-samples", "one-sample",
+         "one-grid-value", "no-grid", "negative-grid"],
 )
 def test_cli_simulate_rejects_bad_arguments(tmp_path, capsys, bad):
     out = tmp_path / "r.json"
@@ -480,6 +485,23 @@ def test_cli_simulate_rejects_bad_arguments(tmp_path, capsys, bad):
     assert main(args + bad) == EXIT_INVALID_INPUT
     assert single_error_line(capsys)["error"] in ("ParseError", "ValueError")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("callee", ["run_monte_carlo", "estimate_gatt"])
+def test_cli_memory_error_is_an_estimation_failure(tmp_path, capsys, monkeypatch, callee):
+    # an allocation too large for the machine, without making one
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, callee, exhausted)
+    command = {
+        "run_monte_carlo": ["simulate", "--space", "network", "--n", "20,40", "--q", "2"],
+        "estimate_gatt": ["estimate", "--manifest", scalar_manifest(tmp_path)],
+    }[callee]
+    assert main(command) == EXIT_ESTIMATION
+    assert single_error_line(capsys) == {
+        "error": "MemoryError", "message": "Unable to allocate 745. GiB for an array"
+    }
 
 
 def three_period_manifest(tmp_path):
@@ -573,6 +595,22 @@ def test_cli_staggered(tmp_path, capsys):
     assert set(cells) == {(1, 1), (1, 2), (2, 2)}
     assert cells[(1, 1)]["magnitude"] == pytest.approx(1.0, abs=1e-12)
     assert cells[(2, 2)]["magnitude"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_staggered_notyet_with_one_unit_cohorts(tmp_path, capsys):
+    # seed 3's one-unit cohorts give sphere means of one point, whose
+    # angle to itself must not become a 0/0 (a RuntimeWarning) or a nan step
+    shares, treatment = one_unit_cohort_panel(3)
+    units = [
+        {"id": f"u{i}", "treatment": row.tolist(), "outcomes": unit.tolist()}
+        for i, (row, unit) in enumerate(zip(treatment, shares))
+    ]
+    payload = {"space": "sphere", "periods": 5, "format": "inline", "units": units}
+    manifest = write_manifest(tmp_path / "s.json", payload)
+    assert main(["staggered", "--manifest", manifest, "--comparison", "notyet"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(json.loads(captured.out)["cells"]) == 6
 
 
 def test_cli_simulate_deterministic(tmp_path):

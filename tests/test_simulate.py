@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import geodid
+from geodid import simulate
 from geodid.cli import EXIT_INVALID_INPUT, main
 from geodid.frechet import frechet_mean, group_means
 from geodid.geometry import distance
@@ -36,6 +37,9 @@ def test_config_validation():
         SimConfig(space="network", p11=1.5)
     with pytest.raises(ValueError):
         SimConfig(sample_size_per_dist=1)
+    for grid_size in (1, 0, -3):
+        with pytest.raises(ValueError, match="grid_size"):
+            SimConfig(grid_size=grid_size)
 
 
 @pytest.mark.parametrize("m1, m2", [(0, 0), (1, 0), (-1, 3)])
@@ -358,6 +362,39 @@ def test_process_pool_gives_the_serial_report(space):
     pooled = run_monte_carlo(base, [50, 200], workers=2)
     # repr spells every float exactly, so equal reprs are equal bits
     assert repr(pooled) == repr(serial)
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, size",
+    [(64, 8, 4), (64, 3, 3), (3, 8, 3), (64, None, None)],
+    ids=["jobs", "cores", "workers", "unknown-cores"],
+)
+def test_pool_is_no_larger_than_the_jobs_and_cores(monkeypatch, workers, cpus, size):
+    # a fork-started pool starts every worker at once, so a size beyond the
+    # jobs or the cores only costs processes
+    sizes = []
+
+    class RecordingPool:
+        """Records the pool size it is given and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+    base = SimConfig(space="network", n=20, q=2, seed=5)
+    report = run_monte_carlo(base, [20, 40], workers=workers)
+    assert sizes == ([] if size is None else [size])
+    assert repr(report) == repr(run_monte_carlo(base, [20, 40], workers=1))
 
 
 def test_error_shrinks_even_without_treatment_effect():

@@ -245,3 +245,40 @@ def test_mean_raises_when_iterations_run_out(monkeypatch):
         sphere.mean(np.array([p.coords for p in points]))
     assert info.value.iterations == 1
     assert info.value.last_step > sphere.MEAN_TOL
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 10])
+def test_angle_agrees_with_arccos_on_separated_points(dim):
+    # the chord form and arccos of the dot product agree where arccos is well conditioned
+    rng = np.random.default_rng(20 + dim)
+    x = np.sqrt(rng.dirichlet(np.ones(dim), 500))
+    y = np.sqrt(rng.dirichlet(np.ones(dim), 500))
+    arccos = np.arccos(np.einsum("ij,ij->i", x, y))
+    separated = arccos > 0.5
+    assert separated.sum() > 100
+    np.testing.assert_allclose(sphere._angle(x, y)[separated], arccos[separated], rtol=0, atol=1e-15)
+
+
+def test_log_map_of_a_stack_is_each_row_log_map():
+    rng = np.random.default_rng(21)
+    base = random_composition(rng, dim=5).coords
+    stack = np.array([random_composition(rng, dim=5).coords for _ in range(6)] + [base])
+    logs = log_map(base, stack)
+    assert logs.shape == stack.shape
+    for row, log in zip(stack, logs):
+        np.testing.assert_allclose(log, log_map(base, row), rtol=0, atol=1e-15)
+    # a row equal to the base gives exactly 0, without a 0/0
+    np.testing.assert_array_equal(logs[-1], np.zeros(5))
+
+
+@pytest.mark.parametrize("copies", [1, 2, 3, 7])
+def test_mean_of_copies_of_one_point_is_that_point(copies):
+    # every copy's angle to the start must read 0, which arccos(x'mu) misses
+    # by about 1.5e-8, enough to keep the unit step above MEAN_TOL
+    rng = np.random.default_rng(copies)
+    points = [embed_composition([0.57, 0.05, 0.38]), embed_composition([0.54, 0.3, 0.01, 0.05, 0.1])]
+    points += [random_composition(rng, dim=dim) for dim in (3, 4, 5, 10, 50) for _ in range(40)]
+    for point in points:
+        mean, iterations = sphere.mean(np.tile(point.coords, (copies, 1)))
+        assert iterations == 1
+        np.testing.assert_allclose(mean, point.coords, rtol=0, atol=1e-14)

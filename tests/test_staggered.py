@@ -23,7 +23,7 @@ from geodid.staggered import (
     estimate_group_time_gatt,
 )
 
-from conftest import random_composition, random_curve
+from conftest import one_unit_cohort_panel, random_composition, random_curve
 
 
 def scalar(x):
@@ -289,3 +289,14 @@ def test_estimate_all_cells_computes_each_mean_once(monkeypatch, space, comparis
             assert json.dumps(
                 staggered_to_jsonable(together, space, delta, comparison)
             ) == json.dumps(staggered_to_jsonable(one_by_one, space, delta, comparison))
+
+
+def test_not_yet_treated_cells_with_one_unit_cohorts():
+    # a one-unit cohort's mean is a Karcher mean of one point, whose log map
+    # at its own normalised copy must read 0
+    for seed in range(300):
+        shares, treatment = one_unit_cohort_panel(seed)
+        panel = PanelDataset.from_array(np.sqrt(shares), treatment, "sphere", {})
+        results = estimate_all_cells(panel, comparison=COMPARISON_NOT_YET)
+        assert len(results) == 6
+        assert all(np.isfinite(r.magnitude) for r in results)
