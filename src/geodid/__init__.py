@@ -6,11 +6,12 @@ graph Laplacians / covariance matrices under the Frobenius metric.
 """
 
 from .did import GattEstimate, estimate_gatt, placebo_pretrend
-from .frechet import FrechetResult, frechet_mean, group_means
 from .geometry import (
+    FrechetResult,
     Geodesic,
     concatenate,
     distance,
+    frechet_mean,
     geodesic_difference,
     quotient_distance,
     reverse,
@@ -50,7 +51,6 @@ __all__ = [
     "estimate_group_time_gatt",
     "frechet_mean",
     "geodesic_difference",
-    "group_means",
     "laplacian_from_adjacency",
     "placebo_pretrend",
     "quantile_from_samples",

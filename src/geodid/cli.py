@@ -96,8 +96,16 @@ def _int_list(text):
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise `ParseError`, which `main` reports as one JSON line;
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geodid",
         description="Difference-in-differences for outcomes in geodesic metric spaces",
     )
@@ -188,8 +196,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (ParseError, InvariantViolationError, MissingOutcomeError, ValueError, OSError) as exc:
         return _fail(exc, EXIT_INVALID_INPUT)

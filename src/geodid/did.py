@@ -66,29 +66,49 @@ def placebo_pretrend(panel, pre_periods=(0, 1), groups=None):
     return _gatt(panel, treated, (a, b))
 
 
+def walk(panel, treated, control, periods, means):
+    """The one DID step on arrays: move the treated mean at `periods[0]` along
+    the control means at each consecutive pair of `periods`.
+
+    Each group mean is the backend `mean` of a unit mask at a period, kept in
+    `means` by (mask bytes, period) so that callers sharing `means` compute it
+    once. Returns the backend, the transport path (the treated base mean, then
+    each moved mean), the treated mean at `periods[-1]` and the control means.
+    """
+    backend = _BACKENDS[panel.space_id]
+
+    def mean(mask, period):
+        key = (mask.tobytes(), period)
+        if key not in means:
+            means[key] = backend.mean(panel.data[mask, period])[0]
+        return means[key]
+
+    path = [mean(treated, periods[0])]
+    end = mean(treated, periods[-1])
+    trend = [mean(control, period) for period in periods]
+    for prev, curr in zip(trend, trend[1:]):
+        path.append(backend.transport(prev, curr, path[-1]))
+    return backend, path, end, trend
+
+
 def gatt_arrays(panel, treated, periods):
-    """The panel's backend, and `_gatt`'s means by (group, period index) and counterfactual as arrays."""
+    """`walk` over the two `periods` with `treated` against every other unit."""
     if not treated.any():
         raise EmptyGroupError("no treated units")
     if treated.all():
         raise EmptyGroupError("no control units")
-    backend = _BACKENDS[panel.space_id]
-    means = {}
-    for d, mask in ((0, ~treated), (1, treated)):
-        for t, period in enumerate(periods):
-            means[(d, t)] = backend.mean(panel.data[mask, period])[0]
-    counterfactual = backend.transport(means[(0, 0)], means[(0, 1)], means[(1, 0)])
-    return backend, means, counterfactual
+    return walk(panel, treated, ~treated, periods, {})
 
 
 def _gatt(panel, treated, periods):
     """The estimate with `treated` units as the treated group, `periods` as (pre, post)."""
-    backend, means, counterfactual = gatt_arrays(panel, treated, periods)
-    points = {key: backend.wrap(mean, **panel.fields) for key, mean in means.items()}
+    backend, (base, counterfactual), end, trend = gatt_arrays(panel, treated, periods)
+    arrays = {(0, 0): trend[0], (0, 1): trend[1], (1, 0): base, (1, 1): end}
+    points = {key: backend.wrap(mean, **panel.fields) for key, mean in arrays.items()}
     # a transport keeps the fields of the point it moves (the Frobenius kind)
     start = backend.wrap(counterfactual, **backend.unwrap((points[(1, 0)],))[1])
     return GattEstimate(
         effect=Geodesic(start, points[(1, 1)]),
-        magnitude=backend.distance(counterfactual, means[(1, 1)]),
+        magnitude=backend.distance(counterfactual, end),
         means=points,
     )

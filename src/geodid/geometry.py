@@ -2,13 +2,15 @@
 
 Geodesics are stored as endpoint pairs and evaluated on demand; every backend
 has closed-form interpolation. Differences between geodesics and the quotient
-metric are built on top of the per-space transport maps. `_BACKENDS` is the
+metric are built on top of the per-space transport maps, and `frechet_mean`
+averages points with the backend's `mean`: a closed form on the Wasserstein
+and Frobenius spaces, a Karcher iteration on the sphere. `_BACKENDS` is the
 one table that maps a space id to the module implementing it.
 """
 
 from dataclasses import dataclass
 
-from .errors import SpaceMismatchError
+from .errors import EmptyGroupError, SpaceMismatchError
 from .spaces import matrix as _matrix
 from .spaces import sphere as _sphere
 from .spaces import wasserstein as _wasserstein
@@ -43,6 +45,23 @@ def transport(alpha, beta, omega):
     backend = backend_of(alpha, beta, omega)
     (a, b, w), _ = backend.unwrap((alpha, beta, omega))
     return backend.wrap(backend.transport(a, b, w), **backend.unwrap((omega,))[1])
+
+
+@dataclass(frozen=True)
+class FrechetResult:
+    mean: object
+    iterations: int
+
+
+def frechet_mean(points):
+    """Frechet mean of points that all live in one space."""
+    points = list(points)
+    if not points:
+        raise EmptyGroupError("cannot average an empty set of points")
+    backend = backend_of(*points)
+    stack, fields = backend.unwrap(points)
+    mean, iterations = backend.mean(stack)
+    return FrechetResult(backend.wrap(mean, **fields), iterations)
 
 
 @dataclass(frozen=True)

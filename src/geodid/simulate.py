@@ -214,10 +214,10 @@ def single_run_error(config, run):
     rng = _run_rng(config, run)
     panel, truth = generate_panel(config, rng)
     try:
-        backend, means, counterfactual = gatt_arrays(panel, panel.treatment[:, 1] == 1, (0, 1))
+        backend, path, treated_end, _ = gatt_arrays(panel, panel.treatment[:, 1] == 1, (0, 1))
         (start, end), _ = backend.unwrap((truth.start, truth.end))
         # `quotient_distance(estimate, truth, reference=truth.start)` on arrays
-        moved = backend.transport(counterfactual, means[(1, 1)], start)
+        moved = backend.transport(path[-1], treated_end, start)
         return backend.distance(moved, backend.transport(start, end, start))
     except GeodidError:
         return None

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .did import walk
 from .errors import EmptyCohortError, InadmissibleCellError
 from .geometry import _BACKENDS, Geodesic
 
@@ -78,15 +79,15 @@ def cell_admissible(panel, cell):
 
 def enumerate_cells(panel, delta=0, comparison=COMPARISON_NEVER):
     """All admissible (g, t) cells for the given anticipation horizon."""
+    # built first, so that delta and comparison are checked whatever the panel
+    template = GroupTimeCell(g=0, t=0, delta=delta, comparison=comparison)
     groups, _ = _group_structure(panel)
-    horizon = panel.n_periods - 1
-    cells = []
-    for g in groups:
-        for t in range(1, horizon - delta + 1):
-            cell = GroupTimeCell(g=g, t=t, delta=delta, comparison=comparison)
-            if cell_admissible(panel, cell):
-                cells.append(cell)
-    return cells
+    cells = [
+        replace(template, g=g, t=t)
+        for g in groups
+        for t in range(1, panel.n_periods - delta)
+    ]
+    return [cell for cell in cells if cell_admissible(panel, cell)]
 
 
 def _cohort_mask(panel, cell):
@@ -95,14 +96,6 @@ def _cohort_mask(panel, cell):
         return np.isinf(labels)
     # first treated after t + delta; admissibility puts g at or before it
     return labels > cell.t + cell.delta
-
-
-def _memo_mean(backend, panel, mask, period, memo):
-    """Mean array over the units in `mask` at `period`, computed once per memo."""
-    key = (mask.tobytes(), period)
-    if key not in memo:
-        memo[key] = backend.mean(panel.data[mask, period])[0]
-    return memo[key]
 
 
 def estimate_group_time_gatt(panel, cell, *, _memo=None):
@@ -128,13 +121,7 @@ def estimate_group_time_gatt(panel, cell, *, _memo=None):
         )
     means, points = ({}, {}) if _memo is None else _memo
     mask = _cohort_mask(panel, cell)
-    treated = panel.group_label_array == cell.g
     base = cell.g - cell.delta - 1
-    beta = _memo_mean(backend, panel, treated, base, means)
-    end = _memo_mean(backend, panel, treated, cell.t, means)
-    for period, mean in ((base, beta), (cell.t, end)):
-        if (cell.g, period) not in points:
-            points[cell.g, period] = backend.wrap(mean, **panel.fields)
     if not mask.any():
         raise EmptyCohortError(
             f"comparison cohort for cell (g={cell.g}, t={cell.t}) is empty "
@@ -143,15 +130,17 @@ def estimate_group_time_gatt(panel, cell, *, _memo=None):
         )
     # the shortcut is the recursion's walk in one step from base to t
     periods = (base, cell.t) if form == FORM_SHORTCUT else range(base, cell.t + 1)
-    trend = [_memo_mean(backend, panel, mask, s, means) for s in periods]
+    _, path, end, _ = walk(panel, panel.group_label_array == cell.g, mask, periods, means)
+    for period, mean in ((base, path[0]), (cell.t, end)):
+        if (cell.g, period) not in points:
+            points[cell.g, period] = backend.wrap(mean, **panel.fields)
     beta_path = [points[cell.g, base]]
-    for prev, curr in zip(trend, trend[1:]):
-        beta = backend.transport(prev, curr, beta)
+    for beta in path[1:]:
         beta_path.append(backend.wrap(beta, **backend.unwrap(beta_path[-1:])[1]))
     return GroupTimeGatt(
         cell=GroupTimeCell(cell.g, cell.t, cell.delta, cell.comparison, form),
         effect=Geodesic(beta_path[-1], points[cell.g, cell.t]),
-        magnitude=backend.distance(beta, end),
+        magnitude=backend.distance(path[-1], end),
         beta_path=tuple(beta_path),
     )
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from geodid.frechet import frechet_mean, group_means
-from geodid.geometry import distance
+from geodid import estimate_gatt, frechet_mean, placebo_pretrend
+from geodid.geometry import _BACKENDS, distance
 from geodid.io import point_to_jsonable
 from geodid.panel import PanelDataset
 from geodid.spaces import sphere as ssp
@@ -147,26 +147,28 @@ def test_group_means_splits_by_treatment():
         for i in range(4)
     )
     treatment = np.array([[0, 0], [0, 0], [0, 1], [0, 1]])
-    panel = PanelDataset(outcomes, treatment)
-    control = group_means(panel, period=1, selector=np.array([True, True, False, False]))
-    treated = group_means(panel, period=1, selector=np.array([False, False, True, True]))
-    assert control.mean.entries[0, 0] == pytest.approx(10.5)
-    assert treated.mean.entries[0, 0] == pytest.approx(12.5)
+    means = estimate_gatt(PanelDataset(outcomes, treatment)).means
+    assert means[(0, 1)].entries[0, 0] == pytest.approx(10.5)
+    assert means[(1, 1)].entries[0, 0] == pytest.approx(12.5)
 
 
 @pytest.mark.parametrize("space", sorted(SAMPLERS))
 def test_group_means_equal_frechet_mean_of_the_points(space):
+    # the estimators' means of panel slices, through the placebo's group split
     rng = np.random.default_rng(31)
     outcomes = [[SAMPLERS[space](rng) for _ in range(3)] for _ in range(15)]
     treatment = np.zeros((15, 3), dtype=int)
     panel = PanelDataset(outcomes, treatment)
-    for selector in (np.ones(15, dtype=bool), rng.random(15) < 0.4, np.arange(15) == 6):
-        for t in range(3):
-            from_panel = group_means(panel, t, selector)
-            from_points = frechet_mean([outcomes[i][t] for i in np.flatnonzero(selector)])
-            assert from_panel.iterations == from_points.iterations
-            # every float (and the matrix kind) exactly equal
-            assert point_to_jsonable(from_panel.mean) == point_to_jsonable(from_points.mean)
+    for selector in (rng.random(15) < 0.4, np.arange(15) == 6):
+        for periods in ((0, 1), (1, 2)):
+            means = placebo_pretrend(panel, periods, groups=selector.astype(int)).means
+            for (d, i), from_panel in means.items():
+                units = np.flatnonzero(selector == d)
+                from_points = frechet_mean([outcomes[u][periods[i]] for u in units])
+                # every float (and the matrix kind) exactly equal
+                assert point_to_jsonable(from_panel) == point_to_jsonable(from_points.mean)
+                iterations = _BACKENDS[space].mean(panel.data[units, periods[i]])[1]
+                assert iterations == from_points.iterations
 
 
 def test_mixed_kind_frobenius_panel_averages_to_free():
@@ -176,8 +178,8 @@ def test_mixed_kind_frobenius_panel_averages_to_free():
     panel = PanelDataset([[lap, lap], [lap, lap], [cov, cov]], np.zeros((3, 2), dtype=int))
     assert panel.fields == {"kind": "free"}
     # the two Laplacian units alone still average to kind free: the kind is the panel's
-    result = group_means(panel, 1, np.array([True, True, False]))
-    assert result.mean.kind == "free"
-    np.testing.assert_array_equal(result.mean.entries, lap.entries)
+    mean = placebo_pretrend(panel, (0, 1), groups=[1, 1, 0]).means[(1, 1)]
+    assert mean.kind == "free"
+    np.testing.assert_array_equal(mean.entries, lap.entries)
     assert frechet_mean([lap, cov]).mean.kind == "free"
     assert frechet_mean([lap, lap]).mean.kind == "laplacian"

@@ -487,6 +487,29 @@ def test_cli_simulate_rejects_bad_arguments(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--space", "network", "--q", "abc"],
+        ["staggered", "--manifest", "m.json", "--delta", "x"],
+        ["staggered", "--manifest", "m.json", "--comparison", "bogus"],
+        ["estimate"],
+        ["frobnicate"],
+    ],
+    ids=["bad-int", "bad-delta", "bad-choice", "missing-manifest", "unknown-command"],
+)
+def test_cli_argument_error_is_one_json_line(capsys, argv):
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert single_error_line(capsys)["error"] == "ParseError"
+
+
+def test_cli_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["staggered", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert "--manifest" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("callee", ["run_monte_carlo", "estimate_gatt"])
 def test_cli_memory_error_is_an_estimation_failure(tmp_path, capsys, monkeypatch, callee):
     # an allocation too large for the machine, without making one
@@ -595,6 +618,23 @@ def test_cli_staggered(tmp_path, capsys):
     assert set(cells) == {(1, 1), (1, 2), (2, 2)}
     assert cells[(1, 1)]["magnitude"] == pytest.approx(1.0, abs=1e-12)
     assert cells[(2, 2)]["magnitude"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cli_staggered_rejects_negative_delta_on_a_panel_without_cells(tmp_path, capsys):
+    payload = {
+        "space": "frobenius",
+        "periods": 2,
+        "format": "inline",
+        "units": [
+            {"id": f"n{i}", "treatment": [0, 0], "outcomes": [[[0.0]], [[1.0]]]} for i in range(2)
+        ],
+    }
+    manifest = write_manifest(tmp_path / "s.json", payload)
+    out = tmp_path / "r.json"
+    argv = ["staggered", "--manifest", manifest, "--delta", "-1", "--out", str(out)]
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert single_error_line(capsys)["error"] == "ValueError"
+    assert not out.exists()
 
 
 def test_cli_staggered_notyet_with_one_unit_cohorts(tmp_path, capsys):

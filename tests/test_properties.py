@@ -1,0 +1,143 @@
+"""The paper's identities as Hypothesis properties on small random panels of
+each space: permutation invariance over units, the scalar DID formula on 1x1
+Frobenius panels, `estimate_all_cells` equal to the per-cell estimates, and the
+shortcut equal to the recursion where transport is path-independent."""
+
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geodid.did import estimate_gatt
+from geodid.geometry import _BACKENDS, distance
+from geodid.io import staggered_to_jsonable
+from geodid.panel import PanelDataset
+from geodid.staggered import (
+    COMPARISON_NEVER,
+    COMPARISON_NOT_YET,
+    FORM_RECURSIVE,
+    FORM_SHORTCUT,
+    enumerate_cells,
+    estimate_all_cells,
+    estimate_group_time_gatt,
+)
+
+SPACES = ("wasserstein", "sphere", "frobenius")
+FIELDS = {"wasserstein": {}, "sphere": {}, "frobenius": {"kind": "free"}}
+# criterion 7's bound. A reordered or regrouped sum moves the closed-form means
+# by a few ulps, and the Karcher iteration stops once its step is below 1e-10,
+# so both forms of one estimate agree far inside it
+TOL = 1e-8
+# the scalar formula and the estimator add the same numbers in other orders
+SCALAR_TOL = 1e-12
+
+PROPERTY = settings(max_examples=200, deadline=None, database=None)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_data(rng, space, n_units, n_periods):
+    """An `(n_units, n_periods, *point_shape)` stack of outcomes in `space`."""
+    shape = (n_units, n_periods)
+    if space == "wasserstein":
+        steps = rng.uniform(0.1, 1.0, shape + (8,))
+        return rng.normal(0.0, 2.0, shape + (1,)) + np.cumsum(steps, axis=-1)
+    if space == "sphere":
+        # Dirichlet(20) shares keep the means and their transports inside the
+        # orthant, where no OrthantExitWarning is due
+        return np.sqrt(rng.dirichlet(np.full(3, 20.0), size=shape))
+    a = rng.normal(size=shape + (2, 2))
+    return a + np.swapaxes(a, -1, -2)
+
+
+def staggered_panel(space, cohorts, units_per_group, n_periods, seed):
+    """A never-treated group and one group per entry of `cohorts` (first treated period)."""
+    groups = [None, *cohorts]
+    labels = [g for g in groups for _ in range(units_per_group)]
+    treatment = np.array([[int(g is not None and t >= g) for t in range(n_periods)] for g in labels])
+    data = random_data(np.random.default_rng(seed), space, len(labels), n_periods)
+    return PanelDataset.from_array(data, treatment, space, FIELDS[space])
+
+
+@PROPERTY
+@given(
+    space=st.sampled_from(SPACES),
+    n_control=st.integers(1, 4),
+    n_treated=st.integers(1, 4),
+    seed=seeds,
+)
+def test_two_period_estimate_is_invariant_to_unit_order(space, n_control, n_treated, seed):
+    rng = np.random.default_rng(seed)
+    n = n_control + n_treated
+    data = random_data(rng, space, n, 2)
+    treatment = np.column_stack([np.zeros(n, dtype=int), np.arange(n) >= n_control])
+    order = rng.permutation(n)
+    est = estimate_gatt(PanelDataset.from_array(data, treatment, space, FIELDS[space]))
+    again = estimate_gatt(
+        PanelDataset.from_array(data[order], treatment[order], space, FIELDS[space])
+    )
+    assert abs(est.magnitude - again.magnitude) <= TOL
+    assert distance(est.effect.start, again.effect.start) <= TOL
+    assert distance(est.effect.end, again.effect.end) <= TOL
+
+
+scalars = st.floats(-100.0, 100.0, allow_nan=False)
+scalar_rows = st.lists(st.tuples(scalars, scalars), min_size=1, max_size=5)
+
+
+@PROPERTY
+@given(control=scalar_rows, treated=scalar_rows)
+def test_scalar_panel_gives_the_did_formula(control, treated):
+    rows = np.array(control + treated)
+    treatment = np.column_stack([np.zeros(len(rows), dtype=int), np.arange(len(rows)) >= len(control)])
+    est = estimate_gatt(
+        PanelDataset.from_array(rows[:, :, None, None], treatment, "frobenius", {"kind": "free"})
+    )
+    c0, c1 = np.mean(control, axis=0)
+    t0, t1 = np.mean(treated, axis=0)
+    scale = 1.0 + np.abs(rows).max()
+    assert est.effect.start.entries[0, 0] == pytest.approx(t0 + (c1 - c0), abs=SCALAR_TOL * scale)
+    assert est.magnitude == pytest.approx(abs((t1 - t0) - (c1 - c0)), abs=SCALAR_TOL * scale)
+
+
+staggered_designs = {
+    "cohorts": st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    "units_per_group": st.integers(1, 2),
+    "seed": seeds,
+    "delta": st.integers(0, 1),
+    "comparison": st.sampled_from([COMPARISON_NEVER, COMPARISON_NOT_YET]),
+}
+
+
+@PROPERTY
+@given(space=st.sampled_from(SPACES), recursive=st.booleans(), **staggered_designs)
+def test_estimate_all_cells_is_the_per_cell_estimates(
+    space, recursive, cohorts, units_per_group, seed, delta, comparison
+):
+    panel = staggered_panel(space, cohorts, units_per_group, 4, seed)
+    form = FORM_RECURSIVE if recursive else None
+    together = estimate_all_cells(panel, delta=delta, comparison=comparison, estimator_form=form)
+    one_by_one = [
+        estimate_group_time_gatt(panel, replace(cell, estimator_form=form))
+        for cell in enumerate_cells(panel, delta=delta, comparison=comparison)
+    ]
+    # json floats round-trip, so equal text is equal bits
+    assert json.dumps(staggered_to_jsonable(together, space, delta, comparison)) == json.dumps(
+        staggered_to_jsonable(one_by_one, space, delta, comparison)
+    )
+
+
+@PROPERTY
+@given(space=st.sampled_from(["wasserstein", "frobenius"]), **staggered_designs)
+def test_shortcut_equals_recursion_on_path_independent_spaces(
+    space, cohorts, units_per_group, seed, delta, comparison
+):
+    assert _BACKENDS[space].PATH_INDEPENDENT
+    panel = staggered_panel(space, cohorts, units_per_group, 4, seed)
+    for cell in enumerate_cells(panel, delta=delta, comparison=comparison):
+        short = estimate_group_time_gatt(panel, replace(cell, estimator_form=FORM_SHORTCUT))
+        rec = estimate_group_time_gatt(panel, replace(cell, estimator_form=FORM_RECURSIVE))
+        assert distance(short.effect.start, rec.effect.start) <= TOL
+        assert abs(short.magnitude - rec.magnitude) <= TOL

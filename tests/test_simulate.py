@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import geodid
-from geodid import simulate
+from geodid import estimate_gatt, frechet_mean, simulate
 from geodid.cli import EXIT_INVALID_INPUT, main
-from geodid.frechet import frechet_mean, group_means
 from geodid.geometry import distance
 from geodid.simulate import (
     SimConfig,
@@ -245,10 +244,11 @@ def test_network_panel_matches_per_unit_loop(knobs):
         if config.alpha1 < 0:
             # some drawn weights are negative
             assert KIND_FREE in kinds
+        means = estimate_gatt(panel).means
         for d in (0, 1):
             units = np.flatnonzero(treatment[:, 1] == d)
             for t in (0, 1):
-                mean = group_means(panel, t, treatment[:, 1] == d).mean
+                mean = means[(d, t)]
                 looped = frechet_mean([outcomes[i][t] for i in units]).mean
                 np.testing.assert_array_equal(mean.entries, looped.entries)
 
@@ -292,9 +292,10 @@ def test_network_panel_matches_per_unit_loop_bit_for_bit(knobs):
         outcomes, treatment = loop_network_panel(config, np.random.default_rng(seed))
         expected = np.array([[p.entries for p in row] for row in outcomes])
         np.testing.assert_array_equal(bits(panel.data), bits(expected))
+        means = estimate_gatt(panel).means
         for d in (0, 1):
             for t in (0, 1):
-                mean = group_means(panel, t, treatment[:, 1] == d).mean
+                mean = means[(d, t)]
                 looped = frechet_mean([row[t] for row, g in zip(outcomes, treatment[:, 1]) if g == d]).mean
                 np.testing.assert_array_equal(bits(mean.entries), bits(looped.entries))
 

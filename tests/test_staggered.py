@@ -188,6 +188,31 @@ def test_empty_cohort_error_names_period():
     assert "period 0" in str(exc.value)
 
 
+def test_empty_cohort_raises_before_any_mean(monkeypatch):
+    panel = staggered_scalar_panel(
+        [(1, [0.0, 1.0, 2.0]), (2, [0.0, 1.0, 2.0])],
+        n_periods=3,
+    )
+    calls = record_means(monkeypatch, "frobenius")
+    with pytest.raises(EmptyCohortError):
+        estimate_group_time_gatt(panel, GroupTimeCell(g=1, t=1, comparison=COMPARISON_NEVER))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "groups", [(None, None), (2, 2)], ids=["never-treated only", "one cohort, no never-treated"]
+)
+@pytest.mark.parametrize(
+    "scheme", [{"delta": -1}, {"comparison": "bogus"}], ids=["negative delta", "unknown comparison"]
+)
+def test_scheme_is_checked_on_a_panel_without_cells(groups, scheme):
+    panel = staggered_scalar_panel([(g, [0.0, 1.0, 2.0]) for g in groups], n_periods=3)
+    with pytest.raises(ValueError):
+        enumerate_cells(panel, **scheme)
+    with pytest.raises(ValueError):
+        estimate_all_cells(panel, **scheme)
+
+
 def test_estimate_all_cells_runs_every_admissible_cell():
     rng = np.random.default_rng(47)
     panel = random_staggered_panel(rng, "frobenius", [None, 1, 2], n_periods=3)

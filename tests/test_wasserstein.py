@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from geodid import frechet_mean
 from geodid.errors import DegenerateTransportError, InvariantViolationError, SpaceMismatchError
-from geodid.frechet import frechet_mean
 from geodid.geometry import distance, transport
 from geodid.spaces.wasserstein import (
     POINT_TOL,
