@@ -27,6 +27,8 @@ from .spaces.wasserstein import DEFAULT_GRID_SIZE, FORMAT_QUANTILE, FORMAT_SAMPL
 SCHEMA_VERSION = 1
 # bytes asked of each os.read of a data file
 _READ_CHUNK = 1 << 16
+# flat data files parsed per np.loadtxt call
+_BLOCK_FILES = 128
 # the JSON types of a treatment indicator
 _INDICATOR_TYPES = frozenset((int, float, bool))
 
@@ -54,6 +56,18 @@ def _read_csv_lines(path):
     return rows
 
 
+def _read_bytes(path):
+    """A file's bytes, read with one `os.open`."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _read_numbers_csv(path, encoding=None, limit=None):
     """All the numbers of a data file in reading order, split and cast in one step each.
 
@@ -72,14 +86,7 @@ def _read_numbers_csv(path, encoding=None, limit=None):
     if limit is None:
         limit = csv.field_size_limit()
     try:
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            chunks = []
-            while chunk := os.read(fd, _READ_CHUNK):
-                chunks.append(chunk)
-        finally:
-            os.close(fd)
-        text = b"".join(chunks).decode(encoding)
+        text = _read_bytes(path).decode(encoding)
         cells = text.replace("\r\n", ",").replace("\r", ",").replace("\n", ",").split(",")
         if text.endswith(("\r", "\n")):
             cells.pop()
@@ -90,14 +97,45 @@ def _read_numbers_csv(path, encoding=None, limit=None):
     return None
 
 
+def _read_block(paths, encoding, limit):
+    """One row of numbers per flat data file, all parsed by one `np.loadtxt` call.
+
+    Each file is read and decoded as `_read_numbers_csv` reads it and joins the
+    block as one line: its line ends at the end dropped, as the line reader
+    skips blank lines, and any other turned into a comma. numpy's C reader
+    ends in the same correctly rounded conversion as `float`, and makes no
+    Python object per number. Returns None unless every file opens, decodes,
+    is within the field limit and is not blank (`np.loadtxt` skips an empty
+    line, which would shift the rows against the files), and the block
+    parses to one row per file: the caller then reads the files one by one.
+    """
+    lines = []
+    try:
+        for path in paths:
+            text = _read_bytes(path).decode(encoding)
+            line = text.rstrip("\r\n")
+            if "\r" in line or "\n" in line:
+                line = line.replace("\r\n", ",").replace("\r", ",").replace("\n", ",")
+            if len(text) > limit or not line or line.isspace():
+                return None
+            lines.append(line)
+        rows = np.loadtxt(
+            lines, delimiter=",", comments=None, quotechar=None, dtype=float, ndmin=2
+        )
+    except (OSError, ValueError):
+        return None
+    return rows if len(rows) == len(paths) else None
+
+
 def _outcome_reader(fmt, base_dir):
-    """A function reading one of a manifest's outcomes as a float array: its
-    inline data or the numbers in its data file.
+    """A function reading a list of a manifest's outcomes as float arrays: their
+    inline data or the numbers in their data files.
 
     What every read shares is worked out here, once per manifest. The function
-    raises MissingOutcomeError for a null outcome, OSError for a file it cannot
-    read and TypeError, ValueError, OverflowError or csv.Error for bad data;
-    `_outcome_error` names the outcome.
+    takes the outcomes and `where`, which names the i-th of them. An outcome
+    it cannot read raises what `_outcome_error` makes of MissingOutcomeError
+    for a null outcome, OSError for a file it cannot read, or TypeError,
+    ValueError, OverflowError or csv.Error for bad data.
     """
     # one curve or composition may run over several lines of any length
     flat = fmt in (FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_COMPOSITION)
@@ -125,7 +163,25 @@ def _outcome_reader(fmt, base_dir):
             rows = [x for row in rows for x in row]
         return np.asarray(rows, dtype=float)
 
-    return read
+    def read_all(specs, where):
+        arrays = []
+        for start in range(0, len(specs), _BLOCK_FILES):
+            block = specs[start : start + _BLOCK_FILES]
+            if flat and all(isinstance(spec, str) for spec in block):
+                paths = [os.path.join(base_dir, spec) for spec in block]
+                if (rows := _read_block(paths, encoding, limit)) is not None:
+                    arrays.extend(rows)
+                    continue
+            # any other block is read file by file, in order, so that each
+            # value and the first error are the ones a lone read gives
+            for i, spec in enumerate(block, start):
+                try:
+                    arrays.append(read(spec))
+                except _OUTCOME_ERRORS as exc:
+                    raise _outcome_error(exc, where(i)) from None
+        return arrays
+
+    return read_all
 
 
 # what an outcome reader raises for an outcome it cannot read
@@ -140,10 +196,27 @@ def _outcome_error(exc, where):
 
 def _read_outcome(spec, fmt, base_dir, where):
     """One outcome as a float array, read and named by `where` as a load reads and names it."""
-    try:
-        return _outcome_reader(fmt, base_dir)(spec)
-    except _OUTCOME_ERRORS as exc:
-        raise _outcome_error(exc, where) from None
+    return _outcome_reader(fmt, base_dir)([spec], lambda i: where)[0]
+
+
+def _unit_record(k, unit, periods):
+    """The id, treatment and outcomes of a manifest's k-th unit record, checked."""
+    if not isinstance(unit, dict):
+        raise ParseError(f"unit {k}: record must be a JSON object")
+    uid = unit.get("id", f"unit{k}")
+    treat = unit.get("treatment")
+    # the panel checks the values; here a list, string or null entry is no indicator
+    if not (
+        isinstance(treat, list)
+        and len(treat) == periods
+        and _INDICATOR_TYPES.issuperset(map(type, treat))
+    ):
+        raise ParseError(f"unit {uid}: treatment must list {periods} indicators of 0 or 1")
+    outs = unit.get("outcomes")
+    if not isinstance(outs, list) or len(outs) != periods:
+        got = len(outs) if isinstance(outs, list) else 0
+        raise MissingOutcomeError(f"unit {uid}: expected {periods} outcomes, got {got}")
+    return uid, treat, outs
 
 
 def load_panel(manifest_path):
@@ -176,31 +249,24 @@ def load_panel(manifest_path):
         raise ParseError(f"'grid_size' must be an integer >= 2, got {grid_size!r}")
 
     read = _outcome_reader(fmt, str(manifest_path.parent))
-    outcomes, treatment, ids = [], [], []
+    specs, treatment, ids = [], [], []
+
+    def where(i):
+        # the label is built only for an error
+        return f"unit {ids[i // periods]} period {i % periods}"
+
     for k, unit in enumerate(units):
-        if not isinstance(unit, dict):
-            raise ParseError(f"unit {k}: record must be a JSON object")
-        uid = unit.get("id", f"unit{k}")
-        treat = unit.get("treatment")
-        # the panel checks the values; here a list, string or null entry is no indicator
-        if not (
-            isinstance(treat, list)
-            and len(treat) == periods
-            and _INDICATOR_TYPES.issuperset(map(type, treat))
-        ):
-            raise ParseError(f"unit {uid}: treatment must list {periods} indicators of 0 or 1")
-        outs = unit.get("outcomes")
-        if not isinstance(outs, list) or len(outs) != periods:
-            got = len(outs) if isinstance(outs, list) else 0
-            raise MissingOutcomeError(f"unit {uid}: expected {periods} outcomes, got {got}")
-        for t, spec in enumerate(outs):
-            try:
-                outcomes.append(read(spec))
-            except _OUTCOME_ERRORS as exc:
-                # the label is built only for an error
-                raise _outcome_error(exc, f"unit {uid} period {t}") from None
+        try:
+            uid, treat, outs = _unit_record(k, unit, periods)
+        except (ParseError, MissingOutcomeError):
+            # the outcomes before a bad record report their errors first, as
+            # in a load that reads unit by unit
+            read(specs, where)
+            raise
+        specs.extend(outs)
         treatment.append(treat)
         ids.append(uid)
+    outcomes = read(specs, where)
     try:
         stack, fields = _BACKENDS[space].from_data(outcomes, manifest)
     except InvariantViolationError as exc:

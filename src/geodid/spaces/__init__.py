@@ -27,6 +27,18 @@ def stack_arrays(arrays):
     return np.array(arrays)
 
 
+def stack_outcomes(arrays):
+    """A manifest's outcomes as one (k, *shape) array; InvariantViolationError
+    at the first outcome whose shape differs from the first one's."""
+    shape = arrays[0].shape
+    for i, a in enumerate(arrays):
+        if a.shape != shape:
+            raise InvariantViolationError(
+                f"outcome shape {a.shape} differs from the first outcome's {shape}", index=i
+            )
+    return np.array(arrays)
+
+
 def bare(cls, **attrs):
     """A point of `cls` holding `attrs`, not validated: for arrays whose arithmetic and checks cover `validate`."""
     point = object.__new__(cls)

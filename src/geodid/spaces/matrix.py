@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvariantViolationError, KindViolationWarning
-from . import FORMAT_INLINE, bare, check_overflow, check_points, stack_arrays
+from . import FORMAT_INLINE, bare, check_overflow, check_points, stack_arrays, stack_outcomes
 
 SYMMETRY_TOL = 1e-10
 LAPLACIAN_TOL = 1e-8
@@ -161,7 +161,7 @@ def mean(stack):
 
 def from_data(outcomes, manifest):
     """The panel's matrices as one (k, m, m) stack, of the manifest's kind."""
-    return stack_arrays(outcomes), {"kind": manifest.get("matrix_kind", KIND_FREE)}
+    return stack_outcomes(outcomes), {"kind": manifest.get("matrix_kind", KIND_FREE)}
 
 
 def to_data(entries):

@@ -11,7 +11,7 @@ from ..errors import (
     NonConvergenceError,
     OrthantExitWarning,
 )
-from . import FORMAT_INLINE, bare, check_points, stack_arrays
+from . import FORMAT_INLINE, bare, check_points, stack_arrays, stack_outcomes
 
 UNIT_TOL = 1e-10
 ORTHANT_SLACK = 1e-12
@@ -171,8 +171,8 @@ def mean(coords):
 
 def from_data(outcomes, manifest):
     """The panel's compositions, flattened, as one (k, d) stack of embeddings."""
-    shares = [np.ravel(x) for x in outcomes]
-    return _embed(stack_arrays(shares)), {}
+    shares = [x.ravel() for x in outcomes]
+    return _embed(stack_outcomes(shares)), {}
 
 
 def to_data(coords):

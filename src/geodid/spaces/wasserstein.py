@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateTransportError, InvariantViolationError
-from . import FORMAT_INLINE, bare, check_overflow, check_points, stack_arrays
+from . import FORMAT_INLINE, bare, check_overflow, check_points, stack_arrays, stack_outcomes
 
 POINT_TOL = 1e-10
 DEFAULT_GRID_SIZE = 100
@@ -152,7 +152,7 @@ def quantile_from_samples(samples, grid_size=DEFAULT_GRID_SIZE):
 
 def from_data(outcomes, manifest):
     """The panel's curves, flattened, as one (k, M) stack (samples-csv: quantiles of the draws)."""
-    flat = [np.ravel(x) for x in outcomes]
+    flat = [x.ravel() for x in outcomes]
     if manifest.get("format") == FORMAT_SAMPLES:
         sizes = _check_draws(flat)
         grid_size = manifest.get("grid_size", DEFAULT_GRID_SIZE)
@@ -162,7 +162,7 @@ def from_data(outcomes, manifest):
             rows = np.flatnonzero(sizes == s)
             stack[rows] = _sample_quantiles(np.array([flat[i] for i in rows]), grid_size)
         return stack, {}
-    return stack_arrays(flat), {}
+    return stack_outcomes(flat), {}
 
 
 def to_data(values):

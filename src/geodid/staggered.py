@@ -151,6 +151,8 @@ def estimate_all_cells(panel, delta=0, comparison=COMPARISON_NEVER, estimator_fo
     Each distinct (unit set, period) mean is computed once per call and
     shared by the cells that need it; nothing is kept between calls.
     """
+    # built first, so that the form is checked whatever the panel
+    GroupTimeCell(g=0, t=0, estimator_form=estimator_form)
     memo = ({}, {})
     return [
         estimate_group_time_gatt(

@@ -1,11 +1,17 @@
-"""Random-point samplers shared by the property tests."""
+"""Hypothesis profiles and random-point samplers shared by the property tests."""
 
 import numpy as np
+from hypothesis import settings
 from scipy.stats import norm
 
 from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.spaces.sphere import embed_composition
 from geodid.spaces.wasserstein import DEFAULT_GRID_SIZE, QuantileCurve, midpoint_grid
+
+# tests whose @settings give no example count take it from the profile; CI
+# runs the data-file reader's differential tests again with `--hypothesis-profile=ci`
+settings.register_profile("default", max_examples=200, database=None, deadline=None)
+settings.register_profile("ci", settings.get_profile("default"), max_examples=2000)
 
 
 def random_matrix(rng, size=4, scale=1.0):

@@ -10,6 +10,7 @@ from geodid.errors import (
     InvariantViolationError,
     MissingOutcomeError,
     ParseError,
+    SpaceMismatchError,
 )
 from geodid.geometry import _BACKENDS, distance
 from geodid.panel import PanelDataset
@@ -208,8 +209,15 @@ def test_load_validates_once_and_builds_no_point(tmp_path, monkeypatch, space, f
 )
 def test_cli_rejects_outcomes_of_mixed_shapes(tmp_path, capsys, space, fmt, small, large):
     manifest = data_manifest(tmp_path, space, fmt, [[small, small], [small, large]])
-    assert main(["estimate", "--manifest", manifest]) == EXIT_ESTIMATION
-    assert single_error_line(capsys)["error"] == "SpaceMismatchError"
+    assert main(["estimate", "--manifest", manifest]) == EXIT_INVALID_INPUT
+    error = single_error_line(capsys)
+    assert error["error"] == "InvariantViolationError"
+    assert error["message"].startswith("unit u1 period 1: outcome shape ")
+
+
+def test_panel_of_points_of_mixed_shapes_is_a_space_mismatch():
+    with pytest.raises(SpaceMismatchError):
+        PanelDataset([[QuantileCurve([0.1, 0.2])], [QuantileCurve([0.1, 0.2, 0.3])]], [[0], [0]])
 
 
 def test_load_missing_outcome_names_unit(tmp_path):

@@ -1,22 +1,29 @@
-"""The data-file reader and writer: the one-step parse against the line-by-line reader,
-and the join writer against csv.writer."""
+"""The data-file reader and writer: the block and one-step parses against the
+line-by-line reader, and the join writer against csv.writer.
+
+The differential tests take their example count from the Hypothesis profile
+(see conftest.py); `--hypothesis-profile=ci` runs ten times as many.
+"""
 
 import codecs
 import csv
 import io
 import json
 import locale
+import math
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from geodid import io as gio
+from geodid.cli import EXIT_INVALID_INPUT, main
 from geodid.errors import GeodidError, MissingOutcomeError, ParseError
 from geodid.spaces.wasserstein import FORMAT_QUANTILE
 
@@ -76,7 +83,6 @@ def outcome_or_error(read, *args):
     return "array", array.shape, array.dtype, array.tobytes()
 
 
-@settings(max_examples=200, deadline=None, database=None)
 @given(text=data_texts())
 def test_reader_matches_the_line_by_line_reader(text):
     with tempfile.TemporaryDirectory() as tmp:
@@ -88,6 +94,140 @@ def test_reader_matches_the_line_by_line_reader(text):
         if fast is not None:
             assert outcome_or_error(lambda: fast) == expected
         assert outcome_or_error(gio._read_outcome, "c.csv", FORMAT_QUANTILE, tmp, WHERE) == expected
+
+
+@st.composite
+def number_files(draw, width):
+    """A data file of `width` numbers as `repr` writes them, on one line or split over several."""
+    cells = draw(st.lists(st.floats().map(repr), min_size=width, max_size=width))
+    cuts = sorted(draw(st.sets(st.integers(1, width - 1), max_size=2))) if width > 1 else []
+    lines = [",".join(cells[a:b]) for a, b in zip([0, *cuts], [*cuts, width])]
+    ends = draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text[: -len(ends[-1])]
+
+
+@st.composite
+def block_texts(draw):
+    """1-8 data files read as one block: files of numbers of one width, most
+    often, so that the block parse runs, and any file of `data_texts`."""
+    width = draw(st.integers(1, 6))
+    files = st.one_of(number_files(width), number_files(width), data_texts())
+    return draw(st.lists(files, min_size=1, max_size=8))
+
+
+def where(i):
+    return f"unit u period {i}"
+
+
+def read_block_of_files(folder, names):
+    """The outcomes of the files `names` in `folder`, read as a load reads them."""
+    return gio._outcome_reader(FORMAT_QUANTILE, str(folder))(names, where)
+
+
+@given(texts=block_texts())
+def test_block_reads_each_file_as_a_lone_read_does(texts):
+    with tempfile.TemporaryDirectory() as tmp:
+        names = [f"c{i}.csv" for i in range(len(texts))]
+        for name, text in zip(names, texts):
+            with open(Path(tmp, name), "w", newline="", encoding="utf-8") as fh:
+                fh.write(text)
+        expected = [
+            outcome_or_error(gio._read_outcome, name, FORMAT_QUANTILE, tmp, where(i))
+            for i, name in enumerate(names)
+        ]
+        first_error = next((e for e in expected if e[0] == "error"), None)
+        try:
+            arrays = read_block_of_files(tmp, names)
+        except Exception as exc:  # compared by type and message
+            assert ("error", type(exc), str(exc)) == first_error
+        else:
+            assert first_error is None
+            assert [outcome_or_error(lambda a=a: a) for a in arrays] == expected
+
+
+def test_two_line_file_and_blank_file_keep_their_places_in_a_block(tmp_path):
+    # read as lines, the second file's two rows and the blank file's none
+    # would still give one row per file
+    texts = ["0.1,0.2\r\n", "0.3,0.4\n0.5,0.6\n", "", "0.7,0.8\r\n"]
+    names = [f"c{i}.csv" for i in range(len(texts))]
+    for name, text in zip(names, texts):
+        (tmp_path / name).write_bytes(text.encode())
+    arrays = read_block_of_files(tmp_path, names)
+    for i, (name, array) in enumerate(zip(names, arrays)):
+        lone = gio._read_outcome(name, FORMAT_QUANTILE, str(tmp_path), where(i))
+        assert (array.shape, array.tobytes()) == (lone.shape, lone.tobytes())
+    assert [a.tolist() for a in arrays] == [[0.1, 0.2], [0.3, 0.4, 0.5, 0.6], [], [0.7, 0.8]]
+
+
+def curve_manifest(folder, n_units, periods, texts):
+    """A quantile-csv manifest of `n_units` x `periods` data files holding `texts`, unit-major."""
+    units = []
+    for i in range(n_units):
+        outcomes = []
+        for t in range(periods):
+            name = f"u{i}_t{t}.csv"
+            (folder / name).write_bytes(texts[i * periods + t].encode())
+            outcomes.append(name)
+        units.append({"id": f"u{i}", "treatment": [0] * periods, "outcomes": outcomes})
+    manifest = folder / "m.json"
+    manifest.write_text(json.dumps({"space": "wasserstein", "periods": periods,
+                                    "format": FORMAT_QUANTILE, "units": units}))
+    return manifest
+
+
+def clean_curves(count):
+    """`count` increasing curves of 5 numbers each, one line per file as save_panel writes it."""
+    values = np.arange(count)[:, None] + np.linspace(0.1, 0.9, 5)
+    return values, [",".join(map(repr, row)) + "\r\n" for row in values.tolist()]
+
+
+def test_clean_manifest_opens_each_file_once_and_parses_a_block_per_call(tmp_path, monkeypatch):
+    values, texts = clean_curves(300)
+    manifest = curve_manifest(tmp_path, 100, 3, texts)
+    opened, blocks = [], []
+    os_open, loadtxt = os.open, np.loadtxt
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.fspath(path))
+        return os_open(path, *args, **kwargs)
+
+    def counting_loadtxt(lines, *args, **kwargs):
+        blocks.append(len(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    panel = gio.load_panel(manifest)
+    data_files = [p for p in opened if p.endswith(".csv")]
+    assert len(data_files) == len(set(data_files)) == 300
+    assert len(blocks) == math.ceil(300 / gio._BLOCK_FILES)
+    assert sum(blocks) == 300
+    np.testing.assert_array_equal(panel.data.reshape(300, 5), values)
+
+
+def test_bad_cell_deep_in_a_clean_manifest_names_its_file_and_line(tmp_path):
+    _, texts = clean_curves(300)
+    texts[137] = "0.1,0.2\r\n0.3,abc,0.5\r\n"
+    manifest = curve_manifest(tmp_path, 100, 3, texts)
+    with pytest.raises(ParseError) as info:
+        gio.load_panel(manifest)
+    # file 137 is unit 45's period 2
+    assert str(info.value) == (
+        f"unit u45 period 2: {tmp_path / 'u45_t2.csv'}:2: "
+        "could not convert string to float: 'abc'"
+    )
+
+
+@pytest.mark.parametrize("text", ["", " \r\n\t\n"], ids=["empty", "whitespace-only"])
+def test_blank_files_exit_2_with_one_line_and_no_warning(tmp_path, capsys, text):
+    manifest = curve_manifest(tmp_path, 1, 2, [text, text])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["estimate", "--manifest", str(manifest)]) == EXIT_INVALID_INPUT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "InvariantViolationError"
 
 
 def write(tmp_path, text, name="c.csv"):

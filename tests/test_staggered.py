@@ -213,6 +213,15 @@ def test_scheme_is_checked_on_a_panel_without_cells(groups, scheme):
         estimate_all_cells(panel, **scheme)
 
 
+@pytest.mark.parametrize(
+    "groups", [(None, None), (None, 1)], ids=["no treated unit", "one treated unit"]
+)
+def test_estimator_form_is_checked_on_a_panel_with_or_without_cells(groups):
+    panel = staggered_scalar_panel([(g, [0.0, 1.0]) for g in groups], n_periods=2)
+    with pytest.raises(ValueError, match="unknown estimator form 'bogus'"):
+        estimate_all_cells(panel, estimator_form="bogus")
+
+
 def test_estimate_all_cells_runs_every_admissible_cell():
     rng = np.random.default_rng(47)
     panel = random_staggered_panel(rng, "frobenius", [None, 1, 2], n_periods=3)
