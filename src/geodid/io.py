@@ -15,6 +15,7 @@ from io import StringIO
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import InvariantViolationError, MissingOutcomeError, ParseError
 from .geometry import _BACKENDS, backend_of
@@ -27,8 +28,16 @@ from .spaces.wasserstein import DEFAULT_GRID_SIZE, FORMAT_QUANTILE, FORMAT_SAMPL
 SCHEMA_VERSION = 1
 # bytes asked of each os.read of a data file
 _READ_CHUNK = 1 << 16
-# flat data files parsed per np.loadtxt call
+# flat data files parsed per orjson.loads call
 _BLOCK_FILES = 128
+# the bytes of a flat data file that the block parse reads: JSON's number
+# characters and the comma (line ends are turned into commas first)
+_NUMBER_BYTES = b"0123456789.eE+-,"
+# every aligned stretch of this many bytes of a block's JSON text must hold a
+# comma, so that no number in it runs to 767 bytes: orjson reads at most 768
+# significant digits of a number and rounds as if any digits past them were
+# not all zeros, so a halfway number spelled in more can round the wrong way
+_COMMA_STRETCH = 384
 # the JSON types of a treatment indicator
 _INDICATOR_TYPES = frozenset((int, float, bool))
 
@@ -68,63 +77,69 @@ def _read_bytes(path):
     return b"".join(chunks)
 
 
-def _read_numbers_csv(path, encoding=None, limit=None):
-    """All the numbers of a data file in reading order, split and cast in one step each.
-
-    The file's bytes are read with one `os.open` and decoded once, strictly,
-    with `encoding`: by default the one text-mode `open` uses. `limit` is csv's
-    field limit, by default the current one; a load looks both up once per
-    manifest. numpy's string-to-float cast accepts and rejects the same cells
-    as `float`, so a file whose every cell is a number reads as
-    `_read_csv_lines` reads it. Returns None for any other file (blank, quoted
-    or bad cells, a cell over the field limit, or a file that cannot be opened
-    or decoded): the caller reads it line by line, which skips, unquotes or
-    names the line.
-    """
-    if encoding is None:
-        encoding = locale.getpreferredencoding(False)
-    if limit is None:
-        limit = csv.field_size_limit()
+def _block_parse_applies(encoding):
+    """Whether `encoding` spells `_NUMBER_BYTES` and the line ends as ASCII does,
+    both ways, so that a file of those bytes is the text the line reader decodes."""
+    ascii_bytes = _NUMBER_BYTES + b"\r\n"
+    text = ascii_bytes.decode("ascii")
     try:
-        text = _read_bytes(path).decode(encoding)
-        cells = text.replace("\r\n", ",").replace("\r", ",").replace("\n", ",").split(",")
-        if text.endswith(("\r", "\n")):
-            cells.pop()
-        if len(text) <= limit or max(map(len, cells)) <= limit:
-            return np.array(cells, dtype=float)
-    except (OSError, ValueError):
-        pass
-    return None
+        return text.encode(encoding) == ascii_bytes and ascii_bytes.decode(encoding) == text
+    except UnicodeError:
+        return False
 
 
-def _read_block(paths, encoding, limit):
-    """One row of numbers per flat data file, all parsed by one `np.loadtxt` call.
+def _read_block(paths, limit):
+    """One row of numbers per flat data file, all parsed by one `orjson.loads` call.
 
-    Each file is read and decoded as `_read_numbers_csv` reads it and joins the
-    block as one line: its line ends at the end dropped, as the line reader
-    skips blank lines, and any other turned into a comma. numpy's C reader
-    ends in the same correctly rounded conversion as `float`, and makes no
-    Python object per number. Returns None unless every file opens, decodes,
-    is within the field limit and is not blank (`np.loadtxt` skips an empty
-    line, which would shift the rows against the files), and the block
-    parses to one row per file: the caller then reads the files one by one.
+    Each file becomes one JSON array of its bytes: its line ends at the end
+    dropped, as the line reader skips blank lines, and any other turned into a
+    comma. The block is the text `[[<file 1>],[<file 2>],...]`. A file may
+    join it only if it holds nothing but `_NUMBER_BYTES`: no name such as
+    `nan` or `true`, no bracket, space, quote or byte-order mark. Every cell
+    of such a block that parses is a JSON number, which orjson's correctly
+    rounded parser reads to the double `float` gives, with two exceptions
+    that the block is checked for: a number spelled in 767 bytes or more
+    (see `_COMMA_STRETCH`), and the integer `-0`, which orjson reads as the
+    int 0. The caller checks once per manifest that the locale's encoding
+    spells these bytes as ASCII does (`_block_parse_applies`). `limit` is
+    csv's field limit, which a load looks up once per manifest.
+
+    Returns None unless every file opens, is within the field limit, is not
+    blank and holds only those bytes, no cell is too long or `-0`, and the
+    block parses to one row per file, all of one width (a cell that is not a
+    JSON number, or that overflows a double, fails the parse): the caller
+    then reads the files one by one.
     """
     lines = []
     try:
         for path in paths:
-            text = _read_bytes(path).decode(encoding)
-            line = text.rstrip("\r\n")
-            if "\r" in line or "\n" in line:
-                line = line.replace("\r\n", ",").replace("\r", ",").replace("\n", ",")
-            if len(text) > limit or not line or line.isspace():
+            raw = _read_bytes(path)
+            line = raw.rstrip(b"\r\n")
+            if b"\r" in line or b"\n" in line:
+                line = line.replace(b"\r\n", b",").replace(b"\r", b",").replace(b"\n", b",")
+            if len(raw) > limit or not line or line.translate(None, _NUMBER_BYTES):
                 return None
             lines.append(line)
-        rows = np.loadtxt(
-            lines, delimiter=",", comments=None, quotechar=None, dtype=float, ndmin=2
-        )
-    except (OSError, ValueError):
+    except OSError:
         return None
-    return rows if len(rows) == len(paths) else None
+    text = b"[[" + b"],[".join(lines) + b"]]"
+    stretches = range(0, len(text) - _COMMA_STRETCH + 1, _COMMA_STRETCH)
+    if not all(text.find(b",", i, i + _COMMA_STRETCH) >= 0 for i in stretches):
+        return None
+    try:
+        lists = orjson.loads(text)
+        # freed before the rows, which outlive the block, are made, the text
+        # leaves them its place in the heap, not a hole under them that the
+        # next block's text does not fit (that grew peak RSS by about 3 MB)
+        del text
+        rows = np.array(lists, dtype=float)
+    except ValueError:  # orjson.JSONDecodeError is one, and so is a ragged block
+        return None
+    # only a block with a zero can hold a -0 cell, which ends a line or is
+    # followed by a comma
+    if not rows.all() and any(b"-0," in line or line.endswith(b"-0") for line in lines):
+        return None
+    return rows if rows.ndim == 2 and len(rows) == len(paths) else None
 
 
 def _outcome_reader(fmt, base_dir):
@@ -139,7 +154,7 @@ def _outcome_reader(fmt, base_dir):
     """
     # one curve or composition may run over several lines of any length
     flat = fmt in (FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_COMPOSITION)
-    encoding = locale.getpreferredencoding(False)
+    fast = flat and _block_parse_applies(locale.getpreferredencoding(False))
     limit = csv.field_size_limit()
 
     def read(spec):
@@ -147,12 +162,11 @@ def _outcome_reader(fmt, base_dir):
             raise MissingOutcomeError("outcome missing")
         if not isinstance(spec, str):
             return np.asarray(spec, dtype=float)
-        # os.path.join costs a few microseconds less per file than a Path join
-        if flat and (
-            numbers := _read_numbers_csv(os.path.join(base_dir, spec), encoding, limit)
-        ) is not None:
-            return numbers
-        # matrix files, and flat files the one-step read gives up on; an error
+        # a lone file is a block of one; os.path.join costs a few microseconds
+        # less per file than a Path join
+        if fast and (rows := _read_block([os.path.join(base_dir, spec)], limit)) is not None:
+            return rows[0]
+        # matrix files, and flat files the block parse gives up on; an error
         # names the file as Path spells it
         path = Path(base_dir) / spec
         if fmt == FORMAT_MATRIX_JSON:
@@ -167,9 +181,9 @@ def _outcome_reader(fmt, base_dir):
         arrays = []
         for start in range(0, len(specs), _BLOCK_FILES):
             block = specs[start : start + _BLOCK_FILES]
-            if flat and all(isinstance(spec, str) for spec in block):
+            if fast and all(isinstance(spec, str) for spec in block):
                 paths = [os.path.join(base_dir, spec) for spec in block]
-                if (rows := _read_block(paths, encoding, limit)) is not None:
+                if (rows := _read_block(paths, limit)) is not None:
                     arrays.extend(rows)
                     continue
             # any other block is read file by file, in order, so that each
@@ -192,11 +206,6 @@ def _outcome_error(exc, where):
     """The error a load raises for `exc`, one of `_OUTCOME_ERRORS`, named by `where`."""
     kind = MissingOutcomeError if isinstance(exc, (MissingOutcomeError, OSError)) else ParseError
     return kind(f"{where}: {exc}")
-
-
-def _read_outcome(spec, fmt, base_dir, where):
-    """One outcome as a float array, read and named by `where` as a load reads and names it."""
-    return _outcome_reader(fmt, base_dir)([spec], lambda i: where)[0]
 
 
 def _unit_record(k, unit, periods):

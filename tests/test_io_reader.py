@@ -1,4 +1,4 @@
-"""The data-file reader and writer: the block and one-step parses against the
+"""The data-file reader and writer: the block parse against `float` and the
 line-by-line reader, and the join writer against csv.writer.
 
 The differential tests take their example count from the Hypothesis profile
@@ -7,17 +7,21 @@ The differential tests take their example count from the Hypothesis profile
 
 import codecs
 import csv
+import decimal
 import io
 import json
 import locale
 import math
 import os
 import re
+import sys
 import tempfile
 import warnings
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +32,7 @@ from geodid.errors import GeodidError, MissingOutcomeError, ParseError
 from geodid.spaces.wasserstein import FORMAT_QUANTILE
 
 WHERE = "unit u period 0"
+DBL_MAX = sys.float_info.max
 
 # cells that are numbers to `float`, some of them odd
 NUMBERS = st.one_of(
@@ -75,6 +80,17 @@ def per_line_outcome(path):
         raise ParseError(f"{WHERE}: {exc}") from None
 
 
+def read_outcome(name, folder, label=WHERE):
+    """One outcome, read and named by `label` as a load reads and names it."""
+    return gio._outcome_reader(FORMAT_QUANTILE, str(folder))([name], lambda i: label)[0]
+
+
+def block_of_one(path):
+    """A file's numbers as the block parse reads it alone, or None where a load reads it line by line."""
+    rows = gio._read_block([str(path)], csv.field_size_limit())
+    return None if rows is None else rows[0]
+
+
 def outcome_or_error(read, *args):
     try:
         array = read(*args)
@@ -89,11 +105,11 @@ def test_reader_matches_the_line_by_line_reader(text):
         path = Path(tmp) / "c.csv"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
-        fast = gio._read_numbers_csv(str(path))
+        fast = block_of_one(path)
         expected = outcome_or_error(per_line_outcome, path)
         if fast is not None:
             assert outcome_or_error(lambda: fast) == expected
-        assert outcome_or_error(gio._read_outcome, "c.csv", FORMAT_QUANTILE, tmp, WHERE) == expected
+        assert outcome_or_error(read_outcome, "c.csv", tmp) == expected
 
 
 @st.composite
@@ -133,7 +149,7 @@ def test_block_reads_each_file_as_a_lone_read_does(texts):
             with open(Path(tmp, name), "w", newline="", encoding="utf-8") as fh:
                 fh.write(text)
         expected = [
-            outcome_or_error(gio._read_outcome, name, FORMAT_QUANTILE, tmp, where(i))
+            outcome_or_error(read_outcome, name, tmp, where(i))
             for i, name in enumerate(names)
         ]
         first_error = next((e for e in expected if e[0] == "error"), None)
@@ -155,7 +171,7 @@ def test_two_line_file_and_blank_file_keep_their_places_in_a_block(tmp_path):
         (tmp_path / name).write_bytes(text.encode())
     arrays = read_block_of_files(tmp_path, names)
     for i, (name, array) in enumerate(zip(names, arrays)):
-        lone = gio._read_outcome(name, FORMAT_QUANTILE, str(tmp_path), where(i))
+        lone = read_outcome(name, tmp_path, where(i))
         assert (array.shape, array.tobytes()) == (lone.shape, lone.tobytes())
     assert [a.tolist() for a in arrays] == [[0.1, 0.2], [0.3, 0.4, 0.5, 0.6], [], [0.7, 0.8]]
 
@@ -186,18 +202,19 @@ def test_clean_manifest_opens_each_file_once_and_parses_a_block_per_call(tmp_pat
     values, texts = clean_curves(300)
     manifest = curve_manifest(tmp_path, 100, 3, texts)
     opened, blocks = [], []
-    os_open, loadtxt = os.open, np.loadtxt
+    os_open, loads = os.open, orjson.loads
 
     def counting_open(path, *args, **kwargs):
         opened.append(os.fspath(path))
         return os_open(path, *args, **kwargs)
 
-    def counting_loadtxt(lines, *args, **kwargs):
-        blocks.append(len(lines))
-        return loadtxt(lines, *args, **kwargs)
+    def counting_loads(text):
+        rows = loads(text)
+        blocks.append(len(rows))
+        return rows
 
     monkeypatch.setattr(os, "open", counting_open)
-    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    monkeypatch.setattr(orjson, "loads", counting_loads)
     panel = gio.load_panel(manifest)
     data_files = [p for p in opened if p.endswith(".csv")]
     assert len(data_files) == len(set(data_files)) == 300
@@ -245,10 +262,8 @@ def write(tmp_path, text, name="c.csv"):
 def test_one_step_read_of_a_curve_over_lines(tmp_path, text):
     path = write(tmp_path, text)
     expected = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
-    np.testing.assert_array_equal(gio._read_numbers_csv(str(path)), expected)
-    np.testing.assert_array_equal(
-        gio._read_outcome(path.name, FORMAT_QUANTILE, str(tmp_path), WHERE), expected
-    )
+    np.testing.assert_array_equal(block_of_one(path), expected)
+    np.testing.assert_array_equal(read_outcome(path.name, tmp_path), expected)
 
 
 @pytest.mark.parametrize(
@@ -263,17 +278,150 @@ def test_one_step_read_of_a_curve_over_lines(tmp_path, text):
 )
 def test_files_the_cast_rejects_are_read_line_by_line(tmp_path, text, expected):
     path = write(tmp_path, text)
-    assert gio._read_numbers_csv(str(path)) is None
-    np.testing.assert_array_equal(
-        gio._read_outcome(path.name, FORMAT_QUANTILE, str(tmp_path), WHERE), expected
-    )
+    assert block_of_one(path) is None
+    np.testing.assert_array_equal(read_outcome(path.name, tmp_path), expected)
 
 
 def test_cell_over_the_field_limit_is_left_to_csv(tmp_path, monkeypatch):
-    path = write(tmp_path, "0.1," + "0" * 20 + "1\n")
-    assert gio._read_numbers_csv(str(path)) is not None
+    path = write(tmp_path, "0.1,1" + "0" * 20 + "\n")
+    assert block_of_one(path) is not None
     monkeypatch.setattr(csv, "field_size_limit", lambda: 10)
-    assert gio._read_numbers_csv(str(path)) is None
+    assert block_of_one(path) is None
+
+
+def load_data_or_error(manifest):
+    return outcome_or_error(lambda: gio.load_panel(manifest).data)
+
+
+def line_by_line_load(manifest, monkeypatch):
+    """What `load_panel` gives when every data file is read by the line-by-line reader."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gio, "_read_block", lambda paths, limit: None)
+        return load_data_or_error(manifest)
+
+
+# a file's text for each case of the block parse's gate, with whether the
+# block parse reads it; the rest fall back to the line-by-line reader
+GATE_CASES = {
+    "minus-zero": ("-0,1", False),
+    "minus-zero-exponent": ("-0e5,1", True),
+    "true": ("true,1", False),
+    "null": ("null,1", False),
+    "bracketed": ("[1],2", False),
+    "crafted-rows": ("1],[2", False),
+    "NaN": ("NaN,1", False),
+    "Infinity": ("0,Infinity", False),
+    "nan": ("nan,1", False),
+    "inf": ("0,inf", False),
+    "leading-space": (" 1.5,2", False),
+    "leading-zero": ("01,2", False),
+    "no-integer-part": (".5,1", False),
+    "no-fraction": ("1.,2", False),
+    "plus-sign": ("+1,2", False),
+    "overflow": ("0,1e400", False),
+    "underflow": ("1e-400,1", True),
+    "20-digit-integer": ("12345678901234567890,1e30", True),
+    "30-digit-integer": ("123456789012345678901234567890,1e30", True),
+    "utf8-bom": ("\ufeff0.5,1", False),
+}
+
+
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_gate_case_loads_as_the_line_by_line_reader_loads_it(tmp_path, monkeypatch, case):
+    text, parsed = GATE_CASES[case]
+    manifest = curve_manifest(tmp_path, 1, 3, ["0.5,1\r\n", text + "\r\n", "0.5,1\r\n"])
+    assert (block_of_one(tmp_path / "u0_t1.csv") is not None) == parsed
+    expected = line_by_line_load(manifest, monkeypatch)
+    assert load_data_or_error(manifest) == expected
+    if case == "minus-zero":
+        assert np.signbit(gio.load_panel(manifest).data[0, 1, 0])
+
+
+@pytest.mark.parametrize(
+    "encoding, raw",
+    # utf-7 cannot decode "+5,"; utf-16 spells every character in two bytes
+    [("utf-7", b"1e+5,1e+300\r\n"), ("utf-16", "0.5,1\r\n".encode("utf-16"))],
+)
+def test_locale_that_spells_numbers_otherwise_skips_the_block_parse(tmp_path, monkeypatch, encoding, raw):
+    assert not gio._block_parse_applies(encoding)
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: encoding)
+    manifest = curve_manifest(tmp_path, 1, 3, ["0.5,1\r\n"] * 3)
+    for name in ("u0_t0.csv", "u0_t1.csv", "u0_t2.csv"):
+        (tmp_path / name).write_bytes(raw)
+    # the bytes a utf-7 file holds parse as JSON; only the encoding check keeps them out
+    assert (block_of_one(tmp_path / "u0_t0.csv") is not None) == (encoding == "utf-7")
+    expected = line_by_line_load(manifest, monkeypatch)
+    assert load_data_or_error(manifest) == expected
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "ascii", "latin-1", "cp1252", "shift_jis"])
+def test_ascii_compatible_locales_keep_the_block_parse(encoding):
+    assert gio._block_parse_applies(encoding)
+
+
+def halfway(x):
+    """The decimal exactly halfway between the double x >= 0 and the next one up."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        return Decimal(x) + Decimal(math.ulp(x)) / 2
+
+
+@st.composite
+def hard_decimals(draw):
+    """A JSON number that is hard to round correctly: the exact halfway point
+    between adjacent doubles (normal, subnormal or near DBL_MAX), or a hair
+    either side of it, in full or rounded to 17-40 digits, or a 17-40-digit
+    mantissa at any exponent."""
+    kind = draw(st.sampled_from(["halfway", "mantissa"]))
+    sign = draw(st.sampled_from(["", "-"]))
+    if kind == "mantissa":
+        digits = draw(st.text("0123456789", min_size=16, max_size=39))
+        digits = draw(st.sampled_from("123456789")) + digits
+        point = draw(st.integers(0, len(digits) - 1))
+        number = f"{digits[:point]}.{digits[point:]}" if point else digits
+        exponent = draw(st.one_of(st.none(), st.integers(-360, 330)))
+        return sign + number + ("" if exponent is None else f"e{exponent}")
+    x = draw(
+        st.one_of(
+            st.floats(0, DBL_MAX),
+            st.floats(0, sys.float_info.min),  # subnormal
+            st.floats(1.7e308, DBL_MAX),
+        )
+    )
+    nudge = draw(st.sampled_from([0, -1, 1]))
+    # a halfway point of a subnormal or a small normal spells out in about
+    # 750 digits; rounded to 17-40 of them it is still a hard case, and short
+    digits = draw(st.one_of(st.none(), st.integers(17, 40)))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200
+        value = halfway(x) * (1 + nudge * Decimal("1e-60"))
+        if digits:
+            ctx.prec = digits
+            value = +value
+    spell = draw(st.sampled_from([str, lambda d: format(d, "e")]))
+    return sign + spell(value)
+
+
+@given(
+    cells=st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.lists(hard_decimals(), min_size=width, max_size=width), min_size=1, max_size=4)
+    )
+)
+def test_block_parse_rounds_hard_decimals_as_float_does(cells):
+    expected = np.array([[float(cell) for cell in row] for row in cells])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"c{i}.csv") for i in range(len(cells))]
+        for path, row in zip(paths, cells):
+            Path(path).write_bytes((",".join(row) + "\r\n").encode())
+        rows = gio._read_block(paths, csv.field_size_limit())
+    if rows is None:
+        # a number past DBL_MAX fails the parse, where `float` makes it
+        # infinite, and a cell that with the brackets beside it may fill a
+        # `_COMMA_STRETCH` keeps the block from the parse
+        longest = max(len(cell) for row in cells for cell in row)
+        assert np.isinf(expected).any() or longest >= gio._COMMA_STRETCH - 2
+    else:
+        assert (rows.shape, rows.tobytes()) == (expected.shape, expected.tobytes())
 
 
 def csv_writer_bytes(data, fmt):
@@ -315,6 +463,7 @@ BYTE_FILES = {
     "invalid-utf8": b"0.1,\xff0.2\n",
     "utf8-bom": b"\xef\xbb\xbf0.1,0.2\n",
     "longer-than-a-chunk": longer_than_a_chunk(),
+    "numbers-longer-than-a-chunk": b"1.25," * (gio._READ_CHUNK // 5) + b"2.5\r\n" * 10,
     "empty": b"",
     "directory": None,
     "missing": None,
@@ -334,13 +483,13 @@ def make_data_file(tmp_path, case):
 def test_byte_level_files_read_as_the_line_by_line_reader_reads_them(tmp_path, case):
     path = make_data_file(tmp_path, case)
     expected = outcome_or_error(line_reader_outcome, path)
-    fast = gio._read_numbers_csv(str(path))
-    # only the file of numbers is read in one step; the rest fall back
-    assert (fast is None) == (case != "longer-than-a-chunk")
+    fast = block_of_one(path)
+    # only the file of JSON numbers and commas is parsed; the rest fall back
+    assert (fast is None) == (case != "numbers-longer-than-a-chunk")
     if fast is not None:
         assert len(path.read_bytes()) > gio._READ_CHUNK
         assert outcome_or_error(lambda: fast) == expected
-    assert outcome_or_error(gio._read_outcome, "c.csv", FORMAT_QUANTILE, str(tmp_path), WHERE) == expected
+    assert outcome_or_error(read_outcome, "c.csv", tmp_path) == expected
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
@@ -376,7 +525,7 @@ def test_loads_that_fall_back_or_fail_leave_no_file_open(tmp_path):
 def test_undecodable_byte_is_named_by_file_line_and_offset(tmp_path, raw, line, offset):
     (tmp_path / "c.csv").write_bytes(raw)
     with pytest.raises(ParseError) as info:
-        gio._read_outcome("c.csv", FORMAT_QUANTILE, str(tmp_path), WHERE)
+        read_outcome("c.csv", tmp_path)
     message = str(info.value)
     assert message.startswith(f"{WHERE}: {tmp_path / 'c.csv'}:{line}: ")
     # the codec's position is the byte's offset in the file, not in a chunk of it

@@ -1,7 +1,8 @@
 """The paper's identities as Hypothesis properties on small random panels of
 each space: permutation invariance over units, the scalar DID formula on 1x1
-Frobenius panels, `estimate_all_cells` equal to the per-cell estimates, and the
-shortcut equal to the recursion where transport is path-independent."""
+Frobenius panels, `estimate_all_cells` equal to the per-cell estimates, the
+shortcut equal to the recursion where transport is path-independent, and
+transport along a constant geodesic equal to the identity."""
 
 import json
 from dataclasses import replace
@@ -33,6 +34,15 @@ FIELDS = {"wasserstein": {}, "sphere": {}, "frobenius": {"kind": "free"}}
 TOL = 1e-8
 # the scalar formula and the estimator add the same numbers in other orders
 SCALAR_TOL = 1e-12
+# transport from alpha to alpha moves omega by rounding alone: not at all on the
+# sphere, and by (omega + alpha) - alpha's two roundings, at most
+# eps (|omega| + |alpha|), on matrices. Wasserstein composes alpha's quantile
+# function with its CDF: p's error of a few eps is scaled by the quantile's
+# slope, at most M (alpha_{M-1} - alpha_0) on a grid of step 1/M, and the
+# interpolation adds a few eps of the values' scale
+EPS = np.finfo(float).eps
+MATRIX_IDENTITY_TOL = 2 * EPS
+CDF_ROUND_TRIP_TOL = 8 * EPS
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -141,3 +151,27 @@ def test_shortcut_equals_recursion_on_path_independent_spaces(
         rec = estimate_group_time_gatt(panel, replace(cell, estimator_form=FORM_RECURSIVE))
         assert distance(short.effect.start, rec.effect.start) <= TOL
         assert abs(short.magnitude - rec.magnitude) <= TOL
+
+
+@PROPERTY
+@given(space=st.sampled_from(SPACES), scale=st.sampled_from([1e-3, 1.0, 1e8]), seed=seeds)
+def test_transport_along_a_constant_geodesic_is_the_identity(space, scale, seed):
+    rng = np.random.default_rng(seed)
+    alpha, omega = random_data(rng, space, 2, 1)[:, 0]
+    transport = _BACKENDS[space].transport
+    if space == "sphere":
+        out = transport(alpha, alpha.copy(), omega)
+        assert out.tobytes() == omega.tobytes()
+    elif space == "frobenius":
+        alpha, omega = scale * alpha, scale * omega
+        out = transport(alpha, alpha.copy(), omega)
+        assert (np.abs(out - omega) <= MATRIX_IDENTITY_TOL * (np.abs(omega) + np.abs(alpha))).all()
+    else:
+        alpha = scale * alpha
+        # inside alpha's range, some points on its values; outside it the
+        # CDF is clamped to the grid's ends and the map is not the identity
+        omega = np.sort(np.concatenate([rng.uniform(alpha[0], alpha[-1], 5), rng.choice(alpha, 3)]))
+        out = transport(alpha, alpha.copy(), omega)
+        span = alpha[-1] - alpha[0]
+        values = max(np.abs(alpha).max(), np.abs(omega).max())
+        assert np.abs(out - omega).max() <= CDF_ROUND_TRIP_TOL * (len(alpha) * span + values)
