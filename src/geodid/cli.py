@@ -36,9 +36,9 @@ def _json_text(obj, newline="\n"):
     """The text of `json.dumps(obj, indent=1)`, with `newline` (a line end and
     the indent of obj's depth) in place of each line end.
 
-    json's indented encoder is pure Python; this one joins a list of floats in
-    one step. Types other than dict (with str keys), list, str, float, int,
-    bool and None are left to json.dumps.
+    json's indented encoder is pure Python; this one spells a list of floats
+    in one step (`io.floats_text`). Types other than dict (with str keys),
+    list, str, float, int, bool and None are left to json.dumps.
     """
     kind = type(obj)
     if kind is float:
@@ -58,14 +58,12 @@ def _json_text(obj, newline="\n"):
             )
             return "{" + inner + items + newline + "}"
         try:
-            floats = list(map(float.__repr__, obj))
+            items = gio.floats_text(obj, sep)
         except TypeError:
+            items = None
+        # only the repr of a nan or an inf holds an "n"
+        if items is None or "n" in items:
             items = sep.join([_json_text(x, inner) for x in obj])
-        else:
-            items = sep.join(floats)
-            # only the repr of a nan or an inf holds an "n"
-            if "n" in items:
-                items = sep.join([_FLOAT_WORDS.get(x, x) for x in floats])
         return "[" + inner + items + newline + "]"
     if obj is None:
         return "null"

@@ -66,26 +66,43 @@ def placebo_pretrend(panel, pre_periods=(0, 1), groups=None):
     return _gatt(panel, treated, (a, b))
 
 
+def walk_keys(treated, control, periods):
+    """The (unit mask, period) of each mean `walk` takes, in its order: the
+    treated group at the first and at the last of `periods`, then the control
+    group at each of them."""
+    return [(treated, periods[0]), (treated, periods[-1])] + [(control, p) for p in periods]
+
+
+def take_means(panel, keys, means):
+    """The backend mean of the panel's units in each (unit mask, period) of `keys`.
+
+    `means` keeps them by (packed mask bits, period), so that callers sharing
+    it compute each once; the ones it lacks are computed by one batched
+    `backend.means` call, in the order of `keys`, and kept there. The call
+    takes the stacks as a generator, so that a backend holds only the rows it
+    is averaging, not every gathered stack at once.
+    """
+    # a bit per unit: a call that plans many cells holds a tag per key
+    tags = [(np.packbits(mask).tobytes(), period) for mask, period in keys]
+    missing = {tag: key for tag, key in zip(tags, keys) if tag not in means}
+    if missing:
+        stacks = (panel.data[mask, period] for mask, period in missing.values())
+        results = _BACKENDS[panel.space_id].means(stacks)
+        means.update((tag, mean) for tag, (mean, _) in zip(missing, results))
+    return [means[tag] for tag in tags]
+
+
 def walk(panel, treated, control, periods, means):
     """The one DID step on arrays: move the treated mean at `periods[0]` along
     the control means at each consecutive pair of `periods`.
 
-    Each group mean is the backend `mean` of a unit mask at a period, kept in
-    `means` by (mask bytes, period) so that callers sharing `means` compute it
-    once. Returns the backend, the transport path (the treated base mean, then
-    each moved mean), the treated mean at `periods[-1]` and the control means.
+    The group means are `take_means` of `walk_keys`, shared through `means`.
+    Returns the backend, the transport path (the treated base mean, then each
+    moved mean), the treated mean at `periods[-1]` and the control means.
     """
     backend = _BACKENDS[panel.space_id]
-
-    def mean(mask, period):
-        key = (mask.tobytes(), period)
-        if key not in means:
-            means[key] = backend.mean(panel.data[mask, period])[0]
-        return means[key]
-
-    path = [mean(treated, periods[0])]
-    end = mean(treated, periods[-1])
-    trend = [mean(control, period) for period in periods]
+    base, end, *trend = take_means(panel, walk_keys(treated, control, periods), means)
+    path = [base]
     for prev, curr in zip(trend, trend[1:]):
         path.append(backend.transport(prev, curr, path[-1]))
     return backend, path, end, trend

@@ -333,7 +333,24 @@ def _write_data_file(path, data, fmt):
     rows = data if fmt == FORMAT_MATRIX_CSV else [data]
     # the bytes csv.writer writes: no cell needs quoting, and "\r\n" ends each row
     with open(path, "w", newline="") as fh:
-        fh.write("".join(",".join(map(repr, map(float, row))) + "\r\n" for row in rows))
+        fh.write("".join(floats_text(row, ",") + "\r\n" for row in rows))
+
+
+def floats_text(values, sep):
+    """`sep.join(map(float.__repr__, values))` for a list of floats, spelled by one `orjson.dumps` call.
+
+    orjson writes a float's shortest round-trip digits, as repr does, and
+    spells them as repr does except where |x| < 1e-4 or |x| >= 1e16 (repr
+    writes `1e-05` and `1e+16`, orjson `0.00001` and `1e16`) and for nan and
+    inf (orjson writes null). Its text then holds an `e`, an `n` or `0.0000`,
+    and the values are joined by repr instead, as they are when any of them is
+    not a float (repr raises TypeError for a value that is no float at all).
+    """
+    if set(map(type, values)) == {float}:
+        text = orjson.dumps(values)[1:-1]
+        if not (b"e" in text or b"n" in text or b"0.0000" in text):
+            return text.decode().replace(",", sep)
+    return sep.join(map(float.__repr__, values))
 
 
 def point_to_jsonable(point):

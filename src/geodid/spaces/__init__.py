@@ -1,9 +1,11 @@
 """Space backends: Wasserstein, positive-orthant sphere, Frobenius matrices.
 
-Each module defines `distance`, `interpolate`, `transport` and `mean` on
-arrays, `wrap` and `unwrap` between arrays and points, `validate`, `from_data`,
-`to_data`, `to_jsonable`, `manifest_fields`, `FORMATS` and `PATH_INDEPENDENT`
-(see the README's package layout), and is registered in `geometry._BACKENDS`.
+Each module defines `distance`, `interpolate`, `transport`, `mean` and
+`means` (the `mean` of each stack of an iterable: batched Karcher iterations
+on the sphere) on arrays, `wrap` and `unwrap` between arrays and points,
+`validate`, `from_data`, `to_data`, `to_jsonable`, `manifest_fields`,
+`FORMATS` and `PATH_INDEPENDENT` (see the README's package layout), and is
+registered in `geometry._BACKENDS`.
 """
 
 import numpy as np

@@ -159,6 +159,13 @@ def mean(stack):
         return _symmetric(entries), 0
 
 
+def means(stacks):
+    """`mean` of each stack of an iterable, one by one."""
+    # map drops each stack before the next is gathered, which a list
+    # comprehension's loop variable would hold on to
+    return list(map(mean, stacks))
+
+
 def from_data(outcomes, manifest):
     """The panel's matrices as one (k, m, m) stack, of the manifest's kind."""
     return stack_outcomes(outcomes), {"kind": manifest.get("matrix_kind", KIND_FREE)}

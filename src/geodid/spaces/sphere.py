@@ -19,6 +19,9 @@ ORTHANT_SLACK = 1e-12
 PATH_INDEPENDENT = False
 MEAN_TOL = 1e-10
 MEAN_MAX_ITER = 200
+# points that `means` iterates together: enough to spread numpy's cost per
+# call over many small stacks, few enough that a batch's arrays stay in cache
+BATCH_ROWS = 1 << 14
 FORMAT_COMPOSITION = "composition-csv"
 FORMATS = (FORMAT_COMPOSITION, FORMAT_INLINE)
 
@@ -71,12 +74,16 @@ def interpolate(z1, z2, t):
     return exp_map(z1, t * log_map(z1, z2))
 
 
+def _warn_exits(points):
+    """One OrthantExitWarning per row of a (k, d) stack that left the positive orthant."""
+    for _ in range(np.count_nonzero((points < -ORTHANT_SLACK).any(axis=1))):
+        warnings.warn("result left the positive orthant of the sphere", OrthantExitWarning)
+
+
 def _finish(coords):
     coords = coords / np.linalg.norm(coords)
     if np.any(coords < -ORTHANT_SLACK):
-        warnings.warn(
-            "result left the positive orthant of the sphere", OrthantExitWarning
-        )
+        _warn_exits(coords[None])
     return coords
 
 
@@ -129,8 +136,8 @@ def unembed(point):
 
 def log_map(base, points):
     """Tangent vectors at `base` pointing to `points` (one point or a (k, d)
-    stack), each of length d(base, point); a point within 1e-14 of `base`
-    gives 0, without a 0/0."""
+    stack; `base` is one point or a stack of one per point), each of length
+    d(base, point); a point within 1e-14 of its base gives 0, without a 0/0."""
     theta = _angle(base, points)[..., None]
     u = points - np.cos(theta) * base
     norms = np.linalg.norm(u, axis=-1, keepdims=True)
@@ -147,25 +154,77 @@ def exp_map(base, tangent):
 
 
 def mean(coords):
-    """Karcher mean of a (k, d) stack by unit-step tangent-space averaging."""
-    w = np.full(len(coords), 1.0 / len(coords))
-    extrinsic = w @ coords
-    if np.linalg.norm(extrinsic) < 1e-8:
-        # near-degenerate configuration; start from the first point instead
-        current = coords[0]
-    else:
-        current = _finish(extrinsic)
+    """Karcher mean of a (k, d) stack and its iteration count: `means` of one stack."""
+    return means([coords])[0]
+
+
+def means(stacks):
+    """Karcher mean and iteration count of each (k, d) stack of an iterable,
+    by unit-step tangent-space averaging, the stacks iterated together in
+    batches of at most `BATCH_ROWS` points (or one larger stack) by `_karcher`.
+
+    A stack's mean has the same bits alone as in any batch, so the batching
+    changes no result; it bounds the memory a call holds. NonConvergenceError
+    names the first stack still moving after MEAN_MAX_ITER steps.
+    """
+    results, batch, rows = [], [], 0
+    for stack in stacks:
+        if batch and rows + len(stack) > BATCH_ROWS:
+            results += _karcher(batch)
+            batch, rows = [], 0
+        batch.append(stack)
+        rows += len(stack)
+    return results + _karcher(batch) if batch else results
+
+
+def _karcher(stacks):
+    """`means` of one batch of stacks, iterated together.
+
+    A stack starts from its normalised extrinsic mean, or from its first
+    point when that mean nearly vanishes. Each step moves it by the average
+    of its points' log maps, and a stack is set aside once its own step falls
+    under MEAN_TOL. Every sum over a stack's rows is taken over those rows
+    alone (`np.add.reduceat`), so a stack's mean has the same bits alone as in
+    any batch.
+    """
+    sizes = np.array([len(stack) for stack in stacks])
+    coords = np.concatenate(stacks)
+    starts = np.cumsum(sizes) - sizes
+    extrinsic = np.add.reduceat(coords, starts, axis=0) / sizes[:, None]
+    norms = np.linalg.norm(extrinsic, axis=1, keepdims=True)
+    # near-degenerate configuration; start from the first point instead
+    degenerate = norms < 1e-8
+    current = np.where(degenerate, coords[starts], extrinsic / np.where(degenerate, 1.0, norms))
+    _warn_exits(current[~degenerate[:, 0]])
+    result = np.empty_like(current)
+    iterations = np.zeros(len(stacks), dtype=int)
+    active = np.arange(len(stacks))
     for iteration in range(1, MEAN_MAX_ITER + 1):
-        tangent = w @ log_map(current, coords)
-        step = float(np.linalg.norm(tangent))
-        current = exp_map(current, tangent)
-        if step < MEAN_TOL:
-            return current, iteration
+        owner = np.repeat(np.arange(len(active)), sizes)
+        tangent = np.add.reduceat(log_map(current[owner], coords), starts, axis=0) / sizes[:, None]
+        step = np.linalg.norm(tangent, axis=1, keepdims=True)
+        # exp_map's step, row by row: a step under 1e-16 leaves the point as it is
+        moves = step >= 1e-16
+        moved = np.cos(step) * current + np.sin(step) * tangent / np.where(moves, step, 1.0)
+        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
+        _warn_exits(moved[moves[:, 0]])
+        current = np.where(moves, moved, current)
+        done = step[:, 0] < MEAN_TOL
+        if done.any():
+            result[active[done]] = current[done]
+            iterations[active[done]] = iteration
+            if done.all():
+                return list(zip(result, iterations.tolist()))
+            keep = ~done
+            coords = coords[np.repeat(keep, sizes)]
+            active, current, sizes = active[keep], current[keep], sizes[keep]
+            starts = np.cumsum(sizes) - sizes
+    last_step = float(step[~done][0, 0])
     raise NonConvergenceError(
         f"sphere mean did not converge in {MEAN_MAX_ITER} iterations "
-        f"(last step {step:.3e})",
+        f"(last step {last_step:.3e})",
         iterations=MEAN_MAX_ITER,
-        last_step=step,
+        last_step=last_step,
     )
 
 

@@ -150,6 +150,13 @@ def quantile_from_samples(samples, grid_size=DEFAULT_GRID_SIZE):
     return QuantileCurve(_sample_quantiles(draws[None], grid_size)[0])
 
 
+def means(stacks):
+    """`mean` of each stack of an iterable, one by one."""
+    # map drops each stack before the next is gathered, which a list
+    # comprehension's loop variable would hold on to
+    return list(map(mean, stacks))
+
+
 def from_data(outcomes, manifest):
     """The panel's curves, flattened, as one (k, M) stack (samples-csv: quantiles of the draws)."""
     flat = [x.ravel() for x in outcomes]

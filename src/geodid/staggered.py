@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .did import walk
+from .did import take_means, walk, walk_keys
 from .errors import EmptyCohortError, InadmissibleCellError
 from .geometry import _BACKENDS, Geodesic
 
@@ -62,8 +62,11 @@ def _group_structure(panel):
 
 def cell_admissible(panel, cell):
     """Check the side conditions for identification of the (g, t) cell."""
-    groups, gbar = _group_structure(panel)
-    horizon = panel.n_periods - 1
+    return _admissible(cell, *_group_structure(panel), panel.n_periods - 1)
+
+
+def _admissible(cell, groups, gbar, horizon):
+    """`cell_admissible` on a panel of `_group_structure` (groups, gbar) and horizon T - 1."""
     g, t, delta = cell.g, cell.t, cell.delta
     if g not in groups or not (1 + delta <= g <= horizon + delta):
         return False
@@ -81,13 +84,13 @@ def enumerate_cells(panel, delta=0, comparison=COMPARISON_NEVER):
     """All admissible (g, t) cells for the given anticipation horizon."""
     # built first, so that delta and comparison are checked whatever the panel
     template = GroupTimeCell(g=0, t=0, delta=delta, comparison=comparison)
-    groups, _ = _group_structure(panel)
+    groups, gbar = _group_structure(panel)
     cells = [
         replace(template, g=g, t=t)
         for g in groups
         for t in range(1, panel.n_periods - delta)
     ]
-    return [cell for cell in cells if cell_admissible(panel, cell)]
+    return [cell for cell in cells if _admissible(cell, groups, gbar, panel.n_periods - 1)]
 
 
 def _cohort_mask(panel, cell):
@@ -98,18 +101,10 @@ def _cohort_mask(panel, cell):
     return labels > cell.t + cell.delta
 
 
-def estimate_group_time_gatt(panel, cell, *, _memo=None):
-    """Group-time effect for one admissible cell, in the cell's `estimator_form`
-    (None: the shortcut on path-independent spaces, else the recursion).
-
-    `_memo` is two dicts: mean arrays by (unit selector bytes, period), and the
-    points of treated means by (g, period); `estimate_all_cells` shares them.
-    """
-    if not cell_admissible(panel, cell):
-        raise InadmissibleCellError(
-            f"cell (g={cell.g}, t={cell.t}, delta={cell.delta}, "
-            f"{cell.comparison}) is not admissible for this panel"
-        )
+def _plan(panel, cell):
+    """An admissible cell's form (its `estimator_form`, or if that is None the
+    shortcut on path-independent spaces and else the recursion), its treated
+    and comparison unit masks, and the periods of its walk."""
     backend = _BACKENDS[panel.space_id]
     form = cell.estimator_form
     if form is None:
@@ -119,7 +114,6 @@ def estimate_group_time_gatt(panel, cell, *, _memo=None):
             f"shortcut form requires a path-independent transport map; "
             f"space {panel.space_id!r} does not provide one"
         )
-    means, points = ({}, {}) if _memo is None else _memo
     mask = _cohort_mask(panel, cell)
     base = cell.g - cell.delta - 1
     if not mask.any():
@@ -130,7 +124,27 @@ def estimate_group_time_gatt(panel, cell, *, _memo=None):
         )
     # the shortcut is the recursion's walk in one step from base to t
     periods = (base, cell.t) if form == FORM_SHORTCUT else range(base, cell.t + 1)
-    _, path, end, _ = walk(panel, panel.group_label_array == cell.g, mask, periods, means)
+    return form, panel.group_label_array == cell.g, mask, periods
+
+
+def estimate_group_time_gatt(panel, cell, *, _memo=None):
+    """Group-time effect for one admissible cell, in the cell's `estimator_form`
+    (None: the shortcut on path-independent spaces, else the recursion).
+
+    `_memo` is what `estimate_all_cells` shares among the cells it enumerated,
+    which are admissible: two dicts, the mean arrays by (packed mask bits,
+    period) and the points of treated means by (g, period).
+    """
+    if _memo is None and not cell_admissible(panel, cell):
+        raise InadmissibleCellError(
+            f"cell (g={cell.g}, t={cell.t}, delta={cell.delta}, "
+            f"{cell.comparison}) is not admissible for this panel"
+        )
+    backend = _BACKENDS[panel.space_id]
+    means, points = ({}, {}) if _memo is None else _memo
+    form, treated, mask, periods = _plan(panel, cell)
+    base = periods[0]
+    _, path, end, _ = walk(panel, treated, mask, periods, means)
     for period, mean in ((base, path[0]), (cell.t, end)):
         if (cell.g, period) not in points:
             points[cell.g, period] = backend.wrap(mean, **panel.fields)
@@ -148,15 +162,18 @@ def estimate_group_time_gatt(panel, cell, *, _memo=None):
 def estimate_all_cells(panel, delta=0, comparison=COMPARISON_NEVER, estimator_form=None):
     """Estimate every admissible cell in `estimator_form`; returns a list of GroupTimeGatt.
 
-    Each distinct (unit set, period) mean is computed once per call and
-    shared by the cells that need it; nothing is kept between calls.
+    Each distinct (unit set, period) mean is computed once per call, all of
+    them in one batched `take_means` before the cells walk, and shared by the
+    cells that need it; nothing is kept between calls.
     """
     # built first, so that the form is checked whatever the panel
     GroupTimeCell(g=0, t=0, estimator_form=estimator_form)
-    memo = ({}, {})
-    return [
-        estimate_group_time_gatt(
-            panel, replace(cell, estimator_form=estimator_form), _memo=memo
-        )
+    cells = [
+        replace(cell, estimator_form=estimator_form)
         for cell in enumerate_cells(panel, delta=delta, comparison=comparison)
     ]
+    means = {}
+    keys = [key for cell in cells for key in walk_keys(*_plan(panel, cell)[1:])]
+    take_means(panel, keys, means)
+    memo = (means, {})
+    return [estimate_group_time_gatt(panel, cell, _memo=memo) for cell in cells]

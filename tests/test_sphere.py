@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodid.errors import (
     DegenerateTangentError,
@@ -282,3 +286,167 @@ def test_mean_of_copies_of_one_point_is_that_point(copies):
         mean, iterations = sphere.mean(np.tile(point.coords, (copies, 1)))
         assert iterations == 1
         np.testing.assert_allclose(mean, point.coords, rtol=0, atol=1e-14)
+
+
+# --- the batched Karcher kernel, `sphere.means`
+
+# Written down before the kernel's first run: each mean within KERNEL_TOL per
+# coordinate of the per-stack loop below, with the same iteration count. The
+# two add the same log maps in other orders (`w @ logs` against a reduceat sum
+# divided by k), which moves an iterate by a few ulps, and each unit step
+# contracts such a difference rather than growing it.
+KERNEL_TOL = 1e-12
+
+
+def stack_mean(coords):
+    """The per-stack Karcher loop that `sphere.means` replaced, kept as its oracle:
+    one stack, every point's log map in one call, averaged by `w @`."""
+    w = np.full(len(coords), 1.0 / len(coords))
+    extrinsic = w @ coords
+    if np.linalg.norm(extrinsic) < 1e-8:
+        # near-degenerate configuration; start from the first point instead
+        current = coords[0]
+    else:
+        current = sphere._finish(extrinsic)
+    for iteration in range(1, sphere.MEAN_MAX_ITER + 1):
+        tangent = w @ log_map(current, coords)
+        step = float(np.linalg.norm(tangent))
+        current = exp_map(current, tangent)
+        if step < sphere.MEAN_TOL:
+            return current, iteration
+    raise NonConvergenceError(
+        f"sphere mean did not converge in {sphere.MEAN_MAX_ITER} iterations "
+        f"(last step {step:.3e})",
+        iterations=sphere.MEAN_MAX_ITER,
+        last_step=step,
+    )
+
+
+def sphere_stack(rng, kind, dim, size):
+    """A (k, d) stack of unit vectors on the orthant, of one of `STACK_KINDS`."""
+    if kind == "one point":
+        return np.sqrt(rng.dirichlet(np.ones(dim)))[None]
+    if kind == "copies":
+        return np.tile(np.sqrt(rng.dirichlet(np.ones(dim))), (size, 1))
+    if kind == "tight":
+        return np.sqrt(rng.dirichlet(np.full(dim, 200.0), size))
+    shares = rng.dirichlet(np.ones(dim), size)
+    if kind == "boundary":
+        # zero shares, whole vertices among them
+        shares[rng.random(shares.shape) < 0.5] = 0.0
+        empty = shares.sum(axis=1) == 0.0
+        shares[empty, rng.integers(dim, size=empty.sum())] = 1.0
+        shares /= shares.sum(axis=1, keepdims=True)
+    return np.sqrt(shares)
+
+
+STACK_KINDS = ("spread", "tight", "boundary", "one point", "copies")
+
+
+@st.composite
+def stack_lists(draw):
+    """1-6 stacks of one dimension, each of 1-40 points of a kind in `STACK_KINDS`."""
+    dim = draw(st.sampled_from([2, 3, 5, 9, 50]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(STACK_KINDS), min_size=1, max_size=6))
+    return [sphere_stack(rng, kind, dim, draw(st.integers(1, 40))) for kind in kinds]
+
+
+def bits(result):
+    mean, iterations = result
+    return mean.tobytes(), iterations
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(stacks=stack_lists(), data=st.data())
+def test_kernel_mean_has_the_same_bits_alone_and_in_any_batch(stacks, data):
+    alone = [bits(sphere.means([stack])[0]) for stack in stacks]
+    assert [bits(sphere.mean(stack)) for stack in stacks] == alone
+    assert [bits(result) for result in sphere.means(stacks)] == alone
+    order = data.draw(st.permutations(range(len(stacks))))
+    shuffled = sphere.means([stacks[i] for i in order])
+    assert [bits(result) for result in shuffled] == [alone[i] for i in order]
+    # a stack next to copies of itself, one of which converges with it
+    doubled = sphere.means(stacks + stacks)
+    assert [bits(result) for result in doubled] == alone + alone
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(stacks=stack_lists())
+def test_kernel_matches_the_per_stack_loop(stacks):
+    for (mean, iterations), stack in zip(sphere.means(stacks), stacks):
+        expected, expected_iterations = stack_mean(stack)
+        np.testing.assert_allclose(mean, expected, rtol=0, atol=KERNEL_TOL)
+        assert iterations == expected_iterations
+
+
+@pytest.mark.parametrize("batch_rows", [1, 7, 40, 10**9])
+def test_kernel_batches_of_any_size_give_the_same_bits(monkeypatch, batch_rows):
+    rng = np.random.default_rng(60)
+    stacks = [sphere_stack(rng, kind, 5, size) for kind in STACK_KINDS for size in (1, 9, 60)]
+    alone = [bits(sphere.means([stack])[0]) for stack in stacks]
+    monkeypatch.setattr(sphere, "BATCH_ROWS", batch_rows)
+    # a generator, as `did.take_means` passes them
+    assert [bits(result) for result in sphere.means(stack for stack in stacks)] == alone
+    # a one-point stack converges in one step, and the next stack is the first one stuck
+    monkeypatch.setattr(sphere, "MEAN_MAX_ITER", 1)
+    with pytest.raises(NonConvergenceError) as first:
+        sphere.means([stacks[1]])
+    with pytest.raises(NonConvergenceError) as batched:
+        sphere.means(iter(stacks))
+    assert batched.value.last_step == first.value.last_step
+
+
+def test_kernel_converges_on_one_point_and_copies_in_a_batch():
+    rng = np.random.default_rng(61)
+    for dim in (2, 3, 5, 50):
+        stacks = [sphere_stack(rng, kind, dim, 7) for kind in ("one point", "copies", "spread")]
+        (one, one_iterations), (copy, copy_iterations), _ = sphere.means(stacks)
+        assert one_iterations == copy_iterations == 1
+        np.testing.assert_allclose(one, stacks[0][0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(copy, stacks[1][0], rtol=0, atol=1e-14)
+
+
+def test_kernel_names_the_first_stack_stuck_at_the_cap(monkeypatch):
+    rng = np.random.default_rng(62)
+    slow = [sphere_stack(rng, "spread", 4, 10) for _ in range(2)]
+    quick = sphere_stack(rng, "copies", 4, 3)
+    monkeypatch.setattr(sphere, "MEAN_MAX_ITER", 1)
+    for first, second in (slow, slow[::-1]):
+        with pytest.raises(NonConvergenceError) as alone:
+            sphere.means([first])
+        with pytest.raises(NonConvergenceError) as batched:
+            sphere.means([quick, first, quick, second])
+        # the message and attributes a lone per-stack loop gives
+        with pytest.raises(NonConvergenceError) as looped:
+            stack_mean(first)
+        assert str(batched.value) == str(alone.value)
+        assert batched.value.iterations == alone.value.iterations == 1
+        assert batched.value.last_step == alone.value.last_step > sphere.MEAN_TOL
+        assert str(looped.value).startswith("sphere mean did not converge in 1 iterations (last step ")
+        assert alone.value.last_step == pytest.approx(looped.value.last_step, rel=1e-12)
+
+
+def with_orthant_exits(call):
+    """What `call()` returns, and how many OrthantExitWarnings it raised."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = call()
+    return result, sum(issubclass(w.category, OrthantExitWarning) for w in seen)
+
+
+def test_kernel_warns_as_often_as_the_per_stack_loop():
+    # points a hair outside the orthant, within the validation slack: their
+    # means sit further out, at the start and after every step
+    rng = np.random.default_rng(63)
+    stacks = []
+    for _ in range(3):
+        shares = rng.dirichlet(np.ones(3), 6)
+        coords = np.column_stack([np.sqrt(shares), np.full(6, -0.99 * sphere.ORTHANT_SLACK)])
+        stacks.append(coords / np.linalg.norm(coords, axis=1, keepdims=True))
+    stacks.append(sphere_stack(rng, "spread", 4, 6))
+    looped = [with_orthant_exits(lambda: stack_mean(stack)) for stack in stacks]
+    assert [count for _, count in looped] == [1 + iterations for (_, iterations), _ in looped[:3]] + [0]
+    alone = [with_orthant_exits(lambda: sphere.means([stack]))[1] for stack in stacks]
+    assert alone == [count for _, count in looped]
+    assert with_orthant_exits(lambda: sphere.means(stacks))[1] == sum(alone)

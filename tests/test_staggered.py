@@ -273,17 +273,19 @@ def test_not_yet_treated_mask_is_untreated_at_t_plus_delta_and_not_g(delta):
 
 
 def record_means(monkeypatch, space):
-    """Replace the space's array `mean` by a wrapper that logs each stack's bytes,
-    which on random outcomes tell the (unit set, period) of the mean apart."""
+    """Replace the space's batched array `means` by a wrapper that logs the bytes
+    of each stack passed to it, which on random outcomes tell the (unit set,
+    period) of the mean apart."""
     calls = []
     backend = _BACKENDS[space]
-    original = backend.mean
+    original = backend.means
 
-    def logged(stack):
-        calls.append(stack.tobytes())
-        return original(stack)
+    def logged(stacks):
+        stacks = list(stacks)
+        calls.extend(stack.tobytes() for stack in stacks)
+        return original(stacks)
 
-    monkeypatch.setattr(backend, "mean", logged)
+    monkeypatch.setattr(backend, "means", logged)
     return calls
 
 
