@@ -104,27 +104,27 @@ def _read_block(paths, limit):
     spells these bytes as ASCII does (`_block_parse_applies`). `limit` is
     csv's field limit, which a load looks up once per manifest.
 
-    Returns None unless every file opens, is within the field limit, is not
-    blank and holds only those bytes, no cell is too long or `-0`, and the
-    block parses to one row per file, all of one width (a cell that is not a
-    JSON number, or that overflows a double, fails the parse): the caller
-    then reads the files one by one.
+    Every check runs once on the block, not once per file. Returns None unless
+    every file opens, is within the field limit, is not blank and holds only
+    those bytes, no cell is too long or `-0`, and the block parses to one row
+    per file, all of one width (a cell that is not a JSON number, or that
+    overflows a double, fails the parse): the caller then reads the files one
+    by one.
     """
-    lines = []
     try:
-        for path in paths:
-            raw = _read_bytes(path)
-            line = raw.rstrip(b"\r\n")
-            if b"\r" in line or b"\n" in line:
-                line = line.replace(b"\r\n", b",").replace(b"\r", b",").replace(b"\n", b",")
-            if len(raw) > limit or not line or line.translate(None, _NUMBER_BYTES):
-                return None
-            lines.append(line)
+        raws = [_read_bytes(path) for path in paths]
     except OSError:
         return None
-    text = b"[[" + b"],[".join(lines) + b"]]"
-    stretches = range(0, len(text) - _COMMA_STRETCH + 1, _COMMA_STRETCH)
-    if not all(text.find(b",", i, i + _COMMA_STRETCH) >= 0 for i in stretches):
+    lines = [raw.rstrip(b"\r\n") for raw in raws]
+    if max(map(len, raws)) > limit or not all(lines):
+        return None
+    text = _block_text(lines)
+    # with the number bytes gone (the comma among them), only the brackets
+    # the join put in are left, unless a file holds any other byte
+    if text.translate(None, _NUMBER_BYTES) != b"[[" + b"][" * (len(lines) - 1) + b"]]":
+        return None
+    windows = np.frombuffer(text, np.uint8, len(text) // _COMMA_STRETCH * _COMMA_STRETCH)
+    if not (windows.reshape(-1, _COMMA_STRETCH) == ord(",")).any(axis=1).all():
         return None
     try:
         lists = orjson.loads(text)
@@ -135,11 +135,19 @@ def _read_block(paths, limit):
         rows = np.array(lists, dtype=float)
     except ValueError:  # orjson.JSONDecodeError is one, and so is a ragged block
         return None
-    # only a block with a zero can hold a -0 cell, which ends a line or is
-    # followed by a comma
-    if not rows.all() and any(b"-0," in line or line.endswith(b"-0") for line in lines):
+    # only a block with a zero can hold a -0 cell, which is followed by a
+    # comma or ends its file's row; the text is spelled again to look
+    if not rows.all() and (b"-0," in (text := _block_text(lines)) or b"-0]" in text):
         return None
-    return rows if rows.ndim == 2 and len(rows) == len(paths) else None
+    return rows
+
+
+def _block_text(lines):
+    """The JSON text `[[<line 1>],[<line 2>],...]`, each line end in it turned into a comma."""
+    text = b"[[" + b"],[".join(lines) + b"]]"
+    if b"\r" in text or b"\n" in text:
+        text = text.replace(b"\r\n", b",").replace(b"\r", b",").replace(b"\n", b",")
+    return text
 
 
 def _outcome_reader(fmt, base_dir):
@@ -147,10 +155,14 @@ def _outcome_reader(fmt, base_dir):
     inline data or the numbers in their data files.
 
     What every read shares is worked out here, once per manifest. The function
-    takes the outcomes and `where`, which names the i-th of them. An outcome
-    it cannot read raises what `_outcome_error` makes of MissingOutcomeError
-    for a null outcome, OSError for a file it cannot read, or TypeError,
-    ValueError, OverflowError or csv.Error for bad data.
+    takes the outcomes and `where`, which names the i-th of them, and returns
+    one array per outcome: a list of them, or, when every block of files
+    parsed, all to one width, one (k, d) array whose rows they are, which
+    costs one copy of the blocks, not a stack of one view per outcome. An
+    outcome it cannot read raises what `_outcome_error` makes of
+    MissingOutcomeError for a null outcome, OSError for a file it cannot read,
+    or TypeError, ValueError, OverflowError, RecursionError or csv.Error for
+    bad data.
     """
     # one curve or composition may run over several lines of any length
     flat = fmt in (FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_COMPOSITION)
@@ -178,28 +190,35 @@ def _outcome_reader(fmt, base_dir):
         return np.asarray(rows, dtype=float)
 
     def read_all(specs, where):
-        arrays = []
+        blocks = []
         for start in range(0, len(specs), _BLOCK_FILES):
             block = specs[start : start + _BLOCK_FILES]
             if fast and all(isinstance(spec, str) for spec in block):
                 paths = [os.path.join(base_dir, spec) for spec in block]
                 if (rows := _read_block(paths, limit)) is not None:
-                    arrays.extend(rows)
+                    blocks.append(rows)
                     continue
             # any other block is read file by file, in order, so that each
             # value and the first error are the ones a lone read gives
+            arrays = []
             for i, spec in enumerate(block, start):
                 try:
                     arrays.append(read(spec))
                 except _OUTCOME_ERRORS as exc:
                     raise _outcome_error(exc, where(i)) from None
-        return arrays
+            blocks.append(arrays)
+        parsed = all(isinstance(block, np.ndarray) for block in blocks)
+        if parsed and len({block.shape[1] for block in blocks}) == 1:
+            return np.concatenate(blocks)
+        return [array for block in blocks for array in block]
 
     return read_all
 
 
 # what an outcome reader raises for an outcome it cannot read
-_OUTCOME_ERRORS = (MissingOutcomeError, OSError, TypeError, ValueError, OverflowError, csv.Error)
+_OUTCOME_ERRORS = (
+    MissingOutcomeError, OSError, TypeError, ValueError, OverflowError, RecursionError, csv.Error
+)
 
 
 def _outcome_error(exc, where):
@@ -236,7 +255,7 @@ def load_panel(manifest_path):
             manifest = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read manifest: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{manifest_path}: invalid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         raise ParseError(f"{manifest_path}: manifest must be a JSON object")

@@ -41,6 +41,15 @@ def stack_outcomes(arrays):
     return np.array(arrays)
 
 
+def stack_flat(outcomes):
+    """A manifest's flat outcomes as one (k, d) array: the outcome reader's
+    (k, d) array of them as it is, or a list of arrays, each flattened,
+    stacked by `stack_outcomes`."""
+    if isinstance(outcomes, np.ndarray):
+        return outcomes
+    return stack_outcomes([x.ravel() for x in outcomes])
+
+
 def bare(cls, **attrs):
     """A point of `cls` holding `attrs`, not validated: for arrays whose arithmetic and checks cover `validate`."""
     point = object.__new__(cls)

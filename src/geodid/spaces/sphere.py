@@ -11,7 +11,7 @@ from ..errors import (
     NonConvergenceError,
     OrthantExitWarning,
 )
-from . import FORMAT_INLINE, bare, check_points, stack_arrays, stack_outcomes
+from . import FORMAT_INLINE, bare, check_points, stack_arrays, stack_flat
 
 UNIT_TOL = 1e-10
 ORTHANT_SLACK = 1e-12
@@ -230,8 +230,7 @@ def _karcher(stacks):
 
 def from_data(outcomes, manifest):
     """The panel's compositions, flattened, as one (k, d) stack of embeddings."""
-    shares = [x.ravel() for x in outcomes]
-    return _embed(stack_outcomes(shares)), {}
+    return _embed(stack_flat(outcomes)), {}
 
 
 def to_data(coords):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DegenerateTransportError, InvariantViolationError
-from . import FORMAT_INLINE, bare, check_overflow, check_points, stack_arrays, stack_outcomes
+from . import FORMAT_INLINE, bare, check_overflow, check_points, stack_arrays, stack_flat
 
 POINT_TOL = 1e-10
 DEFAULT_GRID_SIZE = 100
@@ -159,8 +159,8 @@ def means(stacks):
 
 def from_data(outcomes, manifest):
     """The panel's curves, flattened, as one (k, M) stack (samples-csv: quantiles of the draws)."""
-    flat = [x.ravel() for x in outcomes]
     if manifest.get("format") == FORMAT_SAMPLES:
+        flat = [x.ravel() for x in outcomes]
         sizes = _check_draws(flat)
         grid_size = manifest.get("grid_size", DEFAULT_GRID_SIZE)
         stack = np.empty((len(flat), grid_size))
@@ -169,7 +169,7 @@ def from_data(outcomes, manifest):
             rows = np.flatnonzero(sizes == s)
             stack[rows] = _sample_quantiles(np.array([flat[i] for i in rows]), grid_size)
         return stack, {}
-    return stack_outcomes(flat), {}
+    return stack_flat(outcomes), {}
 
 
 def to_data(values):

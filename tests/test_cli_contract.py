@@ -4,7 +4,8 @@ Whatever manifest it is given, `geodid estimate` returns 0, 2 (invalid input)
 or 3 (estimation failure), and a failure writes exactly one JSON line to
 stderr and no traceback (geodid's own warnings are left out; see the test).
 Manifests are drawn for every space and format, from a valid panel with some
-of its parts replaced by malformed values.
+of its parts replaced by malformed values; JSON nested past the parser's
+recursion limit, in a manifest or a data file, is tested on its own.
 """
 
 import contextlib
@@ -14,6 +15,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -148,3 +150,31 @@ def test_estimate_exits_0_2_or_3_with_one_json_error_line(case):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "message"}
+
+
+
+# deeper than the recursion limit of Python's json parser
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("nested", ["manifest", "data-file"])
+def test_json_nested_past_the_recursion_limit_exits_2_with_one_json_line(tmp_path, nested):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON, encoding="utf-8")
+    if nested == "manifest":
+        argv, named = ["staggered", "--manifest", str(deep)], str(deep)
+    else:
+        unit = {"id": "u0", "treatment": [0, 0], "outcomes": ["deep.json", "deep.json"]}
+        manifest = {"space": "frobenius", "periods": 2, "format": "matrix-json", "units": [unit]}
+        (tmp_path / "m.json").write_text(json.dumps(manifest), encoding="utf-8")
+        argv, named = ["estimate", "--manifest", str(tmp_path / "m.json")], "unit u0 period 0"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == EXIT_INVALID_INPUT
+    assert "Traceback" not in err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ParseError"
+    assert error["message"].startswith(named + ": ")

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from geodid import io as gio
 from geodid.cli import EXIT_INVALID_INPUT, main
-from geodid.errors import GeodidError, MissingOutcomeError, ParseError
+from geodid.errors import GeodidError, InvariantViolationError, MissingOutcomeError, ParseError
 from geodid.spaces.wasserstein import FORMAT_QUANTILE
 
 WHERE = "unit u period 0"
@@ -47,7 +47,7 @@ NUMBERS = st.one_of(
 OTHERS = st.one_of(
     st.sampled_from(
         ["", " ", "\t", '"1.5"', '" 2 "', '""', '"1,5"', "1 2", "_1", "1__0", ".", "0x10",
-         "1d5", "abc", "1\x00", '1"', '"1', "\ufeff1"]
+         "1d5", "abc", "1\x00", '1"', '"1', "\ufeff1", "[", "]", "],[", "[1]", "1],[2"]
     ),
     st.text(alphabet="0123456789.eE+-_ a", max_size=5),
 )
@@ -126,9 +126,13 @@ def number_files(draw, width):
 @st.composite
 def block_texts(draw):
     """1-8 data files read as one block: files of numbers of one width, most
-    often, so that the block parse runs, and any file of `data_texts`."""
+    often, so that the block parse runs, any file of `data_texts`, and a file
+    spelling two rows of the block's JSON text, `<row>],[<row>`."""
     width = draw(st.integers(1, 6))
-    files = st.one_of(number_files(width), number_files(width), data_texts())
+    two_rows = st.tuples(number_files(width), number_files(width)).map(
+        lambda rows: rows[0].rstrip("\r\n") + "],[" + rows[1]
+    )
+    files = st.one_of(number_files(width), number_files(width), data_texts(), two_rows)
     return draw(st.lists(files, min_size=1, max_size=8))
 
 
@@ -221,6 +225,18 @@ def test_clean_manifest_opens_each_file_once_and_parses_a_block_per_call(tmp_pat
     assert len(blocks) == math.ceil(300 / gio._BLOCK_FILES)
     assert sum(blocks) == 300
     np.testing.assert_array_equal(panel.data.reshape(300, 5), values)
+
+
+def test_blocks_of_two_widths_name_the_first_odd_outcome(tmp_path):
+    _, texts = clean_curves(300)
+    # the second block's files, each parsed with the rest of its block, hold 6 numbers
+    wide = np.arange(128, 256)[:, None] + np.linspace(0.1, 0.9, 6)
+    texts[128:256] = [",".join(map(repr, row)) + "\r\n" for row in wide.tolist()]
+    manifest = curve_manifest(tmp_path, 100, 3, texts)
+    with pytest.raises(InvariantViolationError) as info:
+        gio.load_panel(manifest)
+    # file 128 is unit 42's period 2
+    assert str(info.value) == "unit u42 period 2: outcome shape (6,) differs from the first outcome's (5,)"
 
 
 def test_bad_cell_deep_in_a_clean_manifest_names_its_file_and_line(tmp_path):
@@ -335,6 +351,17 @@ def test_gate_case_loads_as_the_line_by_line_reader_loads_it(tmp_path, monkeypat
     assert load_data_or_error(manifest) == expected
     if case == "minus-zero":
         assert np.signbit(gio.load_panel(manifest).data[0, 1, 0])
+
+
+@pytest.mark.parametrize("index", [gio._BLOCK_FILES - 1, 60], ids=["last-file", "middle-file"])
+def test_minus_zero_ending_a_file_of_a_block_loads_as_the_line_by_line_reader_loads_it(
+    tmp_path, monkeypatch, index
+):
+    _, texts = clean_curves(300)
+    texts[index] = "-0.75,-0.5,-0.25,-0.125,-0\r\n"
+    manifest = curve_manifest(tmp_path, 100, 3, texts)
+    assert load_data_or_error(manifest) == line_by_line_load(manifest, monkeypatch)
+    assert np.signbit(gio.load_panel(manifest).data.reshape(300, 5)[index, 4])
 
 
 @pytest.mark.parametrize(
