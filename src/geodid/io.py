@@ -113,7 +113,7 @@ def _read_block(paths, limit):
     """
     try:
         raws = [_read_bytes(path) for path in paths]
-    except OSError:
+    except (OSError, ValueError):  # a name with a NUL byte raises ValueError
         return None
     lines = [raw.rstrip(b"\r\n") for raw in raws]
     if max(map(len, raws)) > limit or not all(lines):
@@ -322,37 +322,52 @@ def save_panel(panel, manifest_path, fmt=FORMAT_INLINE):
         "units": [],
         **backend.manifest_fields(panel.data.shape[2:], **panel.fields),
     }
-    base_dir = manifest_path.parent
-    for i, uid in enumerate(uids):
-        record = {
-            "id": uid,
-            "treatment": [int(x) for x in panel.treatment[i]],
-            "outcomes": [],
-        }
-        for t in range(panel.n_periods):
-            data = backend.to_data(panel.data[i, t])
-            if fmt == FORMAT_INLINE:
-                record["outcomes"].append(data)
-                continue
-            ext = "json" if fmt == FORMAT_MATRIX_JSON else "csv"
-            rel = f"{manifest_path.stem}_{uid}_t{t}.{ext}"
-            _write_data_file(base_dir / rel, data, fmt)
-            record["outcomes"].append(rel)
-        manifest["units"].append(record)
+    stem, ext = manifest_path.stem, "json" if fmt == FORMAT_MATRIX_JSON else "csv"
+    # the encoding text-mode `open` writes in, looked up once per save
+    encoding = locale.getpreferredencoding(False)
+    # data files are opened by name in the manifest's folder, not by joined paths
+    folder = None if fmt == FORMAT_INLINE else os.open(manifest_path.parent, os.O_RDONLY)
+    try:
+        for i, uid in enumerate(uids):
+            record = {
+                "id": uid,
+                "treatment": [int(x) for x in panel.treatment[i]],
+                "outcomes": [],
+            }
+            for t in range(panel.n_periods):
+                data = backend.to_data(panel.data[i, t])
+                if fmt == FORMAT_INLINE:
+                    record["outcomes"].append(data)
+                    continue
+                rel = f"{stem}_{uid}_t{t}.{ext}"
+                _write_data_file(rel, data, fmt, encoding, folder)
+                record["outcomes"].append(rel)
+            manifest["units"].append(record)
+    finally:
+        if folder is not None:
+            os.close(folder)
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=1)
     return manifest_path
 
 
-def _write_data_file(path, data, fmt):
+def _write_data_file(path, data, fmt, encoding=None, dir_fd=None):
+    """Write a data file's bytes: those text-mode `open(path, "w", newline="")`
+    writes in `encoding` (by default the one it looks up). `path` is taken
+    relative to the folder open as `dir_fd`, if given."""
     if fmt == FORMAT_MATRIX_JSON:
-        with open(path, "w") as fh:
-            json.dump(data, fh)
-        return
-    rows = data if fmt == FORMAT_MATRIX_CSV else [data]
-    # the bytes csv.writer writes: no cell needs quoting, and "\r\n" ends each row
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(floats_text(row, ",") + "\r\n" for row in rows))
+        text = json.dumps(data)
+    else:
+        rows = data if fmt == FORMAT_MATRIX_CSV else [data]
+        # the bytes csv.writer writes: no cell needs quoting, and "\r\n" ends each row
+        text = "".join(floats_text(row, ",") + "\r\n" for row in rows)
+    raw = memoryview(text.encode(encoding or locale.getpreferredencoding(False)))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666, dir_fd=dir_fd)
+    try:
+        while raw:
+            raw = raw[os.write(fd, raw) :]
+    finally:
+        os.close(fd)
 
 
 def floats_text(values, sep):

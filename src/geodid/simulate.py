@@ -20,13 +20,17 @@ from .did import gatt_arrays
 from .errors import GeodidError
 from .geometry import Geodesic
 from .panel import PanelDataset
-from .spaces.matrix import SymmetricMatrixPoint, KIND_FREE, KIND_LAPLACIAN
+from .spaces.matrix import SymmetricMatrixPoint, KIND_FREE, KIND_LAPLACIAN, row_sums
 from .spaces.wasserstein import QuantileCurve, _sample_quantiles, midpoint_grid
 
 SPACE_WASSERSTEIN = "wasserstein"
 SPACE_NETWORK = "network"
 # the largest |normal quantile| of a uniform draw in (0, 1) on numpy's 2**-53 lattice
 _Z_MAX = float(-ndtri(2.0**-53))
+# units whose Laplacians the network DGP builds at a time: a block's draws and
+# weights (276 KB at m = 10) stay in cache; blocks of 256 and 512 units took
+# more page faults per replicate
+_BLOCK_UNITS = 128
 
 
 @dataclass(frozen=True)
@@ -163,34 +167,42 @@ def generate_network_panel(config, rng):
     d = (rng.random(n) < config.treat_prob).astype(int)
     iu = np.triu_indices(m, k=1)
     n_edges = len(iu[0])
-    # per unit and period the edge-presence uniforms, then the edge-noise ones,
-    # as a unit-by-unit loop draws them (rng.uniform(-1, 1) computes -1 + 2u)
-    draws = rng.random((n, 2, 2, n_edges))
-    present = draws[:, :, 0] < probs[iu]
+    edge_probs = probs[iu]
     t, dc = np.arange(2), d[:, None]
-    base = config.alpha1 + config.alpha2 * t + config.alpha3 * dc + config.beta * dc * t
-    # the edge weights overwrite the noise draws, in place
-    w = draws[:, :, 1]
-    w *= 2.0
-    w += -1.0
-    w += base[..., None]
-    if np.isfinite(base).all():
-        # a present weight is never -0.0, so adding 0.0 only turns the
-        # absent ones' -0.0 into +0.0; inf * 0 would be NaN, hence the guard
-        w *= present
-        w += 0.0
-    else:
-        w[~present] = 0.0
-    kind = KIND_LAPLACIAN if w.min() >= 0.0 else KIND_FREE
-    # one gather builds every Laplacian from the (n, 2, 2 * n_edges) draws:
+    base = (config.alpha1 + config.alpha2 * t + config.alpha3 * dc + config.beta * dc * t)[..., None]
+    finite = np.isfinite(base).all()
+    # one gather builds a block's Laplacians from its (k, 2, n_edges) weights:
     # cell (i, j) reads edge {i, j}'s weight in both triangles, and the
-    # diagonal reads a spent presence draw that is set to 0
-    draws[:, :, 0, 0] = 0.0
+    # diagonal, which reads edge 0, is then set to 0
     cell_edge = np.zeros((m, m), dtype=np.intp)
-    cell_edge[iu] = cell_edge[iu[::-1]] = n_edges + np.arange(n_edges)
-    laps = np.take(draws.reshape(n, 2, 2 * n_edges), cell_edge, axis=-1)
-    del draws, w, present  # peak memory: freed before validation makes its temporaries
-    degrees = laps.sum(axis=-1)
+    cell_edge[iu] = cell_edge[iu[::-1]] = np.arange(n_edges)
+    laps = np.empty((n, 2, m, m))
+    kind = KIND_LAPLACIAN
+    for start in range(0, n, _BLOCK_UNITS):
+        stop = min(start + _BLOCK_UNITS, n)
+        # per unit and period the edge-presence uniforms, then the edge-noise
+        # ones, as a unit-by-unit loop draws them (rng.uniform(-1, 1) computes
+        # -1 + 2u); blocks of whole units take the doubles one draw would
+        draws = rng.random((stop - start, 2, 2, n_edges))
+        present = draws[:, :, 0] < edge_probs
+        # the weights are a contiguous copy of the noise draws, which numpy
+        # steps through several times faster than the strided draws
+        w = np.multiply(draws[:, :, 1], 2.0)
+        w += -1.0
+        w += base[start:stop]
+        if finite:
+            # a present weight is never -0.0, so adding 0.0 only turns the
+            # absent ones' -0.0 into +0.0; inf * 0 would be NaN, hence the guard
+            w *= present
+            w += 0.0
+        else:
+            w[~present] = 0.0
+        if not w.min() >= 0.0:
+            kind = KIND_FREE
+        block = laps[start:stop]
+        np.take(w, cell_edge, axis=-1, out=block, mode="clip")
+        block.reshape(-1, m * m)[:, :: m + 1] = 0.0
+    degrees = row_sums(laps)
     np.negative(laps, out=laps)
     laps[..., np.arange(m), np.arange(m)] = degrees
     treatment = np.column_stack([np.zeros(n, dtype=int), d])

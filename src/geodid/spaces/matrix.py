@@ -23,6 +23,55 @@ PATH_INDEPENDENT = True
 FORMAT_MATRIX_CSV = "matrix-csv"
 FORMAT_MATRIX_JSON = "matrix-json"
 FORMATS = (FORMAT_MATRIX_CSV, FORMAT_MATRIX_JSON, FORMAT_INLINE)
+# rows that `row_sums` adds per pass: each of its temporaries (8 bytes a row)
+# stays under glibc's 128 KiB mmap threshold, so it comes from the heap, not
+# from fresh pages that fault on first touch
+_ROW_BLOCK = 8192
+
+
+def row_sums(x):
+    """`x.sum(axis=-1)`, bit for bit, a column at a time where that is faster.
+
+    numpy sums a contiguous row of 8 to 128 doubles with eight accumulators:
+    r_j is x_j plus x_{j+8k} for each further full block of 8 entries. The
+    row sum is ((r0 + r1) + (r3 + r2)) + ((r4 + r5) + (r6 + r7)), then each of
+    the last n mod 8 entries added in turn, then 0.0 (the reduction's start,
+    which turns a -0.0 sum into +0.0). Adding whole columns in that order
+    gives the same bits in about a third of the time. r3 + r2, not r2 + r3,
+    only decides which of two NaNs survives, as numpy's compiled loop does.
+    numpy sums other layouts in other orders (F-ordered and transposed
+    stacks one entry after another), so they, other row lengths and other
+    dtypes take `x.sum`.
+    """
+    n = x.shape[-1]
+    if not (x.ndim > 1 and 8 <= n <= 128 and x.dtype == np.float64 and x.flags.c_contiguous):
+        return x.sum(axis=-1)
+    rows = x.reshape(-1, n)
+    sums = np.empty(len(rows))
+    for start in range(0, len(rows), _ROW_BLOCK):
+        _column_sums(rows[start : start + _ROW_BLOCK], sums[start : start + _ROW_BLOCK])
+    return sums.reshape(x.shape[:-1])
+
+
+def _column_sums(rows, out):
+    """`row_sums` of a (k, n) block, 8 <= n <= 128, into `out`, column by column."""
+    n = rows.shape[1]
+    full = n - n % 8
+    acc = []
+    for j in range(8):
+        r = rows[:, j]
+        for i in range(j + 8, full, 8):
+            r = r + rows[:, i] if i == j + 8 else np.add(r, rows[:, i], out=r)
+        acc.append(r)
+    np.add(acc[0], acc[1], out=out)
+    pair = np.add(acc[3], acc[2])
+    out += pair
+    right = np.add(acc[4], acc[5], out=pair)
+    right += np.add(acc[6], acc[7])
+    out += right
+    for i in range(full, n):
+        out += rows[:, i]
+    out += 0.0
 
 
 def _row_tol(rows):
@@ -35,7 +84,7 @@ def _row_tol(rows):
 def _kind_ok(stack, kind):
     """Per matrix of a (k, m, m) stack: whether it has `kind`'s structure."""
     if kind == KIND_LAPLACIAN:
-        row_sum = np.abs(stack.sum(axis=-1))
+        row_sum = np.abs(row_sums(stack))
         row_sum_off = row_sum > LAPLACIAN_TOL
         m = stack.shape[-1]
         # rows and entries that fail the absolute test get their row's room

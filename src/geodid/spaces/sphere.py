@@ -126,7 +126,14 @@ def _embed(shares):
 
 def embed_composition(shares):
     """Square-root embedding of a composition (shares summing to 1)."""
-    return UnitCompositionPoint(_embed(np.asarray(shares, dtype=float).reshape(1, -1))[0])
+    coords = _embed(np.asarray(shares, dtype=float).reshape(1, -1))
+    # _embed's result is a square root, never off the orthant, so of
+    # validate's tests only the length and the norm (NaN for a NaN share)
+    # can fail; validate runs to raise its error when one does
+    norm = np.sqrt(np.add.reduce(coords * coords, axis=1))[0]
+    if coords.shape[1] < 2 or not abs(norm - 1.0) <= UNIT_TOL:
+        validate(coords)
+    return wrap(coords[0])
 
 
 def unembed(point):

@@ -1,8 +1,9 @@
 """Property test of the command line's input contract.
 
-Whatever manifest it is given, `geodid estimate` returns 0, 2 (invalid input)
-or 3 (estimation failure), and a failure writes exactly one JSON line to
-stderr and no traceback (geodid's own warnings are left out; see the test).
+Whatever manifest and options it is given, `geodid estimate`, `staggered` and
+`placebo` return 0, 2 (invalid input) or 3 (estimation failure), and a failure
+writes exactly one JSON line to stderr and no traceback (geodid's own warnings
+are left out; see the test).
 Manifests are drawn for every space and format, from a valid panel with some
 of its parts replaced by malformed values; JSON nested past the parser's
 recursion limit, in a manifest or a data file, is tested on its own.
@@ -115,15 +116,18 @@ def manifests(draw):
     return manifest, files
 
 
-@settings(
+CONTRACT = settings(
     max_examples=200,
     deadline=None,
     database=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(manifests())
-def test_estimate_exits_0_2_or_3_with_one_json_error_line(case):
+
+
+def check_contract(case, argv):
+    """Run `geodid <argv> --manifest M` on the drawn manifest; check the exit
+    code and that a failure writes one JSON line to stderr."""
     manifest, files = case
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
@@ -141,7 +145,7 @@ def test_estimate_exits_0_2_or_3_with_one_json_error_line(case):
             # numpy RuntimeWarning stays an error, as the test configuration makes it
             warnings.filterwarnings("ignore", category=OrthantExitWarning)
             warnings.filterwarnings("ignore", category=KindViolationWarning)
-            code = main(["estimate", "--manifest", str(path)])
+            code = main([*argv, "--manifest", str(path)])
     assert code in (EXIT_OK, EXIT_INVALID_INPUT, EXIT_ESTIMATION)
     if code == EXIT_OK:
         assert err.getvalue() == ""
@@ -151,6 +155,30 @@ def test_estimate_exits_0_2_or_3_with_one_json_error_line(case):
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "message"}
 
+
+@CONTRACT
+@given(manifests())
+def test_estimate_exits_0_2_or_3_with_one_json_error_line(case):
+    check_contract(case, ["estimate"])
+
+
+# staggered's and placebo's own options, out of range as well as in it: a
+# manifest has at most three periods; the `=` form passes a negative value
+staggered_argv = st.tuples(
+    st.integers(-2, 4).map(lambda delta: f"--delta={delta}"),
+    st.sampled_from(["never", "notyet"]).map(lambda comparison: f"--comparison={comparison}"),
+    st.sampled_from([[], ["--force-recursive"]]),
+).map(lambda a: ["staggered", a[0], a[1], *a[2]])
+# (0, 1) is the one pair that a drawn three-period panel can pass
+placebo_argv = st.one_of(st.just([0, 1]), st.lists(st.integers(-1, 4), min_size=1, max_size=3)).map(
+    lambda periods: ["placebo", "--pre-periods=" + ",".join(map(str, periods))]
+)
+
+
+@CONTRACT
+@given(manifests(), st.one_of(staggered_argv, placebo_argv))
+def test_staggered_and_placebo_exit_0_2_or_3_with_one_json_error_line(case, argv):
+    check_contract(case, argv)
 
 
 # deeper than the recursion limit of Python's json parser

@@ -72,6 +72,8 @@ def test_load_rejects_format_space_mismatch(tmp_path):
 
 # a data file that is never written
 MISSING = object()
+# a data file named with a NUL byte, which no path may hold
+NUL_NAME = object()
 
 
 def data_manifest(tmp_path, space, fmt, outcomes, ids=None, **fields):
@@ -86,7 +88,9 @@ def data_manifest(tmp_path, space, fmt, outcomes, ids=None, **fields):
         for t, value in enumerate(row):
             if fmt != "inline":
                 name = f"{uid}_t{t}.{'json' if fmt == 'matrix-json' else 'csv'}"
-                if value is not MISSING:
+                if value is NUL_NAME:
+                    name = "\0" + name
+                elif value is not MISSING:
                     (tmp_path / name).write_text(value)
                 value = name
             specs.append(value)
@@ -109,6 +113,7 @@ def data_manifest(tmp_path, space, fmt, outcomes, ids=None, **fields):
         ("wasserstein", "samples-csv", "0.3\n-1.2,0.8", "0.1,nan,0.2,0.4", InvariantViolationError),
         ("wasserstein", "quantile-csv", "0.1,0.2,0.3", "0.1,abc,0.3", ParseError),
         ("wasserstein", "quantile-csv", "0.1,0.2,0.3", MISSING, MissingOutcomeError),
+        ("wasserstein", "quantile-csv", "0.1,0.2,0.3", NUL_NAME, ParseError),
         ("frobenius", "inline", [[1.0]], {"a": 1}, ParseError),
         ("wasserstein", "inline", [0.1, 0.2], [0.1, 2**1024], ParseError),
     ],
@@ -124,6 +129,7 @@ def data_manifest(tmp_path, space, fmt, outcomes, ids=None, **fields):
         "samples-nan-draw",
         "non-numeric-cell",
         "missing-file",
+        "nul-in-file-name",
         "non-numeric-inline",
         "inline-integer-beyond-float",
     ],

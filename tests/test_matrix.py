@@ -7,13 +7,14 @@ from geodid.did import estimate_gatt
 from geodid.errors import InvariantViolationError, KindViolationWarning, SpaceMismatchError
 from geodid.geometry import distance, transport
 from geodid.simulate import SimConfig, _run_rng, generate_panel
-from geodid.spaces import check_points
+from geodid.spaces import check_points, matrix
 from geodid.spaces.matrix import (
     KIND_COVARIANCE,
     KIND_FREE,
     KIND_LAPLACIAN,
     SymmetricMatrixPoint,
     laplacian_from_adjacency,
+    row_sums,
     validate,
 )
 
@@ -275,3 +276,48 @@ def test_validate_matches_its_oracle(kind, perturbation):
                     PERTURBATIONS[name](stack[row], rng)
             expected = validation_outcome(oracle_validate, stack, kind)
             assert validation_outcome(validate, stack, kind) == expected
+
+
+# ±0, subnormals, ±inf, NaN of both signs, and magnitudes from 1e-300 to 1e300
+SPECIALS = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, np.inf, -np.inf, np.nan, -np.nan,
+     1e300, -1e300, 1e-300, -1e-300, 1.0, -1.0]
+)
+
+
+def rows_to_sum(rng, k, n):
+    """Stacks of k rows of n entries: wide-ranging magnitudes, some special
+    values among them, rows of specials only, and rows of -0.0 only."""
+    wide = 10.0 ** rng.uniform(-300, 300, (k, n)) * rng.choice([-1.0, 1.0], (k, n))
+    mixed = wide.copy()
+    mask = rng.random((k, n)) < 0.2
+    mixed[mask] = rng.choice(SPECIALS, mask.sum())
+    specials = rng.choice(SPECIALS, (k, n))
+    specials[0] = -0.0
+    return [rng.normal(size=(k, n)), wide, mixed, specials]
+
+
+def layouts(x):
+    """A (k, n) stack in the layouts numpy sums in different orders."""
+    yield x
+    yield np.asfortranarray(x)
+    # (k/2, n, 2) transposed to (k/2, 2, n): the rows are strided
+    half = x[: len(x) // 2 * 2].reshape(-1, 2, x.shape[1])
+    yield np.ascontiguousarray(half.swapaxes(1, 2)).swapaxes(1, 2)
+    yield x[:, ::-1]
+    yield x[::-1]
+    yield half
+
+
+@pytest.mark.parametrize("row_block", [None, 7], ids=["one-block", "blocks-of-7-rows"])
+def test_row_sums_are_numpys_row_sums_bit_for_bit(monkeypatch, row_block):
+    if row_block:
+        monkeypatch.setattr(matrix, "_ROW_BLOCK", row_block)
+    rng = np.random.default_rng(31)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in range(1, 131):
+            for x in rows_to_sum(rng, 24, n):
+                for stack in layouts(x):
+                    got, expected = row_sums(stack), stack.sum(axis=-1)
+                    assert got.shape == expected.shape
+                    np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))

@@ -274,6 +274,13 @@ def bits(a):
             "alpha1": 0.0, "alpha2": 1e308, "alpha3": 1e308, "beta": -1e308,
             "p11": 0.0, "p12": 0.0, "p21": 0.0, "p22": 0.0,
         },
+        # two full blocks of units and a remainder
+        {"n": 300},
+        {"n": 300, "alpha1": -0.5},
+        # rows of 12 and of 19 entries: the degrees' row sums take a tail of
+        # 4 after one block of 8, and a tail of 3 after two
+        {"m1": 6, "m2": 6},
+        {"m1": 10, "m2": 9, "alpha1": -0.5},
     ],
     ids=[
         "default",
@@ -283,11 +290,15 @@ def bits(a):
         "blocks 0-3",
         "blocks 2-0",
         "overflowing weight, no edges",
+        "n 300",
+        "n 300, negative weights",
+        "blocks 6-6",
+        "blocks 10-9, negative weights",
     ],
 )
 def test_network_panel_matches_per_unit_loop_bit_for_bit(knobs):
     for seed in range(4):
-        config = SimConfig(space="network", n=60, seed=seed, **knobs)
+        config = SimConfig(space="network", seed=seed, **{"n": 60, **knobs})
         panel, _ = generate_panel(config, np.random.default_rng(seed))
         outcomes, treatment = loop_network_panel(config, np.random.default_rng(seed))
         expected = np.array([[p.entries for p in row] for row in outcomes])
