@@ -3,9 +3,9 @@
 Geodesics are stored as endpoint pairs and evaluated on demand; every backend
 has closed-form interpolation. Differences between geodesics and the quotient
 metric are built on top of the per-space transport maps, and `frechet_mean`
-averages points with the backend's `mean`: a closed form on the Wasserstein
-and Frobenius spaces, a Karcher iteration on the sphere. `_BACKENDS` is the
-one table that maps a space id to the module implementing it.
+averages points with the backend's `means` of their one stack: a closed form
+on the Wasserstein and Frobenius spaces, a Karcher iteration on the sphere.
+`_BACKENDS` is the one table that maps a space id to its backend module.
 """
 
 from dataclasses import dataclass
@@ -60,7 +60,7 @@ def frechet_mean(points):
         raise EmptyGroupError("cannot average an empty set of points")
     backend = backend_of(*points)
     stack, fields = backend.unwrap(points)
-    mean, iterations = backend.mean(stack)
+    mean, iterations = backend.means([stack])[0]
     return FrechetResult(backend.wrap(mean, **fields), iterations)
 
 

@@ -10,6 +10,7 @@ slope across sample sizes.
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -72,20 +73,28 @@ class SimConfig:
         for p in (self.p11, self.p12, self.p21, self.p22):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("edge probabilities must lie in [0, 1]")
+        # an edge joins its two blocks both ways: the DGP reads p12 for both
+        if self.p12 != self.p21:
+            raise ValueError(f"edge probabilities p12 = {self.p12} and p21 = {self.p21} differ")
         # a network needs at least one edge, so at least two nodes
         if self.m1 < 0 or self.m2 < 0 or self.m1 + self.m2 < 2:
             raise ValueError("block sizes m1 and m2 must be >= 0 with m1 + m2 >= 2")
         coefs = [abs(c) for c in (self.alpha1, self.alpha2, self.alpha3, self.beta)]
         a1, a2, a3, b = coefs
         if self.space == SPACE_WASSERSTEIN:
-            bound = a2 + (a1 + b) * _Z_MAX
+            bound, size = a2 + (a1 + b) * _Z_MAX, self.grid_size
         elif max(self.p11, self.p12, self.p21, self.p22) > 0.0:
             # a degree sums m - 1 edge weights, each the trend plus noise in [-1, 1)
             bound = (self.m1 + self.m2 - 1) * (a1 + a2 + a3 + b + 1.0)
+            size = (self.m1 + self.m2) ** 2
         else:
-            bound = 0.0  # no edge can exist, so every weight is 0
-        if not all(map(math.isfinite, (*coefs, bound))):
-            raise ValueError(f"coefficients are not finite or overflow the {self.space} DGP")
+            bound, size = 0.0, 0  # no edge can exist, so every weight and error is 0
+        # a replicate's error sums `size` squares of differences between points
+        # made of a few means and transports, each difference at most 16 * bound
+        square = (16.0 * bound) * (16.0 * bound)
+        # the size, an int that may not fit a float, is compared, not multiplied
+        if not all(map(math.isfinite, (*coefs, bound, square))) or square and size > sys.float_info.max / square:
+            raise ValueError(f"coefficients are not finite or overflow the {self.space} DGP or its error")
 
 
 @dataclass(frozen=True)
@@ -97,7 +106,7 @@ class SimReport:
     errors: dict            # n -> list of per-run errors (failed runs excluded)
     mean_error: dict        # n -> mean error
     excluded: dict          # n -> count of failed runs
-    slope: float            # None when fewer than two sample sizes
+    slope: float            # None when fewer than two sizes, or a mean error is 0
     intercept: float
 
 
@@ -292,7 +301,8 @@ def run_monte_carlo(base, n_values, workers=None):
     }
 
     slope = intercept = None
-    if len(mean_error) >= 2:
+    # a log-log fit needs two sizes, and a zero error has no log
+    if len(mean_error) >= 2 and min(mean_error.values()) > 0.0:
         slope, intercept = slope_regression(
             [(np.log(n), np.log(e)) for n, e in sorted(mean_error.items())]
         )

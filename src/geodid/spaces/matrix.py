@@ -201,18 +201,18 @@ def unwrap(points):
     return stack_arrays([p.entries for p in points]), {"kind": kind}
 
 
-def mean(stack):
-    """Frechet mean of a (k, m, m) stack: the entrywise average."""
+def _mean(stack):
+    """Frechet mean of a (k, m, m) stack, the entrywise average, and its iteration count (0)."""
     with np.errstate(over="ignore", invalid="ignore"):
         entries = stack.mean(axis=0)
         return _symmetric(entries), 0
 
 
 def means(stacks):
-    """`mean` of each stack of an iterable, one by one."""
+    """`_mean` of each stack of an iterable, one by one."""
     # map drops each stack before the next is gathered, which a list
     # comprehension's loop variable would hold on to
-    return list(map(mean, stacks))
+    return list(map(_mean, stacks))
 
 
 def from_data(outcomes, manifest):

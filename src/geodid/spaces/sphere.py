@@ -117,11 +117,13 @@ def _embed(shares):
     """Square-root embedding of a (k, d) stack of compositions (rows summing to 1)."""
     # ufunc reductions, not the ndarray methods: embed_composition passes one row per call
     check_points(np.logical_or.reduce(shares < -1e-8, axis=1), "composition has a negative entry")
+    # the clipped shares' total, so that a tiny negative share embeds on the sphere
+    shares = np.maximum(shares, 0.0)
     total = np.add.reduce(shares, axis=1, keepdims=True)
     off = abs(total - 1.0) > 1e-8
     if np.count_nonzero(off):
         check_points(off, f"composition sums to {total[off.argmax(), 0]}, not 1")
-    return np.sqrt(np.maximum(shares, 0.0) / total)
+    return np.sqrt(shares / total)
 
 
 def embed_composition(shares):
@@ -152,17 +154,16 @@ def log_map(base, points):
 
 
 def exp_map(base, tangent):
-    """Exponential map at `base` applied to a tangent vector."""
-    norm = np.linalg.norm(tangent)
-    if norm < 1e-16:
-        return base
-    coords = np.cos(norm) * base + np.sin(norm) * tangent / norm
-    return _finish(coords)
-
-
-def mean(coords):
-    """Karcher mean of a (k, d) stack and its iteration count: `means` of one stack."""
-    return means([coords])[0]
+    """Exponential map at `base` applied to tangent vectors (one vector or a
+    (k, d) stack; `base` is one point or a stack of one per vector), each
+    result normalised; a step under 1e-16 leaves its row at its base."""
+    step = np.linalg.norm(tangent, axis=-1, keepdims=True)
+    moves = step >= 1e-16
+    coords = np.cos(step) * base + np.sin(step) * tangent / np.where(moves, step, 1.0)
+    coords /= np.linalg.norm(coords, axis=-1, keepdims=True)
+    # a boolean index adds a row axis to one point, so both shapes pass rows
+    _warn_exits(coords[moves[..., 0]])
+    return np.where(moves, coords, base)
 
 
 def means(stacks):
@@ -209,14 +210,9 @@ def _karcher(stacks):
     for iteration in range(1, MEAN_MAX_ITER + 1):
         owner = np.repeat(np.arange(len(active)), sizes)
         tangent = np.add.reduceat(log_map(current[owner], coords), starts, axis=0) / sizes[:, None]
-        step = np.linalg.norm(tangent, axis=1, keepdims=True)
-        # exp_map's step, row by row: a step under 1e-16 leaves the point as it is
-        moves = step >= 1e-16
-        moved = np.cos(step) * current + np.sin(step) * tangent / np.where(moves, step, 1.0)
-        moved /= np.linalg.norm(moved, axis=1, keepdims=True)
-        _warn_exits(moved[moves[:, 0]])
-        current = np.where(moves, moved, current)
-        done = step[:, 0] < MEAN_TOL
+        current = exp_map(current, tangent)
+        step = np.linalg.norm(tangent, axis=1)
+        done = step < MEAN_TOL
         if done.any():
             result[active[done]] = current[done]
             iterations[active[done]] = iteration
@@ -226,7 +222,7 @@ def _karcher(stacks):
             coords = coords[np.repeat(keep, sizes)]
             active, current, sizes = active[keep], current[keep], sizes[keep]
             starts = np.cumsum(sizes) - sizes
-    last_step = float(step[~done][0, 0])
+    last_step = float(step[~done][0])
     raise NonConvergenceError(
         f"sphere mean did not converge in {MEAN_MAX_ITER} iterations "
         f"(last step {last_step:.3e})",

@@ -84,8 +84,8 @@ def unwrap(curves):
     return stack_arrays([c.values for c in curves]), {}
 
 
-def mean(stack):
-    """Frechet mean of a (k, M) stack: the average quantile function, kept monotone."""
+def _mean(stack):
+    """Frechet mean of a (k, M) stack, the average quantile function kept monotone, and its iteration count (0)."""
     with np.errstate(over="ignore", invalid="ignore"):
         values = stack.mean(axis=0)
     check_overflow(values, "quantile curve mean")
@@ -151,10 +151,10 @@ def quantile_from_samples(samples, grid_size=DEFAULT_GRID_SIZE):
 
 
 def means(stacks):
-    """`mean` of each stack of an iterable, one by one."""
+    """`_mean` of each stack of an iterable, one by one."""
     # map drops each stack before the next is gathered, which a list
     # comprehension's loop variable would hold on to
-    return list(map(mean, stacks))
+    return list(map(_mean, stacks))
 
 
 def from_data(outcomes, manifest):

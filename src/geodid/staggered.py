@@ -127,53 +127,46 @@ def _plan(panel, cell):
     return form, panel.group_label_array == cell.g, mask, periods
 
 
-def estimate_group_time_gatt(panel, cell, *, _memo=None):
-    """Group-time effect for one admissible cell, in the cell's `estimator_form`
-    (None: the shortcut on path-independent spaces, else the recursion).
+def _estimate(panel, cells):
+    """The GroupTimeGatt of each of `cells`, which are admissible: each cell
+    planned once, every distinct (unit set, period) mean their walks take from
+    one batched `take_means`, and a treated mean that several cells share
+    wrapped once; nothing is kept between calls."""
+    backend = _BACKENDS[panel.space_id]
+    plans = [_plan(panel, cell) for cell in cells]
+    means, points, results = {}, {}, []
+    take_means(panel, [key for plan in plans for key in walk_keys(*plan[1:])], means)
+    for cell, (form, treated, mask, periods) in zip(cells, plans):
+        _, path, end, _ = walk(panel, treated, mask, periods, means)
+        for period, mean in ((periods[0], path[0]), (cell.t, end)):
+            if (cell.g, period) not in points:
+                points[cell.g, period] = backend.wrap(mean, **panel.fields)
+        beta_path = [points[cell.g, periods[0]]]
+        for beta in path[1:]:
+            beta_path.append(backend.wrap(beta, **backend.unwrap(beta_path[-1:])[1]))
+        effect = Geodesic(beta_path[-1], points[cell.g, cell.t])
+        magnitude = backend.distance(path[-1], end)
+        results.append(GroupTimeGatt(replace(cell, estimator_form=form), effect, magnitude, tuple(beta_path)))
+    return results
 
-    `_memo` is what `estimate_all_cells` shares among the cells it enumerated,
-    which are admissible: two dicts, the mean arrays by (packed mask bits,
-    period) and the points of treated means by (g, period).
-    """
-    if _memo is None and not cell_admissible(panel, cell):
+
+def estimate_group_time_gatt(panel, cell):
+    """Group-time effect for one admissible cell, in the cell's `estimator_form`
+    (None: the shortcut on path-independent spaces, else the recursion)."""
+    if not cell_admissible(panel, cell):
         raise InadmissibleCellError(
             f"cell (g={cell.g}, t={cell.t}, delta={cell.delta}, "
             f"{cell.comparison}) is not admissible for this panel"
         )
-    backend = _BACKENDS[panel.space_id]
-    means, points = ({}, {}) if _memo is None else _memo
-    form, treated, mask, periods = _plan(panel, cell)
-    base = periods[0]
-    _, path, end, _ = walk(panel, treated, mask, periods, means)
-    for period, mean in ((base, path[0]), (cell.t, end)):
-        if (cell.g, period) not in points:
-            points[cell.g, period] = backend.wrap(mean, **panel.fields)
-    beta_path = [points[cell.g, base]]
-    for beta in path[1:]:
-        beta_path.append(backend.wrap(beta, **backend.unwrap(beta_path[-1:])[1]))
-    return GroupTimeGatt(
-        cell=GroupTimeCell(cell.g, cell.t, cell.delta, cell.comparison, form),
-        effect=Geodesic(beta_path[-1], points[cell.g, cell.t]),
-        magnitude=backend.distance(path[-1], end),
-        beta_path=tuple(beta_path),
-    )
+    return _estimate(panel, [cell])[0]
 
 
 def estimate_all_cells(panel, delta=0, comparison=COMPARISON_NEVER, estimator_form=None):
-    """Estimate every admissible cell in `estimator_form`; returns a list of GroupTimeGatt.
-
-    Each distinct (unit set, period) mean is computed once per call, all of
-    them in one batched `take_means` before the cells walk, and shared by the
-    cells that need it; nothing is kept between calls.
-    """
+    """Estimate every admissible cell in `estimator_form` (`_estimate`); returns a list of GroupTimeGatt."""
     # built first, so that the form is checked whatever the panel
     GroupTimeCell(g=0, t=0, estimator_form=estimator_form)
     cells = [
         replace(cell, estimator_form=estimator_form)
         for cell in enumerate_cells(panel, delta=delta, comparison=comparison)
     ]
-    means = {}
-    keys = [key for cell in cells for key in walk_keys(*_plan(panel, cell)[1:])]
-    take_means(panel, keys, means)
-    memo = (means, {})
-    return [estimate_group_time_gatt(panel, cell, _memo=memo) for cell in cells]
+    return _estimate(panel, cells)

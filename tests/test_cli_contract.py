@@ -3,18 +3,22 @@
 Whatever manifest and options it is given, `geodid estimate`, `staggered` and
 `placebo` return 0, 2 (invalid input) or 3 (estimation failure), and a failure
 writes exactly one JSON line to stderr and no traceback (geodid's own warnings
-are left out; see the test).
-Manifests are drawn for every space and format, from a valid panel with some
-of its parts replaced by malformed values; JSON nested past the parser's
-recursion limit, in a manifest or a data file, is tested on its own.
+are left out; see the test). `simulate` keeps the same contract for any
+coefficients and probabilities, and a report it writes holds no NaN or
+infinity. Manifests are drawn for every space and format, from a valid panel
+with some of its parts replaced by malformed values; JSON nested past the
+parser's recursion limit, in a manifest or a data file, is tested on its own.
 """
 
 import contextlib
 import io
 import json
+import math
+import os
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -116,8 +120,8 @@ def manifests(draw):
     return manifest, files
 
 
+# the example count is the profile's (tests/conftest.py)
 CONTRACT = settings(
-    max_examples=200,
     deadline=None,
     database=None,
     derandomize=True,
@@ -126,30 +130,39 @@ CONTRACT = settings(
 
 
 def check_contract(case, argv):
-    """Run `geodid <argv> --manifest M` on the drawn manifest; check the exit
-    code and that a failure writes one JSON line to stderr."""
+    """Run `geodid <argv> --manifest M` on the drawn manifest, and `check_exit`."""
     manifest, files = case
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in files.items():
             Path(tmp, name).write_text(text, encoding="utf-8")
         path = Path(tmp, "m.json")
         path.write_text(json.dumps(manifest), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with (
-            contextlib.redirect_stdout(out),
-            contextlib.redirect_stderr(err),
-            warnings.catch_warnings(),
-        ):
-            # geodid's own warnings reach stderr through the warnings module, not
-            # through `main`'s error report, which is what this test checks; a
-            # numpy RuntimeWarning stays an error, as the test configuration makes it
-            warnings.filterwarnings("ignore", category=OrthantExitWarning)
-            warnings.filterwarnings("ignore", category=KindViolationWarning)
-            code = main([*argv, "--manifest", str(path)])
+        check_exit([*argv, "--manifest", str(path)])
+
+
+def reject_constant(name):
+    raise AssertionError(f"output holds {name}")
+
+
+def check_exit(argv):
+    """Run `geodid <argv>`; check the exit code, that an output holds no NaN
+    or infinity, and that a failure writes one JSON line to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(),
+    ):
+        # geodid's own warnings reach stderr through the warnings module, not
+        # through `main`'s error report, which is what this test checks; a
+        # numpy RuntimeWarning stays an error, as the test configuration makes it
+        warnings.filterwarnings("ignore", category=OrthantExitWarning)
+        warnings.filterwarnings("ignore", category=KindViolationWarning)
+        code = main(argv)
     assert code in (EXIT_OK, EXIT_INVALID_INPUT, EXIT_ESTIMATION)
     if code == EXIT_OK:
         assert err.getvalue() == ""
-        json.loads(out.getvalue())
+        json.loads(out.getvalue(), parse_constant=reject_constant)
     else:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
@@ -179,6 +192,43 @@ placebo_argv = st.one_of(st.just([0, 1]), st.lists(st.integers(-1, 4), min_size=
 @given(manifests(), st.one_of(staggered_argv, placebo_argv))
 def test_staggered_and_placebo_exit_0_2_or_3_with_one_json_error_line(case, argv):
     check_contract(case, argv)
+
+
+# simulate's coefficients and probabilities, in range and out of it:
+# 0, negative, non-finite and huge values among them
+values = st.one_of(
+    st.sampled_from([0.0, 0.5, -1.0, 1e150, 1e200, 1e300, -1e308, math.inf, -math.inf, math.nan]),
+    st.floats(0, 1),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def simulate_argv(draw):
+    """`simulate` with every size knob tiny, and drawn values for up to two of
+    `treat_prob` and the coefficients, and for the edge probabilities: all four
+    one value (the DGP needs p12 == p21), or up to two of them."""
+    argv = ["simulate", "--space", draw(st.sampled_from(["wasserstein", "network"]))]
+    argv += ["--n", draw(st.sampled_from(["8,10", "6,8,10", "8"])), f"--q={draw(st.integers(1, 2))}"]
+    argv += [f"--seed={draw(st.integers(0, 3))}", f"--grid-size={draw(st.integers(2, 4))}"]
+    argv += [f"--samples-per-dist={draw(st.integers(2, 3))}"]
+    argv += [f"--m1={draw(st.integers(0, 2))}", f"--m2={draw(st.integers(1, 3))}"]
+    coefs = ["treat-prob", "alpha1", "alpha2", "alpha3", "beta"]
+    argv += [f"--{knob}={draw(values)!r}" for knob in draw(st.lists(st.sampled_from(coefs), max_size=2, unique=True))]
+    edges = ["p11", "p12", "p21", "p22"]
+    shared = draw(st.none() | values)
+    if shared is None:
+        chosen = {edge: draw(values) for edge in draw(st.lists(st.sampled_from(edges), max_size=2, unique=True))}
+    else:
+        chosen = dict.fromkeys(edges, shared)
+    return argv + [f"--{edge}={value!r}" for edge, value in chosen.items()]
+
+
+@CONTRACT
+@given(simulate_argv())
+def test_simulate_exits_0_2_or_3_with_one_json_error_line(argv):
+    with mock.patch.dict(os.environ, {"GEODID_THREADS": "1"}):
+        check_exit(argv)
 
 
 # deeper than the recursion limit of Python's json parser

@@ -167,7 +167,7 @@ def test_group_means_equal_frechet_mean_of_the_points(space):
                 from_points = frechet_mean([outcomes[u][periods[i]] for u in units])
                 # every float (and the matrix kind) exactly equal
                 assert point_to_jsonable(from_panel) == point_to_jsonable(from_points.mean)
-                iterations = _BACKENDS[space].mean(panel.data[units, periods[i]])[1]
+                iterations = _BACKENDS[space].means([panel.data[units, periods[i]]])[0][1]
                 assert iterations == from_points.iterations
 
 

@@ -213,7 +213,7 @@ BACKEND_PROTOCOL = (
     "validate",
     "wrap",
     "unwrap",
-    "mean",
+    "means",
     "from_data",
     "to_data",
     "to_jsonable",

@@ -320,6 +320,25 @@ def test_composition_round_trip(tmp_path):
             assert distance(loaded.point(i, t), panel.point(i, t)) < 1e-15
 
 
+@pytest.mark.parametrize(
+    "shares",
+    [[1.0, -1e-9], [1 + 1e-9, -1e-9], [0.5 + 5e-9, 0.5, -5e-9]],
+    ids=["negative-share", "negative-share-and-excess", "three-parts"],
+)
+def test_composition_with_a_tiny_negative_share_embeds(tmp_path, capsys, shares):
+    # a share down to -1e-8 is clipped to 0, and the total is the clipped
+    # shares' total, so the embedding is a unit vector
+    coords = embed_composition(shares).coords
+    assert coords[-1] == 0.0
+    assert abs(np.linalg.norm(coords) - 1.0) <= 1e-15
+    row = ",".join(map(repr, shares))
+    manifest = data_manifest(tmp_path, "sphere", "composition-csv", [[row, row], [row, row]])
+    assert main(["estimate", "--manifest", manifest]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["estimate"]["magnitude"] == 0.0
+
+
 def test_cli_estimate_scalar_oracle(tmp_path, capsys):
     manifest = scalar_manifest(tmp_path)
     assert main(["estimate", "--manifest", manifest]) == EXIT_OK

@@ -65,6 +65,9 @@ def test_config_rejects_block_sizes_without_an_edge(m1, m2, capsys):
         {"space": "wasserstein", "alpha1": 3e307},
         {"space": "wasserstein", "alpha2": float("inf")},
         {"space": "wasserstein", "alpha3": float("-inf")},
+        # the DGP's values are finite, but the replicate error squares them
+        {"space": "network", "alpha1": 1e200},
+        {"space": "wasserstein", "alpha1": 1e300},
     ],
     ids=[
         "network-sum",
@@ -75,6 +78,8 @@ def test_config_rejects_block_sizes_without_an_edge(m1, m2, capsys):
         "wasserstein-scale",
         "wasserstein-inf",
         "wasserstein-unused-inf",
+        "network-error",
+        "wasserstein-error",
     ],
 )
 def test_config_rejects_coefficients_that_overflow(knobs, capsys, recwarn):
@@ -138,9 +143,34 @@ def test_simulate_network_writes_nothing_to_stderr(tmp_path, args, sha256):
 
 
 def test_config_accepts_coefficients_below_the_bounds():
-    # near the largest float: 18 * 9.8e306 and 1e307 + 2e307 * 8.21
-    SimConfig(space="network", alpha1=4.9e306, alpha2=4.9e306, m1=10, m2=9)
-    SimConfig(space="wasserstein", alpha1=1e307, beta=1e307, alpha2=-1e307)
+    # the error's sum of squares near the largest float (1.8e308): on 19
+    # nodes 361 * (16 * 18 * 2.4e150)**2 = 1.7e308, and on 100 grid values
+    # 100 * (16 * (1e150 + 1e151 * 8.21))**2 = 1.7e308
+    SimConfig(space="network", alpha1=1.2e150, alpha2=1.2e150, m1=10, m2=9)
+    SimConfig(space="wasserstein", alpha1=5e150, beta=5e150, alpha2=-1e150)
+
+
+@pytest.mark.parametrize("space", ["wasserstein", "network"])
+def test_config_rejects_edge_probabilities_that_differ_by_direction(space, capsys):
+    with pytest.raises(ValueError, match="p12 = 0.9 and p21 = 0.1"):
+        SimConfig(space=space, p12=0.9, p21=0.1)
+    argv = ["simulate", "--space", space, "--n", "20", "--q", "2", "--p12", "0.9", "--p21", "0.1"]
+    assert main(argv) == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["message"] == "edge probabilities p12 = 0.9 and p21 = 0.1 differ"
+
+
+def test_zero_mean_error_gives_no_slope(tmp_path, capsys):
+    # without edges every Laplacian and every error is exactly 0, which has no log
+    out = tmp_path / "r.json"
+    edges = ["--p11", "0", "--p12", "0", "--p21", "0", "--p22", "0"]
+    argv = ["simulate", "--space", "network", "--n", "10,20", "--q", "2", *edges, "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["mean_error"] == {"10": 0.0, "20": 0.0}
+    assert report["slope"] is None and report["intercept"] is None
 
 
 def test_true_wasserstein_gatt_unit_params():

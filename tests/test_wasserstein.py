@@ -11,7 +11,7 @@ from geodid.spaces.wasserstein import (
     _nondecreasing,
     _sample_quantiles,
     cdf_eval,
-    mean,
+    means,
     midpoint_grid,
     quantile_from_samples,
 )
@@ -218,7 +218,7 @@ PAV_MEAN = [91294.46776531237, 145754.7203029883, 209760.7774016387, 209760.7774
 def test_mean_repairs_a_drop_that_averaging_widens():
     stack = np.array([REPAIR_ROW] * 3)
     assert np.diff(np.average(stack, axis=0))[-1] < -POINT_TOL
-    means = (mean(stack)[0], frechet_mean([QuantileCurve(REPAIR_ROW)] * 3).mean.values)
-    for values in means:
+    results = (means([stack])[0][0], frechet_mean([QuantileCurve(REPAIR_ROW)] * 3).mean.values)
+    for values in results:
         assert np.all(np.diff(values) >= 0.0)
         np.testing.assert_allclose(values, PAV_MEAN, rtol=0.0, atol=POINT_TOL)
