@@ -21,14 +21,15 @@ from .errors import InvariantViolationError, MissingOutcomeError, ParseError
 from .geometry import _BACKENDS, backend_of
 from .panel import PanelDataset, locate
 from .spaces import FORMAT_INLINE
-from .spaces.matrix import FORMAT_MATRIX_CSV, FORMAT_MATRIX_JSON
+from .spaces.matrix import FORMAT_MATRIX_JSON
 from .spaces.sphere import FORMAT_COMPOSITION
 from .spaces.wasserstein import DEFAULT_GRID_SIZE, FORMAT_QUANTILE, FORMAT_SAMPLES
 
 SCHEMA_VERSION = 1
 # bytes asked of each os.read of a data file
 _READ_CHUNK = 1 << 16
-# flat data files parsed per orjson.loads call
+# flat data files parsed per orjson.loads call, and data files spelled per
+# orjson.dumps call
 _BLOCK_FILES = 128
 # the bytes of a flat data file that the block parse reads: JSON's number
 # characters and the comma (line ends are turned into commas first)
@@ -325,42 +326,61 @@ def save_panel(panel, manifest_path, fmt=FORMAT_INLINE):
     stem, ext = manifest_path.stem, "json" if fmt == FORMAT_MATRIX_JSON else "csv"
     # the encoding text-mode `open` writes in, looked up once per save
     encoding = locale.getpreferredencoding(False)
-    # data files are opened by name in the manifest's folder, not by joined paths
-    folder = None if fmt == FORMAT_INLINE else os.open(manifest_path.parent, os.O_RDONLY)
-    try:
-        for i, uid in enumerate(uids):
-            record = {
-                "id": uid,
-                "treatment": [int(x) for x in panel.treatment[i]],
-                "outcomes": [],
-            }
-            for t in range(panel.n_periods):
-                data = backend.to_data(panel.data[i, t])
-                if fmt == FORMAT_INLINE:
-                    record["outcomes"].append(data)
-                    continue
-                rel = f"{stem}_{uid}_t{t}.{ext}"
-                _write_data_file(rel, data, fmt, encoding, folder)
-                record["outcomes"].append(rel)
-            manifest["units"].append(record)
-    finally:
-        if folder is not None:
+    if fmt == FORMAT_INLINE:
+        outcomes = backend.to_data(panel.data).tolist()
+    else:
+        outcomes = [[f"{stem}_{uid}_t{t}.{ext}" for t in range(panel.n_periods)] for uid in uids]
+        names = [rel for row in outcomes for rel in row]
+        points = panel.data.reshape(len(names), *panel.data.shape[2:])
+        # data files are opened by name in the manifest's folder, not by joined paths
+        folder = os.open(manifest_path.parent, os.O_RDONLY)
+        try:
+            # spelled a block of files at a time, so that their texts never
+            # hold more than a block's numbers
+            for start in range(0, len(names), _BLOCK_FILES):
+                block = slice(start, start + _BLOCK_FILES)
+                for rel, text in zip(names[block], _data_texts(backend.to_data(points[block]), fmt)):
+                    _write_data_file(rel, text, encoding, folder)
+        finally:
             os.close(folder)
+    for i, uid in enumerate(uids):
+        record = {"id": uid, "treatment": [int(x) for x in panel.treatment[i]], "outcomes": outcomes[i]}
+        manifest["units"].append(record)
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=1)
     return manifest_path
 
 
-def _write_data_file(path, data, fmt, encoding=None, dir_fd=None):
-    """Write a data file's bytes: those text-mode `open(path, "w", newline="")`
-    writes in `encoding` (by default the one it looks up). `path` is taken
-    relative to the folder open as `dir_fd`, if given."""
+def _data_texts(stack, fmt):
+    """The text of the data file in `fmt` of each point of a (k, *shape) stack
+    of `to_data` arrays: `json.dumps` of its list, or for a CSV format the
+    lines csv.writer writes for its rows (a matrix's rows, a curve's or a
+    composition's one row): no cell needs quoting, and "\r\n" ends each line."""
     if fmt == FORMAT_MATRIX_JSON:
-        text = json.dumps(data)
-    else:
-        rows = data if fmt == FORMAT_MATRIX_CSV else [data]
-        # the bytes csv.writer writes: no cell needs quoting, and "\r\n" ends each row
-        text = "".join(floats_text(row, ",") + "\r\n" for row in rows)
+        return [json.dumps(x) for x in stack.tolist()]
+    rows = np.ascontiguousarray(stack).reshape(-1, stack.shape[-1])
+    lines = [line + "\r\n" for line in _rows_text(rows)]
+    per_file = len(rows) // len(stack)
+    return ["".join(lines[i : i + per_file]) for i in range(0, len(lines), per_file)]
+
+
+def _rows_text(rows):
+    """`floats_text(row.tolist(), ",")` for each row of a C-contiguous (k, w)
+    float64 array, spelled by one `orjson.dumps` call (orjson spells a
+    float64 array as it spells the list of its floats)."""
+    text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    lines = text[2:-2].split("],[")
+    if not _spelled_as_repr(text):
+        for i, line in enumerate(lines):
+            if not _spelled_as_repr(line):
+                lines[i] = ",".join(map(float.__repr__, rows[i].tolist()))
+    return lines
+
+
+def _write_data_file(path, text, encoding=None, dir_fd=None):
+    """Write a data file's bytes: those text-mode `open(path, "w", newline="")`
+    writes for `text` in `encoding` (by default the one it looks up). `path`
+    is taken relative to the folder open as `dir_fd`, if given."""
     raw = memoryview(text.encode(encoding or locale.getpreferredencoding(False)))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666, dir_fd=dir_fd)
     try:
@@ -373,18 +393,26 @@ def _write_data_file(path, data, fmt, encoding=None, dir_fd=None):
 def floats_text(values, sep):
     """`sep.join(map(float.__repr__, values))` for a list of floats, spelled by one `orjson.dumps` call.
 
+    Where orjson's text is not repr's (`_spelled_as_repr`), the values are
+    joined by repr instead, as they are when any of them is not a float (repr
+    raises TypeError for a value that is no float at all).
+    """
+    if set(map(type, values)) == {float}:
+        text = orjson.dumps(values)[1:-1].decode()
+        if _spelled_as_repr(text):
+            return text.replace(",", sep)
+    return sep.join(map(float.__repr__, values))
+
+
+def _spelled_as_repr(text):
+    """Whether orjson's `text` of floats spells each as repr does.
+
     orjson writes a float's shortest round-trip digits, as repr does, and
     spells them as repr does except where |x| < 1e-4 or |x| >= 1e16 (repr
     writes `1e-05` and `1e+16`, orjson `0.00001` and `1e16`) and for nan and
-    inf (orjson writes null). Its text then holds an `e`, an `n` or `0.0000`,
-    and the values are joined by repr instead, as they are when any of them is
-    not a float (repr raises TypeError for a value that is no float at all).
+    inf (orjson writes null). Its text then holds an `e`, an `n` or `0.0000`.
     """
-    if set(map(type, values)) == {float}:
-        text = orjson.dumps(values)[1:-1]
-        if not (b"e" in text or b"n" in text or b"0.0000" in text):
-            return text.decode().replace(",", sep)
-    return sep.join(map(float.__repr__, values))
+    return not ("e" in text or "n" in text or "0.0000" in text)
 
 
 def point_to_jsonable(point):

@@ -10,6 +10,10 @@ from .errors import InvariantViolationError
 from .geometry import _BACKENDS, backend_of
 
 NEVER_TREATED = math.inf
+# bytes of outcomes a panel validates per `validate` call: each check's
+# temporaries are then a block's size, reused from the heap rather than
+# faulted in afresh, and read while the block is still in cache
+_VALIDATE_BLOCK_BYTES = 1 << 19
 
 
 def locate(exc, n_periods, unit_ids):
@@ -18,6 +22,21 @@ def locate(exc, n_periods, unit_ids):
         return exc
     i, t = divmod(exc.index, n_periods)
     return InvariantViolationError(f"unit {unit_ids[i]} period {t}: {exc}")
+
+
+def _validate(validate, stack, fields):
+    """`validate(stack, **fields)`, run on blocks of `_VALIDATE_BLOCK_BYTES`.
+
+    When a block fails, the whole stack is validated once more, so the error
+    is the one a single call raises: its first defect by check, then by row.
+    """
+    rows = max(1, _VALIDATE_BLOCK_BYTES // max(1, stack[0].nbytes))
+    try:
+        for start in range(0, len(stack), rows):
+            validate(stack[start : start + rows], **fields)
+    except InvariantViolationError:
+        validate(stack, **fields)
+        raise
 
 
 @dataclass(frozen=True, init=False)
@@ -82,7 +101,7 @@ class PanelDataset:
         if space_id not in _BACKENDS:
             raise InvariantViolationError(f"unknown space {space_id!r}")
         try:
-            _BACKENDS[space_id].validate(data.reshape(n * periods, *data.shape[2:]), **fields)
+            _validate(_BACKENDS[space_id].validate, data.reshape(n * periods, *data.shape[2:]), fields)
         except InvariantViolationError as exc:
             raise locate(exc, periods, self.unit_ids or range(n)) from None
         data.flags.writeable = False

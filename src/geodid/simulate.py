@@ -76,9 +76,13 @@ class SimConfig:
         # an edge joins its two blocks both ways: the DGP reads p12 for both
         if self.p12 != self.p21:
             raise ValueError(f"edge probabilities p12 = {self.p12} and p21 = {self.p21} differ")
-        # a network needs at least one edge, so at least two nodes
-        if self.m1 < 0 or self.m2 < 0 or self.m1 + self.m2 < 2:
-            raise ValueError("block sizes m1 and m2 must be >= 0 with m1 + m2 >= 2")
+        # a network needs at least one edge, so at least two nodes, and an
+        # m x m Laplacian that numpy can index (which keeps m a float, too)
+        m = self.m1 + self.m2
+        if self.m1 < 0 or self.m2 < 0 or not 2 <= m <= math.isqrt(sys.maxsize):
+            raise ValueError(
+                f"block sizes m1 and m2 must be >= 0 with m1 + m2 in [2, {math.isqrt(sys.maxsize)}]"
+            )
         coefs = [abs(c) for c in (self.alpha1, self.alpha2, self.alpha3, self.beta)]
         a1, a2, a3, b = coefs
         if self.space == SPACE_WASSERSTEIN:
@@ -157,7 +161,9 @@ def true_network_gatt(config):
 
     def mean_laplacian(d, t):
         weight = config.alpha1 + config.alpha2 * t + d * (config.alpha3 + config.beta * t)
-        lap = -probs * weight
+        # a config admits a weight that overflows only when no edge can exist,
+        # and an edge that never exists weighs 0 (inf * 0 would be NaN)
+        lap = -probs * weight if math.isfinite(weight) else np.zeros_like(probs)
         np.fill_diagonal(lap, 0.0)
         np.fill_diagonal(lap, -lap.sum(axis=1))
         return lap
@@ -178,7 +184,10 @@ def generate_network_panel(config, rng):
     n_edges = len(iu[0])
     edge_probs = probs[iu]
     t, dc = np.arange(2), d[:, None]
-    base = (config.alpha1 + config.alpha2 * t + config.alpha3 * dc + config.beta * dc * t)[..., None]
+    # a weight overflows only when no edge can exist (see SimConfig): the
+    # absent-edge branch below then gives every weight 0
+    with np.errstate(over="ignore"):
+        base = (config.alpha1 + config.alpha2 * t + config.alpha3 * dc + config.beta * dc * t)[..., None]
     finite = np.isfinite(base).all()
     # one gather builds a block's Laplacians from its (k, 2, n_edges) weights:
     # cell (i, j) reads edge {i, j}'s weight in both triangles, and the
@@ -208,12 +217,15 @@ def generate_network_panel(config, rng):
             w[~present] = 0.0
         if not w.min() >= 0.0:
             kind = KIND_FREE
+        # the block's Laplacians are finished while it is in cache: -W, then
+        # the degrees, W's row sums, on the diagonal
         block = laps[start:stop]
         np.take(w, cell_edge, axis=-1, out=block, mode="clip")
-        block.reshape(-1, m * m)[:, :: m + 1] = 0.0
-    degrees = row_sums(laps)
-    np.negative(laps, out=laps)
-    laps[..., np.arange(m), np.arange(m)] = degrees
+        diagonal = block.reshape(-1, m * m)[:, :: m + 1]
+        diagonal[...] = 0.0
+        degrees = row_sums(block)
+        np.negative(block, out=block)
+        diagonal[...] = degrees.reshape(diagonal.shape)
     treatment = np.column_stack([np.zeros(n, dtype=int), d])
     panel = PanelDataset.from_array(laps, treatment, "frobenius", {"kind": kind})
     return panel, true_network_gatt(config)

@@ -221,11 +221,11 @@ def from_data(outcomes, manifest):
 
 
 def to_data(entries):
-    return entries.tolist()
+    return entries
 
 
 def to_jsonable(point):
-    return {"space": "frobenius", "kind": point.kind, "entries": to_data(point.entries)}
+    return {"space": "frobenius", "kind": point.kind, "entries": point.entries.tolist()}
 
 
 def manifest_fields(shape, kind):

@@ -237,11 +237,12 @@ def from_data(outcomes, manifest):
 
 
 def to_data(coords):
-    return (coords**2).tolist()
+    """The shares of a point or a stack: the squared coordinates."""
+    return coords**2
 
 
 def to_jsonable(point):
-    return {"space": "sphere", "coords": point.coords.tolist(), "shares": to_data(point.coords)}
+    return {"space": "sphere", "coords": point.coords.tolist(), "shares": to_data(point.coords).tolist()}
 
 
 def manifest_fields(shape):

@@ -173,11 +173,11 @@ def from_data(outcomes, manifest):
 
 
 def to_data(values):
-    return values.tolist()
+    return values
 
 
 def to_jsonable(curve):
-    return {"space": "wasserstein", "quantiles": to_data(curve.values)}
+    return {"space": "wasserstein", "quantiles": curve.values.tolist()}
 
 
 def manifest_fields(shape):

@@ -167,6 +167,7 @@ def check_exit(argv):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error", "message"}
+    return code
 
 
 @CONTRACT
@@ -229,6 +230,22 @@ def simulate_argv(draw):
 def test_simulate_exits_0_2_or_3_with_one_json_error_line(argv):
     with mock.patch.dict(os.environ, {"GEODID_THREADS": "1"}):
         check_exit(argv)
+
+
+@pytest.mark.parametrize(
+    "knobs, expected",
+    [
+        # no edge can exist, yet the trend weights overflow: every error is 0
+        (["--p11=0", "--p12=0", "--p21=0", "--p22=0", "--alpha1=1e308", "--alpha2=1e308"], EXIT_OK),
+        # a block size past the float range
+        ([f"--m1={10**400}"], EXIT_INVALID_INPUT),
+    ],
+    ids=["overflowing weights, no edges", "block size of 400 digits"],
+)
+def test_simulate_network_config_edges_keep_the_contract(knobs, expected):
+    argv = ["simulate", "--space", "network", "--n", "8,10", "--q", "2", *knobs]
+    with mock.patch.dict(os.environ, {"GEODID_THREADS": "1"}):
+        assert check_exit(argv) == expected
 
 
 # deeper than the recursion limit of Python's json parser

@@ -465,10 +465,14 @@ def test_writer_bytes_match_csv_writer(tmp_path, fmt):
     magnitudes = 10.0 ** rng.uniform(-300, 300, 60)
     values = rng.choice([-1.0, 1.0], 60) * magnitudes
     values[:6] = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3]
-    data = values.reshape(6, 10).tolist() if fmt == "matrix-csv" else values.tolist()
-    path = tmp_path / "w.csv"
-    gio._write_data_file(path, data, fmt)
-    assert path.read_bytes() == csv_writer_bytes(data, fmt)
+    # a row that orjson spells as repr does, beside rows that take repr's join
+    values[10:20] = rng.normal(size=10)
+    # six data files of one row, or three of two rows
+    stack = values.reshape(3, 2, 10) if fmt == "matrix-csv" else values.reshape(6, 10)
+    for i, text in enumerate(gio._data_texts(stack, fmt)):
+        path = tmp_path / f"w{i}.csv"
+        gio._write_data_file(path, text)
+        assert path.read_bytes() == csv_writer_bytes(stack[i].tolist(), fmt)
 
 
 def line_reader_outcome(path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from geodid.errors import InvariantViolationError, SpaceMismatchError
-from geodid.panel import NEVER_TREATED, PanelDataset
+from geodid.geometry import _BACKENDS
+from geodid.panel import _VALIDATE_BLOCK_BYTES, NEVER_TREATED, PanelDataset
 from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.spaces.wasserstein import QuantileCurve
 
@@ -176,3 +177,66 @@ def test_from_array_allows_quantile_drops_within_tolerance_only():
     data[2, 1, 4] = data[2, 1, 3] - 1e-8
     with pytest.raises(InvariantViolationError, match="unit 2 period 1: .*non-decreasing"):
         PanelDataset.from_array(data, treatment, "wasserstein", {})
+
+
+def valid_stack(space, k, rng):
+    """k valid points of `space` as one (k, *shape) array: Laplacians of 4
+    nodes, quantile curves of 8 values or 4-part compositions."""
+    if space == "frobenius":
+        w = rng.uniform(0.0, 1.0, (k, 4, 4))
+        w = np.triu(w, 1) + np.swapaxes(np.triu(w, 1), 1, 2)
+        return np.eye(4) * w.sum(axis=2)[:, :, None] - w
+    if space == "wasserstein":
+        return np.sort(rng.normal(size=(k, 8)), axis=1)
+    x = np.abs(rng.normal(size=(k, 4))) + 0.1
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+# per space, two defects whose checks run in one order in `validate`: the
+# first breaks the later check and goes in block 0, the second breaks the
+# earlier check and goes in block 2, so a panel that raised block 0's error
+# would name the wrong unit and the wrong defect
+DEFECTS = {
+    "frobenius": [
+        lambda e: e + 0.5 * (np.ones_like(e) - np.eye(len(e))),  # positive off-diagonal: not a Laplacian
+        lambda e: np.where(np.eye(len(e), dtype=bool), np.nan, e),
+    ],
+    "wasserstein": [lambda v: v[::-1], lambda v: np.where(np.arange(len(v)) == 3, np.inf, v)],
+    "sphere": [lambda c: np.array([-0.6, 0.8, 0.0, 0.0]), lambda c: 1.5 * c],
+}
+KIND = {"frobenius": {"kind": "laplacian"}, "wasserstein": {}, "sphere": {}}
+
+
+def whole_stack_error(space, data):
+    """The message a panel of `data` must raise: whole-stack `validate`'s,
+    located at its unit and period."""
+    periods = data.shape[1]
+    with pytest.raises(InvariantViolationError) as caught:
+        _BACKENDS[space].validate(data.reshape(-1, *data.shape[2:]), **KIND[space])
+    i, t = divmod(caught.value.index, periods)
+    return f"unit {i} period {t}: {caught.value}"
+
+
+@pytest.mark.parametrize("space", sorted(DEFECTS))
+def test_block_validation_raises_the_whole_stack_error(space):
+    rng = np.random.default_rng(5)
+    point_bytes = valid_stack(space, 1, rng)[0].nbytes
+    block = _VALIDATE_BLOCK_BYTES // point_bytes
+    # two full blocks and about half of a third, two periods per unit
+    stack = valid_stack(space, 2 * (5 * block // 4), rng)
+    data = stack.reshape(len(stack) // 2, 2, *stack.shape[1:])
+    treatment = np.zeros(data.shape[:2], dtype=int)
+    PanelDataset.from_array(data, treatment, space, KIND[space])
+    late_check, early_check = DEFECTS[space]
+    early, late = 5, 2 * block + 7
+    two = data.copy()
+    two.reshape(stack.shape)[early] = late_check(stack[early])
+    two.reshape(stack.shape)[late] = early_check(stack[late])
+    one = data.copy()
+    one.reshape(stack.shape)[-1] = late_check(stack[-1])
+    for bad, row in ((two, late), (one, len(stack) - 1)):
+        expected = whole_stack_error(space, bad)
+        assert expected.startswith(f"unit {row // 2} period {row % 2}: ")
+        with pytest.raises(InvariantViolationError) as caught:
+            PanelDataset.from_array(bad, treatment, space, KIND[space])
+        assert str(caught.value) == expected

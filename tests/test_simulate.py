@@ -311,6 +311,9 @@ def bits(a):
         # 4 after one block of 8, and a tail of 3 after two
         {"m1": 6, "m2": 6},
         {"m1": 10, "m2": 9, "alpha1": -0.5},
+        # three blocks whose Laplacians are each finished in the block loop,
+        # with the row sums' tail, and a partial last block
+        {"n": 300, "m1": 10, "m2": 9, "alpha1": -0.5},
     ],
     ids=[
         "default",
@@ -324,6 +327,7 @@ def bits(a):
         "n 300, negative weights",
         "blocks 6-6",
         "blocks 10-9, negative weights",
+        "n 300, blocks 10-9, negative weights",
     ],
 )
 def test_network_panel_matches_per_unit_loop_bit_for_bit(knobs):
