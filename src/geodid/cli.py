@@ -16,7 +16,7 @@ from .errors import (
     MissingOutcomeError,
     ParseError,
 )
-from .simulate import SimConfig, run_monte_carlo
+from .simulate import _DGPS, SimConfig, run_monte_carlo
 from .staggered import FORM_RECURSIVE, estimate_all_cells
 
 EXIT_OK = 0
@@ -130,7 +130,7 @@ def build_parser():
     p_stg.add_argument("--out", default=None)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo convergence study")
-    p_sim.add_argument("--space", choices=["wasserstein", "network"], required=True)
+    p_sim.add_argument("--space", choices=list(_DGPS), required=True)
     p_sim.add_argument("--n", default="50,200,1000", help="comma-separated sample sizes")
     for knob in _SIM_KNOBS:
         flag = "--" + _SIM_FLAG_NAMES.get(knob.name, knob.name.replace("_", "-"))

@@ -2,7 +2,11 @@
 
 Two DGPs are provided: Gaussian quantile curves observed through finite
 samples (Wasserstein space) and weighted stochastic-block-model networks
-observed as graph Laplacians (Frobenius space). The driver estimates the
+observed as graph Laplacians (Frobenius space). `_DGPS` is the one table that
+maps a `SimConfig.space` to its DGP: the bound on its values that `SimConfig`
+checks for overflow, its outcome draw and its true effect. `generate_panel`
+writes the two-period design once for every DGP: the treatment draw, then the
+DGP's outcomes, the panel and the truth. The driver estimates the
 treatment-effect geodesic on each replicated panel, measures the error in the
 quotient metric anchored at the true counterfactual mean, and fits a log-log
 slope across sample sizes.
@@ -24,8 +28,6 @@ from .panel import PanelDataset
 from .spaces.matrix import SymmetricMatrixPoint, KIND_FREE, KIND_LAPLACIAN, row_sums
 from .spaces.wasserstein import QuantileCurve, _sample_quantiles, midpoint_grid
 
-SPACE_WASSERSTEIN = "wasserstein"
-SPACE_NETWORK = "network"
 # the largest |normal quantile| of a uniform draw in (0, 1) on numpy's 2**-53 lattice
 _Z_MAX = float(-ndtri(2.0**-53))
 # units whose Laplacians the network DGP builds at a time: a block's draws and
@@ -36,7 +38,7 @@ _BLOCK_UNITS = 128
 
 @dataclass(frozen=True)
 class SimConfig:
-    space: str = SPACE_WASSERSTEIN
+    space: str = "wasserstein"
     n: int = 200
     q: int = 200
     treat_prob: float = 0.25
@@ -58,8 +60,10 @@ class SimConfig:
     p22: float = 0.5
 
     def __post_init__(self):
-        if self.space not in (SPACE_WASSERSTEIN, SPACE_NETWORK):
+        if self.space not in _DGPS:
             raise ValueError(f"unknown simulation space {self.space!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.treat_prob < 1.0:
             raise ValueError("treat_prob must be in (0, 1)")
         if self.n < 4:
@@ -84,15 +88,7 @@ class SimConfig:
                 f"block sizes m1 and m2 must be >= 0 with m1 + m2 in [2, {math.isqrt(sys.maxsize)}]"
             )
         coefs = [abs(c) for c in (self.alpha1, self.alpha2, self.alpha3, self.beta)]
-        a1, a2, a3, b = coefs
-        if self.space == SPACE_WASSERSTEIN:
-            bound, size = a2 + (a1 + b) * _Z_MAX, self.grid_size
-        elif max(self.p11, self.p12, self.p21, self.p22) > 0.0:
-            # a degree sums m - 1 edge weights, each the trend plus noise in [-1, 1)
-            bound = (self.m1 + self.m2 - 1) * (a1 + a2 + a3 + b + 1.0)
-            size = (self.m1 + self.m2) ** 2
-        else:
-            bound, size = 0.0, 0  # no edge can exist, so every weight and error is 0
+        bound, size = _DGPS[self.space].bound(self, *coefs)
         # a replicate's error sums `size` squares of differences between points
         # made of a few means and transports, each difference at most 16 * bound
         square = (16.0 * bound) * (16.0 * bound)
@@ -121,19 +117,23 @@ def _run_rng(config, run):
     )
 
 
+def _wasserstein_bound(config, a1, a2, a3, b):
+    return a2 + (a1 + b) * _Z_MAX, config.grid_size
+
+
 def true_wasserstein_gatt(config):
     """Population treatment-effect geodesic of the Gaussian quantile DGP."""
     z = ndtri(midpoint_grid(config.grid_size))
-    # nu_{1,0} and nu_{0,0} coincide, so the transported start equals nu_{0,1}
-    start = QuantileCurve(config.alpha2 + config.alpha1 * z)
-    end = QuantileCurve(config.alpha2 + (config.alpha1 + config.beta) * z)
+    # nu_{1,0} and nu_{0,0} coincide, so the transported start equals nu_{0,1};
+    # mu + sigma z has scale |sigma|, whatever the sign of sigma
+    start = QuantileCurve(config.alpha2 + abs(config.alpha1) * z)
+    end = QuantileCurve(config.alpha2 + abs(config.alpha1 + config.beta) * z)
     return Geodesic(start, end)
 
 
-def generate_wasserstein_panel(config, rng):
-    """Two-period panel of empirical quantile curves, plus the true effect."""
+def _draw_wasserstein(config, d, rng):
+    """Empirical quantile curves of both periods."""
     n, s = config.n, config.sample_size_per_dist
-    d = (rng.random(n) < config.treat_prob).astype(int)
     curves = np.empty((n, 2, config.grid_size))
     for t in (0, 1):
         mu = rng.normal(config.alpha2 * t, 1.0, size=n)
@@ -141,9 +141,7 @@ def generate_wasserstein_panel(config, rng):
         # inverse-CDF sampling keeps a single source of truth for the normal quantile
         draws = mu[:, None] + sigma[:, None] * ndtri(rng.random((n, s)))
         curves[:, t, :] = _sample_quantiles(draws, config.grid_size)
-    treatment = np.column_stack([np.zeros(n, dtype=int), d])
-    panel = PanelDataset.from_array(curves, treatment, "wasserstein", {})
-    return panel, true_wasserstein_gatt(config)
+    return curves, "wasserstein", {}
 
 
 def _block_probabilities(config):
@@ -155,12 +153,23 @@ def _block_probabilities(config):
     return m, probs
 
 
+def _network_bound(config, a1, a2, a3, b):
+    if max(config.p11, config.p12, config.p21, config.p22) > 0.0:
+        # a degree sums m - 1 edge weights, each the trend plus noise in [-1, 1)
+        m = config.m1 + config.m2
+        return (m - 1) * (a1 + a2 + a3 + b + 1.0), m**2
+    return 0.0, 0  # no edge can exist, so every weight and error is 0
+
+
 def true_network_gatt(config):
     """Population treatment-effect geodesic of the weighted-SBM DGP."""
     _, probs = _block_probabilities(config)
+    w00, w01, w10, w11 = (
+        config.alpha1 + config.alpha2 * t + d * (config.alpha3 + config.beta * t)
+        for d in (0, 1) for t in (0, 1)
+    )
 
-    def mean_laplacian(d, t):
-        weight = config.alpha1 + config.alpha2 * t + d * (config.alpha3 + config.beta * t)
+    def mean_laplacian(weight):
         # a config admits a weight that overflows only when no edge can exist,
         # and an edge that never exists weighs 0 (inf * 0 would be NaN)
         lap = -probs * weight if math.isfinite(weight) else np.zeros_like(probs)
@@ -168,18 +177,18 @@ def true_network_gatt(config):
         np.fill_diagonal(lap, -lap.sum(axis=1))
         return lap
 
-    nu00, nu01 = mean_laplacian(0, 0), mean_laplacian(0, 1)
-    nu10, nu11 = mean_laplacian(1, 0), mean_laplacian(1, 1)
-    start = SymmetricMatrixPoint(nu10 + nu01 - nu00, kind=KIND_LAPLACIAN)
-    end = SymmetricMatrixPoint(nu11, kind=KIND_LAPLACIAN)
-    return Geodesic(start, end)
+    def point(entries, weight):
+        # a negative mean weight gives positive off-diagonal entries
+        return SymmetricMatrixPoint(entries, kind=KIND_LAPLACIAN if weight >= 0.0 else KIND_FREE)
+
+    start = mean_laplacian(w10) + mean_laplacian(w01) - mean_laplacian(w00)
+    return Geodesic(point(start, w10 + w01 - w00), point(mean_laplacian(w11), w11))
 
 
-def generate_network_panel(config, rng):
-    """Two-period panel of graph Laplacians, plus the true effect."""
+def _draw_network(config, d, rng):
+    """Graph Laplacians of both periods, built a block of units at a time."""
     n = config.n
     m, probs = _block_probabilities(config)
-    d = (rng.random(n) < config.treat_prob).astype(int)
     iu = np.triu_indices(m, k=1)
     n_edges = len(iu[0])
     edge_probs = probs[iu]
@@ -226,15 +235,30 @@ def generate_network_panel(config, rng):
         degrees = row_sums(block)
         np.negative(block, out=block)
         diagonal[...] = degrees.reshape(diagonal.shape)
-    treatment = np.column_stack([np.zeros(n, dtype=int), d])
-    panel = PanelDataset.from_array(laps, treatment, "frobenius", {"kind": kind})
-    return panel, true_network_gatt(config)
+    return laps, "frobenius", {"kind": kind}
+
+
+@dataclass(frozen=True)
+class _Dgp:
+    bound: object  # (config, |alpha1|, |alpha2|, |alpha3|, |beta|) -> (value bound, point size)
+    draw: object   # (config, d, rng) -> (data, space_id, fields) of both periods
+    truth: object  # config -> true effect geodesic
+
+
+# the one table from a simulation space to its DGP, in the CLI's order
+_DGPS = {
+    "wasserstein": _Dgp(_wasserstein_bound, _draw_wasserstein, true_wasserstein_gatt),
+    "network": _Dgp(_network_bound, _draw_network, true_network_gatt),
+}
 
 
 def generate_panel(config, rng):
-    if config.space == SPACE_WASSERSTEIN:
-        return generate_wasserstein_panel(config, rng)
-    return generate_network_panel(config, rng)
+    """Two-period panel of the config's DGP, plus the true effect."""
+    dgp = _DGPS[config.space]
+    d = (rng.random(config.n) < config.treat_prob).astype(int)
+    data, space_id, fields = dgp.draw(config, d, rng)
+    treatment = np.column_stack([np.zeros(config.n, dtype=int), d])
+    return PanelDataset.from_array(data, treatment, space_id, fields), dgp.truth(config)
 
 
 def single_run_error(config, run):

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from geodid.cli import EXIT_ESTIMATION, EXIT_INVALID_INPUT, EXIT_OK, main
 from geodid.errors import KindViolationWarning, OrthantExitWarning
 from geodid.geometry import _BACKENDS
+from geodid.simulate import _DGPS
 
 SPACE_FORMATS = [(space, fmt) for space in sorted(_BACKENDS) for fmt in _BACKENDS[space].FORMATS]
 FILE_EXTENSIONS = {"matrix-json": "json"}
@@ -209,7 +210,7 @@ def simulate_argv(draw):
     """`simulate` with every size knob tiny, and drawn values for up to two of
     `treat_prob` and the coefficients, and for the edge probabilities: all four
     one value (the DGP needs p12 == p21), or up to two of them."""
-    argv = ["simulate", "--space", draw(st.sampled_from(["wasserstein", "network"]))]
+    argv = ["simulate", "--space", draw(st.sampled_from(list(_DGPS)))]
     argv += ["--n", draw(st.sampled_from(["8,10", "6,8,10", "8"])), f"--q={draw(st.integers(1, 2))}"]
     argv += [f"--seed={draw(st.integers(0, 3))}", f"--grid-size={draw(st.integers(2, 4))}"]
     argv += [f"--samples-per-dist={draw(st.integers(2, 3))}"]

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import pytest
 
 import geodid
 from geodid import estimate_gatt, frechet_mean, simulate
-from geodid.cli import EXIT_INVALID_INPUT, main
+from geodid.cli import EXIT_INVALID_INPUT, build_parser, main
 from geodid.geometry import distance
 from geodid.simulate import (
     SimConfig,
@@ -184,16 +186,68 @@ def test_true_wasserstein_gatt_unit_params():
 
 
 def test_true_gatt_zero_when_no_effect():
-    for config in (
-        SimConfig(beta=0.0),
-        SimConfig(space="network", beta=0.0),
-    ):
-        truth = (
-            true_wasserstein_gatt(config)
-            if config.space == "wasserstein"
-            else true_network_gatt(config)
-        )
+    for space, dgp in simulate._DGPS.items():
+        truth = dgp.truth(SimConfig(space=space, beta=0.0))
         assert distance(truth.start, truth.end) < 1e-12
+
+
+def test_dgp_names_are_the_table_keys():
+    # one list of DGP names: the CLI's --space choices and the spaces SimConfig accepts
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    space = next(a for a in commands.choices["simulate"]._actions if a.dest == "space")
+    assert space.choices == list(simulate._DGPS) == ["wasserstein", "network"]
+    assert [SimConfig(space=name).space for name in simulate._DGPS] == list(simulate._DGPS)
+    for name in ("sphere", "frobenius", "Network", ""):
+        with pytest.raises(ValueError, match="unknown simulation space"):
+            SimConfig(space=name)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--space", "network", "--n", "20,40", "--q", "2", "--alpha1", "-5"],
+        ["--space", "wasserstein", "--n", "20,40", "--q", "2", "--alpha1", "-1", "--beta", "0.5"],
+    ],
+    ids=["network-alpha1-negative", "wasserstein-scale-negative"],
+)
+def test_negative_coefficients_give_a_valid_truth(argv, tmp_path, capsys, recwarn):
+    # a negative mean weight makes a free network truth, not a Laplacian one,
+    # and a negative scale sigma draws curves of scale |sigma|; a warning
+    # would reach stderr outside pytest
+    out = tmp_path / "r.json"
+    assert main(["simulate", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert not recwarn.list
+    report = json.loads(out.read_text())
+    assert report["excluded"] == {"20": 0, "40": 0}
+    assert math.isfinite(report["slope"])
+
+
+def test_negative_coefficients_truths():
+    # each point is a Laplacian only when its own mean weight is >= 0: the
+    # start's is alpha1 + alpha2 + alpha3, the end's that plus beta
+    for knobs, kinds in [
+        ({"alpha1": -5.0}, (KIND_FREE, KIND_FREE)),
+        ({"beta": -5.0}, (KIND_LAPLACIAN, KIND_FREE)),
+        ({"alpha3": -4.0, "beta": 5.0}, (KIND_FREE, KIND_LAPLACIAN)),
+        ({}, (KIND_LAPLACIAN, KIND_LAPLACIAN)),
+    ]:
+        network = true_network_gatt(SimConfig(space="network", **knobs))
+        assert (network.start.kind, network.end.kind) == kinds
+    flipped = true_wasserstein_gatt(SimConfig(alpha1=-1.0, beta=-1.0))
+    truth = true_wasserstein_gatt(SimConfig(alpha1=1.0, beta=1.0))
+    np.testing.assert_array_equal(flipped.start.values, truth.start.values)
+    np.testing.assert_array_equal(flipped.end.values, truth.end.values)
+
+
+def test_config_rejects_a_negative_seed(capsys):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SimConfig(seed=-1)
+    assert main(["simulate", "--space", "network", "--n", "20", "--q", "2", "--seed", "-1"]) == EXIT_INVALID_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError", "message": "seed must be >= 0, got -1"}
 
 
 def test_true_network_gatt_off_diagonals():
