@@ -1,4 +1,5 @@
-"""Two-period geodesic difference-in-differences estimator."""
+"""The one DID step on arrays, `take_means` of `walk_keys` then `walk`, and
+the two-period estimator and placebo diagnostic that take it."""
 
 from dataclasses import dataclass
 
@@ -73,48 +74,42 @@ def walk_keys(treated, control, periods):
     return [(treated, periods[0]), (treated, periods[-1])] + [(control, p) for p in periods]
 
 
-def take_means(panel, keys, means):
+def take_means(panel, keys):
     """The backend mean of the panel's units in each (unit mask, period) of `keys`.
 
-    `means` keeps them by (packed mask bits, period), so that callers sharing
-    it compute each once; the ones it lacks are computed by one batched
-    `backend.means` call, in the order of `keys`, and kept there. The call
-    takes the stacks as a generator, so that a backend holds only the rows it
-    is averaging, not every gathered stack at once.
+    Each distinct (packed mask bits, period) is averaged once, by one batched
+    `backend.means` call in order of first appearance. The call takes the
+    stacks as a generator, so that a backend holds only the rows it is
+    averaging, not every gathered stack at once.
     """
     # a bit per unit: a call that plans many cells holds a tag per key
     tags = [(np.packbits(mask).tobytes(), period) for mask, period in keys]
-    missing = {tag: key for tag, key in zip(tags, keys) if tag not in means}
-    if missing:
-        stacks = (panel.data[mask, period] for mask, period in missing.values())
-        results = _BACKENDS[panel.space_id].means(stacks)
-        means.update((tag, mean) for tag, (mean, _) in zip(missing, results))
+    distinct = dict(zip(tags, keys))
+    stacks = (panel.data[mask, period] for mask, period in distinct.values())
+    results = _BACKENDS[panel.space_id].means(stacks)
+    means = {tag: mean for tag, (mean, _) in zip(distinct, results)}
     return [means[tag] for tag in tags]
 
 
-def walk(panel, treated, control, periods, means):
-    """The one DID step on arrays: move the treated mean at `periods[0]` along
-    the control means at each consecutive pair of `periods`.
-
-    The group means are `take_means` of `walk_keys`, shared through `means`.
-    Returns the backend, the transport path (the treated base mean, then each
-    moved mean), the treated mean at `periods[-1]` and the control means.
-    """
-    backend = _BACKENDS[panel.space_id]
-    base, end, *trend = take_means(panel, walk_keys(treated, control, periods), means)
+def walk(backend, base, trend):
+    """The one DID step on arrays: the transport path of `base` along the
+    consecutive pairs of `trend` (the control means), from `base` on."""
     path = [base]
     for prev, curr in zip(trend, trend[1:]):
         path.append(backend.transport(prev, curr, path[-1]))
-    return backend, path, end, trend
+    return path
 
 
 def gatt_arrays(panel, treated, periods):
-    """`walk` over the two `periods` with `treated` against every other unit."""
+    """The `walk` of the `treated` mean at `periods[0]` along every other unit's means:
+    the backend, the path, the treated mean at `periods[-1]` and the control means."""
     if not treated.any():
         raise EmptyGroupError("no treated units")
     if treated.all():
         raise EmptyGroupError("no control units")
-    return walk(panel, treated, ~treated, periods, {})
+    backend = _BACKENDS[panel.space_id]
+    base, end, *trend = take_means(panel, walk_keys(treated, ~treated, periods))
+    return backend, walk(backend, base, trend), end, trend
 
 
 def _gatt(panel, treated, periods):

@@ -12,6 +12,7 @@ import locale
 import os
 from collections import Counter
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +91,7 @@ def _block_parse_applies(encoding):
 
 
 def _read_block(paths, limit):
-    """One row of numbers per flat data file, all parsed by one `orjson.loads` call.
+    """The numbers of each flat data file, all parsed by one `orjson.loads` call.
 
     Each file becomes one JSON array of its bytes: its line ends at the end
     dropped, as the line reader skips blank lines, and any other turned into a
@@ -105,12 +106,12 @@ def _read_block(paths, limit):
     spells these bytes as ASCII does (`_block_parse_applies`). `limit` is
     csv's field limit, which a load looks up once per manifest.
 
-    Every check runs once on the block, not once per file. Returns None unless
-    every file opens, is within the field limit, is not blank and holds only
-    those bytes, no cell is too long or `-0`, and the block parses to one row
-    per file, all of one width (a cell that is not a JSON number, or that
-    overflows a double, fails the parse): the caller then reads the files one
-    by one.
+    Every check runs once on the block, not once per file. Returns None, and
+    the caller reads the files with the line reader, unless every file opens,
+    is within the field limit, is not blank and holds only those bytes, no
+    cell is too long or `-0`, and the block parses (a cell that is not a JSON
+    number, or that overflows a double, fails it). Else the cells are one
+    float array: (k, d) if each file holds d numbers, else split per file.
     """
     try:
         raws = [_read_bytes(path) for path in paths]
@@ -129,18 +130,21 @@ def _read_block(paths, limit):
         return None
     try:
         lists = orjson.loads(text)
-        # freed before the rows, which outlive the block, are made, the text
-        # leaves them its place in the heap, not a hole under them that the
-        # next block's text does not fit (that grew peak RSS by about 3 MB)
-        del text
-        rows = np.array(lists, dtype=float)
-    except ValueError:  # orjson.JSONDecodeError is one, and so is a ragged block
+    except ValueError:  # orjson.JSONDecodeError is one
         return None
+    # freed before the cells, which outlive the block, are made, the text
+    # leaves them its place in the heap, not a hole under them that the next
+    # block's text does not fit (that grew peak RSS by about 3 MB)
+    del text
+    sizes = list(map(len, lists))
+    cells = np.fromiter(chain.from_iterable(lists), float, sum(sizes))
     # only a block with a zero can hold a -0 cell, which is followed by a
     # comma or ends its file's row; the text is spelled again to look
-    if not rows.all() and (b"-0," in (text := _block_text(lines)) or b"-0]" in text):
+    if not cells.all() and (b"-0," in (text := _block_text(lines)) or b"-0]" in text):
         return None
-    return rows
+    if len(set(sizes)) == 1:
+        return cells.reshape(len(sizes), sizes[0])
+    return np.split(cells, np.cumsum(sizes[:-1]))
 
 
 def _block_text(lines):
@@ -158,12 +162,13 @@ def _outcome_reader(fmt, base_dir):
     What every read shares is worked out here, once per manifest. The function
     takes the outcomes and `where`, which names the i-th of them, and returns
     one array per outcome: a list of them, or, when every block of files
-    parsed, all to one width, one (k, d) array whose rows they are, which
-    costs one copy of the blocks, not a stack of one view per outcome. An
-    outcome it cannot read raises what `_outcome_error` makes of
-    MissingOutcomeError for a null outcome, OSError for a file it cannot read,
-    or TypeError, ValueError, OverflowError, RecursionError or csv.Error for
-    bad data.
+    parsed, all to one width, one (k, d) array whose rows they are. A block of
+    flat data files is parsed by `_read_block`; any other block, or one it
+    gives up on, is read outcome by outcome, a data file by the line reader,
+    the reference. An outcome it cannot read raises what `_outcome_error`
+    makes of MissingOutcomeError for a null outcome, OSError for a file it
+    cannot read, or TypeError, ValueError, OverflowError, RecursionError or
+    csv.Error for bad data.
     """
     # one curve or composition may run over several lines of any length
     flat = fmt in (FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_COMPOSITION)
@@ -175,12 +180,7 @@ def _outcome_reader(fmt, base_dir):
             raise MissingOutcomeError("outcome missing")
         if not isinstance(spec, str):
             return np.asarray(spec, dtype=float)
-        # a lone file is a block of one; os.path.join costs a few microseconds
-        # less per file than a Path join
-        if fast and (rows := _read_block([os.path.join(base_dir, spec)], limit)) is not None:
-            return rows[0]
-        # matrix files, and flat files the block parse gives up on; an error
-        # names the file as Path spells it
+        # an error names the file as Path spells it
         path = Path(base_dir) / spec
         if fmt == FORMAT_MATRIX_JSON:
             with open(path) as fh:

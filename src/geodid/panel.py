@@ -39,7 +39,7 @@ def _validate(validate, stack, fields):
         raise
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class PanelDataset:
     """Outcomes of n units over T periods in one space, with treatment indicators.
 

@@ -2,10 +2,11 @@
 
 Each module defines `distance`, `interpolate`, `transport` and `means` (the
 Frechet mean and iteration count of each stack of an iterable: batched
-Karcher iterations on the sphere) on arrays, `wrap` and `unwrap` between
-arrays and points, `validate`, `from_data`, `to_data`, `to_jsonable`,
-`manifest_fields`, `FORMATS` and `PATH_INDEPENDENT` (see the README's package
-layout), and is registered in `geometry._BACKENDS`.
+Karcher iterations on the sphere, `closed_form_means` of the module's
+`_mean` on the other two) on arrays, `wrap` and `unwrap` between arrays and
+points, `validate`, `from_data`, `to_data`, `to_jsonable`, `manifest_fields`,
+`FORMATS` and `PATH_INDEPENDENT` (see the README's package layout), and is
+registered in `geometry._BACKENDS`.
 """
 
 import numpy as np
@@ -48,6 +49,12 @@ def stack_flat(outcomes):
     if isinstance(outcomes, np.ndarray):
         return outcomes
     return stack_outcomes([x.ravel() for x in outcomes])
+
+
+def closed_form_means(mean):
+    """The `means` of a backend whose Frechet mean of a stack is `mean(stack)`: `mean` mapped over
+    the stacks, which drops each before the next is gathered (a loop variable would hold it)."""
+    return lambda stacks: list(map(mean, stacks))
 
 
 def bare(cls, **attrs):

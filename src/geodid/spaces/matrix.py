@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import InvariantViolationError, KindViolationWarning
-from . import FORMAT_INLINE, bare, check_overflow, check_points, stack_arrays, stack_outcomes
+from . import FORMAT_INLINE, bare, check_overflow, check_points, closed_form_means, stack_arrays, stack_outcomes
 
 SYMMETRY_TOL = 1e-10
 LAPLACIAN_TOL = 1e-8
@@ -123,7 +123,7 @@ def validate(stack, kind):
     check_points(~_kind_ok(stack, kind), f"matrix violates {kind} structure")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricMatrixPoint:
     """Symmetric matrix, optionally constrained to Laplacian or covariance structure."""
 
@@ -208,11 +208,7 @@ def _mean(stack):
         return _symmetric(entries), 0
 
 
-def means(stacks):
-    """`_mean` of each stack of an iterable, one by one."""
-    # map drops each stack before the next is gathered, which a list
-    # comprehension's loop variable would hold on to
-    return list(map(_mean, stacks))
+means = closed_form_means(_mean)
 
 
 def from_data(outcomes, manifest):

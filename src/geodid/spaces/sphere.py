@@ -36,7 +36,7 @@ def validate(stack):
     check_points((stack < -ORTHANT_SLACK).any(axis=1), "sphere point leaves the positive orthant")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitCompositionPoint:
     """Unit vector on the positive orthant of the sphere."""
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateTransportError, InvariantViolationError
-from . import FORMAT_INLINE, bare, check_overflow, check_points, stack_arrays, stack_flat
+from ..errors import DegenerateTransportError, InvariantViolationError, ParseError
+from . import FORMAT_INLINE, bare, check_overflow, check_points, closed_form_means, stack_arrays, stack_flat
 
 POINT_TOL = 1e-10
 DEFAULT_GRID_SIZE = 100
@@ -44,7 +44,7 @@ def validate(stack):
     check_points(drops, "quantile curve is not non-decreasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantileCurve:
     """Quantile function values on the midpoint grid of [0, 1]."""
 
@@ -150,15 +150,12 @@ def quantile_from_samples(samples, grid_size=DEFAULT_GRID_SIZE):
     return QuantileCurve(_sample_quantiles(draws[None], grid_size)[0])
 
 
-def means(stacks):
-    """`_mean` of each stack of an iterable, one by one."""
-    # map drops each stack before the next is gathered, which a list
-    # comprehension's loop variable would hold on to
-    return list(map(_mean, stacks))
+means = closed_form_means(_mean)
 
 
 def from_data(outcomes, manifest):
-    """The panel's curves, flattened, as one (k, M) stack (samples-csv: quantiles of the draws)."""
+    """The panel's curves, flattened, as one (k, M) stack (samples-csv: quantiles
+    of the draws; any other format: of the manifest's `grid_size`, if it has one)."""
     if manifest.get("format") == FORMAT_SAMPLES:
         flat = [x.ravel() for x in outcomes]
         sizes = _check_draws(flat)
@@ -169,7 +166,10 @@ def from_data(outcomes, manifest):
             rows = np.flatnonzero(sizes == s)
             stack[rows] = _sample_quantiles(np.array([flat[i] for i in rows]), grid_size)
         return stack, {}
-    return stack_flat(outcomes), {}
+    stack = stack_flat(outcomes)
+    if manifest.get("grid_size", stack.shape[1]) != stack.shape[1]:
+        raise ParseError(f"'grid_size' is {manifest['grid_size']}, but the curves hold {stack.shape[1]} values")
+    return stack, {}
 
 
 def to_data(values):

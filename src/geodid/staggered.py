@@ -10,6 +10,7 @@ path-independent and is used there unless the cell asks for the recursion.
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -129,15 +130,16 @@ def _plan(panel, cell):
 
 def _estimate(panel, cells):
     """The GroupTimeGatt of each of `cells`, which are admissible: each cell
-    planned once, every distinct (unit set, period) mean their walks take from
-    one batched `take_means`, and a treated mean that several cells share
-    wrapped once; nothing is kept between calls."""
+    planned once, the means of every cell's `walk_keys` from one `take_means`
+    call (each distinct (unit set, period) averaged once), and a treated mean
+    that several cells share wrapped once; nothing is kept between calls."""
     backend = _BACKENDS[panel.space_id]
     plans = [_plan(panel, cell) for cell in cells]
-    means, points, results = {}, {}, []
-    take_means(panel, [key for plan in plans for key in walk_keys(*plan[1:])], means)
+    means = iter(take_means(panel, [key for plan in plans for key in walk_keys(*plan[1:])]))
+    points, results = {}, []
     for cell, (form, treated, mask, periods) in zip(cells, plans):
-        _, path, end, _ = walk(panel, treated, mask, periods, means)
+        base, end, *trend = islice(means, 2 + len(periods))
+        path = walk(backend, base, trend)
         for period, mean in ((periods[0], path[0]), (cell.t, end)):
             if (cell.g, period) not in points:
                 points[cell.g, period] = backend.wrap(mean, **panel.fields)

@@ -471,6 +471,27 @@ def test_cli_rejects_malformed_manifest(tmp_path, capsys, payload, error, messag
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("fmt", ["inline", "quantile-csv"])
+def test_grid_size_must_match_the_curves_outside_samples_csv(tmp_path, capsys, fmt):
+    curves = [[0.0, 1.0, 2.0], [0.5, 1.5, 2.5]]
+    outcomes = curves
+    if fmt == "quantile-csv":
+        outcomes = []
+        for t, curve in enumerate(curves):
+            (tmp_path / f"c{t}.csv").write_text(",".join(map(repr, curve)))
+            outcomes.append(f"c{t}.csv")
+    units = [{"id": uid, "treatment": [0, d], "outcomes": outcomes} for uid, d in (("c", 0), ("t", 1))]
+    payload = {"space": "wasserstein", "periods": 2, "format": fmt, "grid_size": 7, "units": units}
+    manifest = write_manifest(tmp_path / "m.json", payload)
+    assert main(["estimate", "--manifest", manifest]) == EXIT_INVALID_INPUT
+    err = single_error_line(capsys)
+    assert err["error"] == "ParseError"
+    assert err["message"] == "'grid_size' is 7, but the curves hold 3 values"
+    # the curves' own length, as save_panel writes it, loads
+    payload["grid_size"] = 3
+    assert gio.load_panel(write_manifest(tmp_path / "m.json", payload)).data.shape == (2, 2, 3)
+
+
 def test_load_accepts_boolean_and_float_indicators(tmp_path):
     payload = json.loads(open(scalar_manifest(tmp_path)).read())
     payload["units"][0]["treatment"] = [False, 0.0]

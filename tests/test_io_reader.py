@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 from geodid import io as gio
 from geodid.cli import EXIT_INVALID_INPUT, main
 from geodid.errors import GeodidError, InvariantViolationError, MissingOutcomeError, ParseError
-from geodid.spaces.wasserstein import FORMAT_QUANTILE
+from geodid.spaces.wasserstein import FORMAT_QUANTILE, FORMAT_SAMPLES
 
 WHERE = "unit u period 0"
 DBL_MAX = sys.float_info.max
@@ -180,8 +180,8 @@ def test_two_line_file_and_blank_file_keep_their_places_in_a_block(tmp_path):
     assert [a.tolist() for a in arrays] == [[0.1, 0.2], [0.3, 0.4, 0.5, 0.6], [], [0.7, 0.8]]
 
 
-def curve_manifest(folder, n_units, periods, texts):
-    """A quantile-csv manifest of `n_units` x `periods` data files holding `texts`, unit-major."""
+def curve_manifest(folder, n_units, periods, texts, fmt=FORMAT_QUANTILE):
+    """A manifest in `fmt` of `n_units` x `periods` data files holding `texts`, unit-major."""
     units = []
     for i in range(n_units):
         outcomes = []
@@ -192,7 +192,7 @@ def curve_manifest(folder, n_units, periods, texts):
         units.append({"id": f"u{i}", "treatment": [0] * periods, "outcomes": outcomes})
     manifest = folder / "m.json"
     manifest.write_text(json.dumps({"space": "wasserstein", "periods": periods,
-                                    "format": FORMAT_QUANTILE, "units": units}))
+                                    "format": fmt, "units": units}))
     return manifest
 
 
@@ -202,9 +202,18 @@ def clean_curves(count):
     return values, [",".join(map(repr, row)) + "\r\n" for row in values.tolist()]
 
 
-def test_clean_manifest_opens_each_file_once_and_parses_a_block_per_call(tmp_path, monkeypatch):
-    values, texts = clean_curves(300)
-    manifest = curve_manifest(tmp_path, 100, 3, texts)
+def ragged_draws(count):
+    """`count` files of 2 to 40 seeded draws each, some over two lines."""
+    rng = np.random.default_rng(0)
+    draws = [rng.normal(size=rng.integers(2, 41)).tolist() for _ in range(count)]
+    texts = [",".join(map(repr, row[:3])) + "\n" + ",".join(map(repr, row[3:])) if i % 5 == 0
+             else ",".join(map(repr, row)) + "\r\n" for i, row in enumerate(draws)]
+    return draws, texts
+
+
+def counted_load(manifest, monkeypatch):
+    """`load_panel(manifest)`, checked to open each data file once and to parse
+    them with one `orjson.loads` call per block of `_BLOCK_FILES`."""
     opened, blocks = [], []
     os_open, loads = os.open, orjson.loads
 
@@ -217,13 +226,40 @@ def test_clean_manifest_opens_each_file_once_and_parses_a_block_per_call(tmp_pat
         blocks.append(len(rows))
         return rows
 
-    monkeypatch.setattr(os, "open", counting_open)
-    monkeypatch.setattr(orjson, "loads", counting_loads)
-    panel = gio.load_panel(manifest)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "open", counting_open)
+        patch.setattr(orjson, "loads", counting_loads)
+        panel = gio.load_panel(manifest)
     data_files = [p for p in opened if p.endswith(".csv")]
     assert len(data_files) == len(set(data_files)) == 300
     assert len(blocks) == math.ceil(300 / gio._BLOCK_FILES)
     assert sum(blocks) == 300
+    return panel
+
+
+def test_clean_manifest_opens_each_file_once_and_parses_a_block_per_call(tmp_path, monkeypatch):
+    values, texts = clean_curves(300)
+    panel = counted_load(curve_manifest(tmp_path, 100, 3, texts), monkeypatch)
+    np.testing.assert_array_equal(panel.data.reshape(300, 5), values)
+
+
+def test_ragged_samples_manifest_opens_each_file_once_and_parses_a_block_per_call(tmp_path, monkeypatch):
+    draws, texts = ragged_draws(300)
+    assert len(set(map(len, draws))) > 1
+    manifest = curve_manifest(tmp_path, 100, 3, texts, FORMAT_SAMPLES)
+    panel = counted_load(manifest, monkeypatch)
+    assert outcome_or_error(lambda: panel.data) == line_by_line_load(manifest, monkeypatch)
+
+
+def test_inline_outcome_among_files_loads_as_the_line_by_line_reader_loads_it(tmp_path, monkeypatch):
+    values, texts = clean_curves(300)
+    manifest = curve_manifest(tmp_path, 100, 3, texts)
+    payload = json.loads(manifest.read_text())
+    # unit 50's period 1 is file 151, in the second block of 128
+    payload["units"][50]["outcomes"][1] = values[151].tolist()
+    manifest.write_text(json.dumps(payload))
+    panel = gio.load_panel(manifest)
+    assert load_data_or_error(manifest) == line_by_line_load(manifest, monkeypatch)
     np.testing.assert_array_equal(panel.data.reshape(300, 5), values)
 
 

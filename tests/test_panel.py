@@ -1,13 +1,15 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
 from geodid.errors import InvariantViolationError, SpaceMismatchError
-from geodid.geometry import _BACKENDS
+from geodid.geometry import _BACKENDS, Geodesic, frechet_mean
 from geodid.panel import _VALIDATE_BLOCK_BYTES, NEVER_TREATED, PanelDataset
 from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.spaces.wasserstein import QuantileCurve
+from geodid.staggered import estimate_all_cells
 
 from conftest import random_composition, random_curve, random_matrix
 
@@ -240,3 +242,20 @@ def test_block_validation_raises_the_whole_stack_error(space):
         with pytest.raises(InvariantViolationError) as caught:
             PanelDataset.from_array(bad, treatment, space, KIND[space])
         assert str(caught.value) == expected
+
+
+@pytest.mark.parametrize("space", sorted(SAMPLERS))
+def test_points_and_panels_compare_and_hash_by_identity(space):
+    rng = np.random.default_rng(0)
+    point, other = SAMPLERS[space](rng), SAMPLERS[space](rng)
+    twin = copy.copy(point)
+    assert np.array_equal(ARRAY_OF[space](twin), ARRAY_OF[space](point))
+    # equal arrays, yet another object: a point is equal only to itself
+    assert point == point and point != twin and len({point, twin, point}) == 2
+    panels = [PanelDataset(((point, other), (other, point)), np.array([[0, 0], [0, 1]])) for _ in range(2)]
+    assert panels[0] == panels[0] and panels[0] != panels[1] and len(set(panels)) == 2
+    # the dataclasses holding points compare them by identity, without raising
+    assert Geodesic(point, other) == Geodesic(point, other) != Geodesic(twin, other)
+    assert frechet_mean([point, other]) != frechet_mean([point, other])
+    first, again = estimate_all_cells(panels[0]), estimate_all_cells(panels[0])
+    assert first[0] == first[0] and first[0] != again[0]

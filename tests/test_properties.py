@@ -2,7 +2,8 @@
 each space: permutation invariance over units, the scalar DID formula on 1x1
 Frobenius panels, `estimate_all_cells` equal to the per-cell estimates, the
 shortcut equal to the recursion where transport is path-independent, and
-transport along a constant geodesic equal to the identity."""
+transport along a constant geodesic equal to the identity, and every
+staggered estimate carried over by an isometry of the space."""
 
 import json
 from dataclasses import replace
@@ -43,6 +44,11 @@ SCALAR_TOL = 1e-12
 EPS = np.finfo(float).eps
 MATRIX_IDENTITY_TOL = 2 * EPS
 CDF_ROUND_TRIP_TOL = 8 * EPS
+# an isometry applied to every outcome carries every estimate with it. The
+# outcomes here are of order 10 in magnitude, and the means, transports and
+# distances of an estimate round differently once the isometry has moved or
+# reordered their inputs, by some eps of that scale; the bound is absolute
+ISOMETRY_TOL = 1e-12
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -175,3 +181,40 @@ def test_transport_along_a_constant_geodesic_is_the_identity(space, scale, seed)
         span = alpha[-1] - alpha[0]
         values = max(np.abs(alpha).max(), np.abs(omega).max())
         assert np.abs(out - omega).max() <= CDF_ROUND_TRIP_TOL * (len(alpha) * span + values)
+
+
+def isometry(space, rng):
+    """An isometry of `space` on arrays of points: a permutation of the sphere's
+    coordinates, a relabelling P X P^T of the Frobenius nodes, or a common
+    shift of every Wasserstein quantile curve."""
+    if space == "wasserstein":
+        shift = rng.uniform(-5.0, 5.0)
+        return lambda x: x + shift
+    order = rng.permutation(3 if space == "sphere" else 2)
+    if space == "sphere":
+        return lambda x: x[..., order]
+    return lambda x: x[..., order, :][..., order]
+
+
+def point_array(point):
+    return _BACKENDS[point.space_id].unwrap((point,))[0][0]
+
+
+# half the examples of the others: each runs up to four estimate_all_cells calls
+@settings(PROPERTY, max_examples=100)
+@given(space=st.sampled_from(SPACES), **staggered_designs)
+def test_isometry_carries_every_staggered_estimate(space, cohorts, units_per_group, seed, delta, comparison):
+    panel = staggered_panel(space, cohorts, units_per_group, 4, seed)
+    move = isometry(space, np.random.default_rng(seed))
+    moved = PanelDataset.from_array(move(panel.data), panel.treatment, space, panel.fields)
+    forms = [FORM_RECURSIVE, FORM_SHORTCUT] if _BACKENDS[space].PATH_INDEPENDENT else [FORM_RECURSIVE]
+    for form in forms:
+        before = estimate_all_cells(panel, delta=delta, comparison=comparison, estimator_form=form)
+        after = estimate_all_cells(moved, delta=delta, comparison=comparison, estimator_form=form)
+        assert [r.cell for r in after] == [r.cell for r in before]
+        for old, new in zip(before, after):
+            assert abs(new.magnitude - old.magnitude) <= ISOMETRY_TOL
+            pairs = [(old.effect.end, new.effect.end), *zip(old.beta_path, new.beta_path)]
+            assert len(new.beta_path) == len(old.beta_path)
+            for a, b in pairs:
+                assert np.abs(point_array(b) - move(point_array(a))).max() <= ISOMETRY_TOL
