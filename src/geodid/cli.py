@@ -3,10 +3,8 @@ and the Monte Carlo convergence study."""
 
 import argparse
 import contextlib
-import json
 import sys
 from dataclasses import fields
-from json.encoder import encode_basestring_ascii
 
 from . import io as gio
 from .did import estimate_gatt, placebo_pretrend
@@ -28,55 +26,9 @@ _SIM_KNOBS = [f for f in fields(SimConfig) if f.name not in ("space", "n")]
 _SIM_FLAG_NAMES = {"sample_size_per_dist": "samples-per-dist"}
 
 
-# the float.__repr__ spellings that json.dumps replaces
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_text(obj, newline="\n"):
-    """The text of `json.dumps(obj, indent=1)`, with `newline` (a line end and
-    the indent of obj's depth) in place of each line end.
-
-    json's indented encoder is pure Python; this one spells a list of floats
-    in one step (`io.floats_text`). Types other than dict (with str keys),
-    list, str, float, int, bool and None are left to json.dumps.
-    """
-    kind = type(obj)
-    if kind is float:
-        text = float.__repr__(obj)
-        return _FLOAT_WORDS.get(text, text)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is list or kind is dict and all(type(key) is str for key in obj):
-        if not obj:
-            return "[]" if kind is list else "{}"
-        inner = newline + " "
-        sep = "," + inner
-        if kind is dict:
-            items = sep.join(
-                encode_basestring_ascii(key) + ": " + _json_text(value, inner)
-                for key, value in obj.items()
-            )
-            return "{" + inner + items + newline + "}"
-        try:
-            items = gio.floats_text(obj, sep)
-        except TypeError:
-            items = None
-        # only the repr of a nan or an inf holds an "n"
-        if items is None or "n" in items:
-            items = sep.join([_json_text(x, inner) for x in obj])
-        return "[" + inner + items + newline + "]"
-    if obj is None:
-        return "null"
-    if kind is bool:
-        return "true" if obj else "false"
-    if kind is int:
-        return int.__repr__(obj)
-    return json.dumps(obj, indent=1).replace("\n", newline)
-
-
 def _emit(payload, out_path):
     """Write `payload` as the bytes of `json.dumps(payload, indent=1)` and a line end."""
-    text = _json_text(payload)
+    text = gio.json_text(payload)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -85,8 +37,7 @@ def _emit(payload, out_path):
 
 
 def _fail(exc, code):
-    error = {"error": type(exc).__name__, "message": str(exc)}
-    sys.stderr.write(json.dumps(error) + "\n")
+    sys.stderr.write(gio.error_json(exc) + "\n")
     return code
 
 

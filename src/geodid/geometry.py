@@ -74,10 +74,6 @@ class Geodesic:
     def __post_init__(self):
         backend_of(self.start, self.end)
 
-    @property
-    def space_id(self):
-        return self.start.space_id
-
     def length(self):
         return distance(self.start, self.end)
 

@@ -12,7 +12,8 @@ import locale
 import os
 from collections import Counter
 from io import StringIO
-from itertools import chain
+from itertools import chain, groupby
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,8 @@ _BLOCK_FILES = 128
 # the bytes of a flat data file that the block parse reads: JSON's number
 # characters and the comma (line ends are turned into commas first)
 _NUMBER_BYTES = b"0123456789.eE+-,"
+# the bytes of a flat data file that may join a block: those and the line ends
+_FILE_BYTES = _NUMBER_BYTES + b"\r\n"
 # every aligned stretch of this many bytes of a block's JSON text must hold a
 # comma, so that no number in it runs to 767 bytes: orjson reads at most 768
 # significant digits of a number and rounds as if any digits past them were
@@ -80,18 +83,17 @@ def _read_bytes(path):
 
 
 def _block_parse_applies(encoding):
-    """Whether `encoding` spells `_NUMBER_BYTES` and the line ends as ASCII does,
-    both ways, so that a file of those bytes is the text the line reader decodes."""
-    ascii_bytes = _NUMBER_BYTES + b"\r\n"
-    text = ascii_bytes.decode("ascii")
+    """Whether `encoding` spells `_FILE_BYTES` as ASCII does, both ways, so
+    that a file of those bytes is the text the line reader decodes."""
+    text = _FILE_BYTES.decode("ascii")
     try:
-        return text.encode(encoding) == ascii_bytes and ascii_bytes.decode(encoding) == text
+        return text.encode(encoding) == _FILE_BYTES and _FILE_BYTES.decode(encoding) == text
     except UnicodeError:
         return False
 
 
 def _read_block(paths, limit):
-    """The numbers of each flat data file, all parsed by one `orjson.loads` call.
+    """The numbers of each flat data file, parsed by `orjson.loads` a block of files at a time.
 
     Each file becomes one JSON array of its bytes: its line ends at the end
     dropped, as the line reader skips blank lines, and any other turned into a
@@ -106,17 +108,39 @@ def _read_block(paths, limit):
     spells these bytes as ASCII does (`_block_parse_applies`). `limit` is
     csv's field limit, which a load looks up once per manifest.
 
-    Every check runs once on the block, not once per file. Returns None, and
-    the caller reads the files with the line reader, unless every file opens,
-    is within the field limit, is not blank and holds only those bytes, no
-    cell is too long or `-0`, and the block parses (a cell that is not a JSON
-    number, or that overflows a double, fails it). Else the cells are one
-    float array: (k, d) if each file holds d numbers, else split per file.
+    Every check runs once on the block (`_parse_block`), unless it fails
+    (`_parse_halves`). Returns a (k, d) array when every file parses to d
+    numbers, else per file its 1-D array, or None for a file the caller reads
+    with the line reader: one that fails alone, or cannot be opened, and those after it.
     """
-    try:
-        raws = [_read_bytes(path) for path in paths]
-    except (OSError, ValueError):  # a name with a NUL byte raises ValueError
-        return None
+    raws = []
+    for path in paths:
+        try:
+            raws.append(_read_bytes(path))
+        except (OSError, ValueError):  # a name with a NUL byte raises ValueError
+            break
+    rows = _parse_halves(raws, limit) if raws else []
+    return rows if len(raws) == len(paths) else [*rows, *[None] * (len(paths) - len(raws))]
+
+
+def _parse_halves(raws, limit):
+    """`_parse_block` of `raws`, or where it fails, per file: None for a file that
+    holds a byte outside `_FILE_BYTES` (it fails in any block) or fails alone,
+    and the rows of each run of other files parsed again (in halves if it is all of `raws`)."""
+    rows = _parse_block(raws, limit)
+    if rows is not None or len(raws) == 1:
+        return [None] if rows is None else rows
+    runs = [(clean, list(run)) for clean, run in groupby(raws, lambda raw: not raw.translate(None, _FILE_BYTES))]
+    if len(runs) == 1 and runs[0][0]:
+        runs = [(True, raws[: len(raws) // 2]), (True, raws[len(raws) // 2 :])]
+    return [row for clean, run in runs for row in (_parse_halves(run, limit) if clean else [None] * len(run))]
+
+
+def _parse_block(raws, limit):
+    """The cells of the files of bytes `raws`, by `_read_block`'s one parse: None
+    unless every file is within the field limit, is not blank and holds only
+    `_FILE_BYTES`, no cell is too long or `-0`, and the block parses (a cell
+    that is not a JSON number, or that overflows a double, fails it)."""
     lines = [raw.rstrip(b"\r\n") for raw in raws]
     if max(map(len, raws)) > limit or not all(lines):
         return None
@@ -163,9 +187,9 @@ def _outcome_reader(fmt, base_dir):
     takes the outcomes and `where`, which names the i-th of them, and returns
     one array per outcome: a list of them, or, when every block of files
     parsed, all to one width, one (k, d) array whose rows they are. A block of
-    flat data files is parsed by `_read_block`; any other block, or one it
-    gives up on, is read outcome by outcome, a data file by the line reader,
-    the reference. An outcome it cannot read raises what `_outcome_error`
+    flat data files is parsed by `_read_block`; any other outcome, or a file
+    it gives up on, is read alone, a data file by the line reader, the
+    reference. An outcome it cannot read raises what `_outcome_error`
     makes of MissingOutcomeError for a null outcome, OSError for a file it
     cannot read, or TypeError, ValueError, OverflowError, RecursionError or
     csv.Error for bad data.
@@ -194,19 +218,21 @@ def _outcome_reader(fmt, base_dir):
         blocks = []
         for start in range(0, len(specs), _BLOCK_FILES):
             block = specs[start : start + _BLOCK_FILES]
+            rows = None
             if fast and all(isinstance(spec, str) for spec in block):
-                paths = [os.path.join(base_dir, spec) for spec in block]
-                if (rows := _read_block(paths, limit)) is not None:
-                    blocks.append(rows)
-                    continue
-            # any other block is read file by file, in order, so that each
-            # value and the first error are the ones a lone read gives
-            arrays = []
-            for i, spec in enumerate(block, start):
-                try:
-                    arrays.append(read(spec))
-                except _OUTCOME_ERRORS as exc:
-                    raise _outcome_error(exc, where(i)) from None
+                rows = _read_block([os.path.join(base_dir, spec) for spec in block], limit)
+            if isinstance(rows, np.ndarray):
+                blocks.append(rows)
+                continue
+            # any other outcome is read alone, in order, so that each value
+            # and the first error are the ones a lone read gives
+            arrays = list(rows or [None] * len(block))
+            for i, spec in enumerate(block):
+                if arrays[i] is None:
+                    try:
+                        arrays[i] = read(spec)
+                    except _OUTCOME_ERRORS as exc:
+                        raise _outcome_error(exc, where(start + i)) from None
             blocks.append(arrays)
         parsed = all(isinstance(block, np.ndarray) for block in blocks)
         if parsed and len({block.shape[1] for block in blocks}) == 1:
@@ -347,7 +373,7 @@ def save_panel(panel, manifest_path, fmt=FORMAT_INLINE):
         record = {"id": uid, "treatment": [int(x) for x in panel.treatment[i]], "outcomes": outcomes[i]}
         manifest["units"].append(record)
     with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=1)
+        fh.write(json_text(manifest))
     return manifest_path
 
 
@@ -365,15 +391,16 @@ def _data_texts(stack, fmt):
 
 
 def _rows_text(rows):
-    """`floats_text(row.tolist(), ",")` for each row of a C-contiguous (k, w)
-    float64 array, spelled by one `orjson.dumps` call (orjson spells a
-    float64 array as it spells the list of its floats)."""
-    text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    lines = text[2:-2].split("],[")
+    """`",".join(map(float.__repr__, row))` for each row of `rows`, a C-contiguous
+    (k, w) float64 array or a list of lists of floats, by one `orjson.dumps` call
+    (orjson spells a float64 array as it spells the list of its floats); a row
+    whose text is not repr's (`_spelled_as_repr`) is joined by repr instead."""
+    text = orjson.dumps(rows, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode()
+    lines = text.split("],[") if len(rows) > 1 else [text]  # one row: no scan for a split
     if not _spelled_as_repr(text):
         for i, line in enumerate(lines):
             if not _spelled_as_repr(line):
-                lines[i] = ",".join(map(float.__repr__, rows[i].tolist()))
+                lines[i] = ",".join(map(float.__repr__, rows[i]))
     return lines
 
 
@@ -390,20 +417,6 @@ def _write_data_file(path, text, encoding=None, dir_fd=None):
         os.close(fd)
 
 
-def floats_text(values, sep):
-    """`sep.join(map(float.__repr__, values))` for a list of floats, spelled by one `orjson.dumps` call.
-
-    Where orjson's text is not repr's (`_spelled_as_repr`), the values are
-    joined by repr instead, as they are when any of them is not a float (repr
-    raises TypeError for a value that is no float at all).
-    """
-    if set(map(type, values)) == {float}:
-        text = orjson.dumps(values)[1:-1].decode()
-        if _spelled_as_repr(text):
-            return text.replace(",", sep)
-    return sep.join(map(float.__repr__, values))
-
-
 def _spelled_as_repr(text):
     """Whether orjson's `text` of floats spells each as repr does.
 
@@ -413,6 +426,53 @@ def _spelled_as_repr(text):
     inf (orjson writes null). Its text then holds an `e`, an `n` or `0.0000`.
     """
     return not ("e" in text or "n" in text or "0.0000" in text)
+
+
+# the float.__repr__ spellings that json.dumps replaces
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def json_text(obj, newline="\n"):
+    """The text of `json.dumps(obj, indent=1)`, with `newline` (a line end and
+    the indent of obj's depth) in place of each line end.
+
+    json's indented encoder is pure Python; this one spells a list of floats
+    in one step (`_rows_text`). Types other than dict (with str keys), list,
+    str, float, int, bool and None are left to json.dumps.
+    """
+    kind = type(obj)
+    if kind is float:
+        text = float.__repr__(obj)
+        return _FLOAT_WORDS.get(text, text)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is list or kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "[]" if kind is list else "{}"
+        inner = newline + " "
+        sep = "," + inner
+        if kind is dict:
+            items = sep.join(
+                encode_basestring_ascii(key) + ": " + json_text(value, inner)
+                for key, value in obj.items()
+            )
+            return "{" + inner + items + newline + "}"
+        # of the floats, only a nan or an inf is spelled with an "n" by repr
+        if set(map(type, obj)) != {float} or "n" in (items := _rows_text([obj])[0].replace(",", sep)):
+            items = sep.join([json_text(x, inner) for x in obj])
+        return "[" + inner + items + newline + "]"
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return int.__repr__(obj)
+    return json.dumps(obj, indent=1).replace("\n", newline)
+
+
+def error_json(exc):
+    """The one-line JSON report of `exc`: its type's name and its message."""
+    return json.dumps({"error": type(exc).__name__, "message": str(exc)})
 
 
 def point_to_jsonable(point):

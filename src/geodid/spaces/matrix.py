@@ -136,10 +136,6 @@ class SymmetricMatrixPoint:
         object.__setattr__(self, "entries", entries)
         validate(entries[None], self.kind)
 
-    @property
-    def size(self):
-        return self.entries.shape[0]
-
 
 def distance(a, b):
     """Frobenius distance ||a - b||_F."""

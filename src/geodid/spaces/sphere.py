@@ -48,10 +48,6 @@ class UnitCompositionPoint:
         object.__setattr__(self, "coords", coords)
         validate(coords[None])
 
-    @property
-    def dim(self):
-        return len(self.coords)
-
 
 def _angle(x, y):
     """Great-circle angle arccos(x'y) along the last axis, through the chord.

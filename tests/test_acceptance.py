@@ -22,7 +22,7 @@ from geodid.geometry import (
 from geodid.panel import PanelDataset
 from geodid.simulate import SimConfig, run_monte_carlo
 from geodid.spaces.matrix import SymmetricMatrixPoint
-from geodid.spaces.wasserstein import QuantileCurve, midpoint_grid
+from geodid.spaces.wasserstein import QuantileCurve, _sample_quantiles, midpoint_grid
 from geodid.staggered import (
     FORM_RECURSIVE,
     GroupTimeCell,
@@ -237,18 +237,14 @@ def _placebo_panel(rng, n, grid_size=100, samples=100):
     # the Gaussian-curve generating process frozen at its baseline period:
     # each unit's distribution is fixed and observed twice with fresh
     # sampling noise, so there is no trend and no effect
-    grid = midpoint_grid(grid_size)
     groups = (rng.random(n) < 0.25).astype(int)
-    outcomes = []
     curves = np.empty((n, 2, grid_size))
     mu = rng.normal(0.0, 1.0, size=n)
     for t in (0, 1):
         draws = mu[:, None] + norm.ppf(rng.random((n, samples)))
-        curves[:, t, :] = np.quantile(draws, grid, axis=1).T
-    for i in range(n):
-        outcomes.append((QuantileCurve(curves[i, 0]), QuantileCurve(curves[i, 1])))
+        curves[:, t, :] = _sample_quantiles(draws, grid_size)
     treatment = np.zeros((n, 2), dtype=int)
-    return PanelDataset(tuple(outcomes), treatment), groups
+    return PanelDataset.from_array(curves, treatment, "wasserstein", {}), groups
 
 
 def test_criterion_8_placebo_no_effect():

@@ -1,6 +1,6 @@
-"""The command line's JSON writer against `json.dumps(payload, indent=1)`,
-`io.floats_text` against the repr join it replaces, and the data files'
-`io._rows_text` against `floats_text`, byte for byte."""
+"""The JSON writer against `json.dumps(payload, indent=1)`, and the float
+speller that it and the data files share, `io._rows_text`, against the repr
+join it replaces, byte for byte."""
 
 import contextlib
 import csv
@@ -85,22 +85,21 @@ ANY_FLOAT = st.one_of(
 )
 
 
-@given(values=st.lists(ANY_FLOAT, max_size=12), sep=st.sampled_from([",", ",\n ", ", "]))
-def test_floats_text_is_the_repr_join(values, sep):
-    assert gio.floats_text(values, sep) == sep.join(map(float.__repr__, values))
+@given(values=st.lists(ANY_FLOAT, max_size=12))
+def test_rows_text_is_the_repr_join(values):
+    assert gio._rows_text([values]) == [",".join(map(float.__repr__, values))]
 
 
 @given(rows=st.integers(1, 4).flatmap(lambda w: st.lists(st.lists(ANY_FLOAT, min_size=w, max_size=w), min_size=1, max_size=6)))
-def test_rows_text_is_floats_text_per_row(rows):
-    assert gio._rows_text(np.array(rows)) == [gio.floats_text(row, ",") for row in rows]
+def test_rows_text_spells_an_array_as_its_lists(rows):
+    assert gio._rows_text(np.array(rows)) == gio._rows_text(rows) == [",".join(map(float.__repr__, row)) for row in rows]
 
 
 @pytest.mark.parametrize(
     "values", [[1, 2.0], [2.0, "x"], [None], [True, 0.5]], ids=["int", "str", "none", "bool"]
 )
-def test_floats_text_refuses_what_is_not_a_float(values):
-    with pytest.raises(TypeError):
-        gio.floats_text(values, ",")
+def test_writer_spells_a_list_with_a_non_float_item_by_item(values):
+    assert emitted(values) == json.dumps(values, indent=1) + "\n"
 
 
 def csv_writer_files(panel, manifest, text_open):

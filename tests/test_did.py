@@ -222,3 +222,12 @@ def test_placebo_rejects_malformed_groups(groups):
     panel = PanelDataset(outcomes, np.zeros((4, 2), dtype=int))
     with pytest.raises(InvariantViolationError, match="groups must list 4 indicators of 0 or 1"):
         placebo_pretrend(panel, pre_periods=(0, 1), groups=groups)
+
+
+@pytest.mark.parametrize("pre_periods", [(1, 0), (0, 2)], ids=["reversed", "past-the-last-period"])
+def test_placebo_rejects_a_pre_period_pair_out_of_order_or_range(pre_periods):
+    outcomes = tuple((scalar(base), scalar(base + 1.0)) for base in (0.0, 1.0, 2.0, 3.0))
+    panel = PanelDataset(outcomes, np.zeros((4, 2), dtype=int))
+    with pytest.raises(InvariantViolationError) as info:
+        placebo_pretrend(panel, pre_periods=pre_periods, groups=[0, 0, 1, 1])
+    assert str(info.value) == f"invalid pre-period pair {pre_periods}"

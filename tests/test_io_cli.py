@@ -365,6 +365,27 @@ def test_cli_malformed_manifest_exit_code(tmp_path, capsys):
     assert err["error"] == "ParseError"
 
 
+def test_cli_manifest_that_cannot_be_opened_exits_2_with_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["estimate", "--manifest", str(missing)]) == EXIT_INVALID_INPUT
+    assert single_error_line(capsys) == {
+        "error": "ParseError",
+        "message": f"cannot read manifest: [Errno 2] No such file or directory: {str(missing)!r}",
+    }
+
+
+@pytest.mark.parametrize(
+    "space, fmt", [("wasserstein", "samples-csv"), ("sphere", "matrix-csv")], ids=["samples-csv", "other-space"]
+)
+def test_save_panel_refuses_samples_csv_and_another_spaces_format(tmp_path, space, fmt):
+    data = {"wasserstein": np.array([[[0.0, 1.0]]]), "sphere": np.array([[[0.6, 0.8]]])}[space]
+    panel = PanelDataset.from_array(data, np.zeros((1, 1), dtype=int), space, {})
+    with pytest.raises(ValueError) as info:
+        gio.save_panel(panel, tmp_path / "p.json", fmt=fmt)
+    assert str(info.value) == f"cannot save space {space!r} in format {fmt!r}"
+    assert not any(tmp_path.iterdir())
+
+
 def single_error_line(capsys):
     """The one JSON line a failed command writes to stderr."""
     lines = capsys.readouterr().err.splitlines()

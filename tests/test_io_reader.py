@@ -17,6 +17,7 @@ import re
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -211,15 +212,21 @@ def ragged_draws(count):
     return draws, texts
 
 
-def counted_load(manifest, monkeypatch):
-    """`load_panel(manifest)`, checked to open each data file once and to parse
-    them with one `orjson.loads` call per block of `_BLOCK_FILES`."""
+def counted_load(manifest, monkeypatch, parses=math.ceil(300 / gio._BLOCK_FILES), twice=()):
+    """`load_panel(manifest)` of 300 data files, checked to open each file
+    once, but the files named in `twice`, which the line reader reads after
+    the block parse gave up on them, twice, and to parse every other file in
+    one of `parses` `orjson.loads` calls that succeed."""
     opened, blocks = [], []
-    os_open, loads = os.open, orjson.loads
+    os_open, loads, read_lines = os.open, orjson.loads, gio._read_csv_lines
 
     def counting_open(path, *args, **kwargs):
-        opened.append(os.fspath(path))
+        opened.append(os.path.basename(path))
         return os_open(path, *args, **kwargs)
+
+    def counting_read_lines(path):
+        opened.append(os.path.basename(path))
+        return read_lines(path)
 
     def counting_loads(text):
         rows = loads(text)
@@ -228,12 +235,14 @@ def counted_load(manifest, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(os, "open", counting_open)
+        patch.setattr(gio, "_read_csv_lines", counting_read_lines)
         patch.setattr(orjson, "loads", counting_loads)
         panel = gio.load_panel(manifest)
-    data_files = [p for p in opened if p.endswith(".csv")]
-    assert len(data_files) == len(set(data_files)) == 300
-    assert len(blocks) == math.ceil(300 / gio._BLOCK_FILES)
-    assert sum(blocks) == 300
+    opens = Counter(name for name in opened if name.endswith(".csv"))
+    assert len(opens) == 300
+    assert {name: n for name, n in opens.items() if n != 1} == dict.fromkeys(twice, 2)
+    assert len(blocks) == parses
+    assert sum(blocks) == 300 - len(twice)
     return panel
 
 
@@ -248,6 +257,27 @@ def test_ragged_samples_manifest_opens_each_file_once_and_parses_a_block_per_cal
     assert len(set(map(len, draws))) > 1
     manifest = curve_manifest(tmp_path, 100, 3, texts, FORMAT_SAMPLES)
     panel = counted_load(manifest, monkeypatch)
+    assert outcome_or_error(lambda: panel.data) == line_by_line_load(manifest, monkeypatch)
+
+
+def test_a_file_that_fails_the_gate_is_the_only_one_of_its_block_read_twice(tmp_path, monkeypatch):
+    values, texts = clean_curves(300)
+    # file 5 of each block fails: in the first a quoted cell, which the line
+    # reader unquotes, and in the others a leading zero, which JSON refuses
+    bad = [5, gio._BLOCK_FILES + 5, 2 * gio._BLOCK_FILES + 5]
+    first, rest = texts[bad[0]].split(",", 1)
+    texts[bad[0]] = f'"{first}",{rest}'
+    for i in bad[1:]:
+        texts[i] = "0" + texts[i]
+    manifest = curve_manifest(tmp_path, 100, 3, texts)
+    # a quote is a byte no block may hold, so the files either side of the
+    # quoted one are parsed in one call each; the others' blocks are halved
+    # down to the bad file, a clean half parsed at each step: 7 halves of 64
+    # to 1 in a block of 128, and in the last block of 44 those of 22, 11,
+    # 5, 3 and 2 files
+    twice = [f"u{i // 3}_t{i % 3}.csv" for i in bad]
+    panel = counted_load(manifest, monkeypatch, parses=2 + 7 + 5, twice=twice)
+    np.testing.assert_array_equal(panel.data.reshape(300, 5), values)
     assert outcome_or_error(lambda: panel.data) == line_by_line_load(manifest, monkeypatch)
 
 
@@ -477,14 +507,15 @@ def test_block_parse_rounds_hard_decimals_as_float_does(cells):
         for path, row in zip(paths, cells):
             Path(path).write_bytes((",".join(row) + "\r\n").encode())
         rows = gio._read_block(paths, csv.field_size_limit())
-    if rows is None:
-        # a number past DBL_MAX fails the parse, where `float` makes it
-        # infinite, and a cell that with the brackets beside it may fill a
-        # `_COMMA_STRETCH` keeps the block from the parse
-        longest = max(len(cell) for row in cells for cell in row)
-        assert np.isinf(expected).any() or longest >= gio._COMMA_STRETCH - 2
-    else:
-        assert (rows.shape, rows.tobytes()) == (expected.shape, expected.tobytes())
+    for row, file_cells, file_expected in zip(rows, cells, expected):
+        if row is None:
+            # a number past DBL_MAX fails the parse, where `float` makes it
+            # infinite, and a cell that with the brackets beside it may fill
+            # a `_COMMA_STRETCH` keeps the file from the parse
+            longest = max(map(len, file_cells))
+            assert np.isinf(file_expected).any() or longest >= gio._COMMA_STRETCH - 2
+        else:
+            assert (row.shape, row.tobytes()) == (file_expected.shape, file_expected.tobytes())
 
 
 def csv_writer_bytes(data, fmt):

@@ -321,3 +321,23 @@ def test_row_sums_are_numpys_row_sums_bit_for_bit(monkeypatch, row_block):
                     got, expected = row_sums(stack), stack.sum(axis=-1)
                     assert got.shape == expected.shape
                     np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_validate_rejects_a_stack_of_non_square_matrices():
+    with pytest.raises(InvariantViolationError) as info:
+        validate(np.zeros((2, 2, 3)), KIND_FREE)
+    assert str(info.value) == "matrix point must be square"
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        (np.zeros((2, 3)), "adjacency matrix must be square"),
+        (np.array([[0.0, 1.0], [2.0, 0.0]]), "adjacency matrix must be symmetric"),
+    ],
+    ids=["non-square", "asymmetric"],
+)
+def test_laplacian_from_adjacency_rejects_a_non_square_or_asymmetric_input(weights, message):
+    with pytest.raises(InvariantViolationError) as info:
+        laplacian_from_adjacency(weights)
+    assert str(info.value) == message

@@ -259,3 +259,15 @@ def test_points_and_panels_compare_and_hash_by_identity(space):
     assert frechet_mean([point, other]) != frechet_mean([point, other])
     first, again = estimate_all_cells(panels[0]), estimate_all_cells(panels[0])
     assert first[0] == first[0] and first[0] != again[0]
+
+
+@pytest.mark.parametrize(
+    "n_units, unit_ids, message",
+    [(0, None, "panel has no units or no periods"), (2, ["a"], "unit_ids length mismatch")],
+    ids=["no-units", "unit-ids-too-short"],
+)
+def test_from_array_rejects_no_units_and_a_wrong_count_of_unit_ids(n_units, unit_ids, message):
+    data = np.zeros((n_units, 2, 1, 1))
+    with pytest.raises(InvariantViolationError) as info:
+        PanelDataset.from_array(data, np.zeros((n_units, 2), dtype=int), "frobenius", {"kind": "free"}, unit_ids)
+    assert str(info.value) == message

@@ -2,8 +2,9 @@
 each space: permutation invariance over units, the scalar DID formula on 1x1
 Frobenius panels, `estimate_all_cells` equal to the per-cell estimates, the
 shortcut equal to the recursion where transport is path-independent, and
-transport along a constant geodesic equal to the identity, and every
-staggered estimate carried over by an isometry of the space."""
+transport along a constant geodesic equal to the identity, every
+staggered estimate carried over by an isometry of the space, and a planted
+effect recovered in every staggered cell."""
 
 import json
 from dataclasses import replace
@@ -27,6 +28,8 @@ from geodid.staggered import (
     estimate_group_time_gatt,
 )
 
+from conftest import planted_panel
+
 SPACES = ("wasserstein", "sphere", "frobenius")
 FIELDS = {"wasserstein": {}, "sphere": {}, "frobenius": {"kind": "free"}}
 # criterion 7's bound. A reordered or regrouped sum moves the closed-form means
@@ -49,6 +52,13 @@ CDF_ROUND_TRIP_TOL = 8 * EPS
 # distances of an estimate round differently once the isometry has moved or
 # reordered their inputs, by some eps of that scale; the bound is absolute
 ISOMETRY_TOL = 1e-12
+# a planted panel's every cell has a known counterfactual start and end; the
+# estimate's means, transports and the planting's transports round apart by
+# some eps of the outcomes' scale, of order 1-10; the bound is absolute
+PLANTED_TOL = 1e-12
+# an effect planted one period early and estimated with no anticipation moves
+# each cell's start by at least 0.2 in the planted designs (see conftest.py)
+NEGATIVE_CONTROL_MIN = 0.1
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -218,3 +228,46 @@ def test_isometry_carries_every_staggered_estimate(space, cohorts, units_per_gro
             assert len(new.beta_path) == len(old.beta_path)
             for a, b in pairs:
                 assert np.abs(point_array(b) - move(point_array(a))).max() <= ISOMETRY_TOL
+
+
+planted_designs = {
+    "cohorts": st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    "units_per_group": st.integers(1, 2),
+    "seed": seeds,
+}
+
+
+@settings(PROPERTY, max_examples=100)
+@given(
+    space=st.sampled_from(SPACES),
+    delta=st.integers(0, 1),
+    comparison=st.sampled_from([COMPARISON_NEVER, COMPARISON_NOT_YET]),
+    **planted_designs,
+)
+def test_planted_effect_is_recovered_in_every_cell(space, delta, comparison, cohorts, units_per_group, seed):
+    # a not-yet mixture of sphere cohorts follows their transports only
+    # where the cohorts share one untreated trajectory
+    shared = space == "sphere" and comparison == COMPARISON_NOT_YET
+    panel, untreated = planted_panel(space, cohorts, units_per_group, 5, seed, delta, shared)
+    labels = panel.group_label_array
+    forms = [FORM_RECURSIVE, FORM_SHORTCUT] if _BACKENDS[space].PATH_INDEPENDENT else [FORM_RECURSIVE]
+    for form in forms:
+        results = estimate_all_cells(panel, delta=delta, comparison=comparison, estimator_form=form)
+        assert len(results) == len(enumerate_cells(panel, delta=delta, comparison=comparison))
+        for r in results:
+            g, t = r.cell.g, r.cell.t
+            observed = panel.data[np.flatnonzero(labels == g)[0], t]
+            assert np.abs(point_array(r.effect.start) - untreated[g][t]).max() <= PLANTED_TOL
+            assert np.abs(point_array(r.effect.end) - observed).max() <= PLANTED_TOL
+
+
+@settings(PROPERTY, max_examples=50)
+@given(space=st.sampled_from(SPACES), **planted_designs)
+def test_effect_planted_one_period_early_is_missed_without_anticipation(space, cohorts, units_per_group, seed):
+    panel, untreated = planted_panel(space, cohorts, units_per_group, 5, seed, anticipation=1)
+    backend = _BACKENDS[space]
+    comparisons = [COMPARISON_NEVER] if space == "sphere" else [COMPARISON_NEVER, COMPARISON_NOT_YET]
+    for comparison in comparisons:
+        for r in estimate_all_cells(panel, delta=0, comparison=comparison):
+            miss = backend.distance(point_array(r.effect.start), untreated[r.cell.g][r.cell.t])
+            assert miss > NEGATIVE_CONTROL_MIN

@@ -515,3 +515,8 @@ def test_run_monte_carlo_rejects_repeated_or_no_sizes(sizes):
     with pytest.raises(ValueError, match="sample sizes"):
         run_monte_carlo(SimConfig(space="network", q=2), sizes)
 
+
+def test_config_rejects_no_monte_carlo_runs():
+    with pytest.raises(ValueError) as info:
+        SimConfig(space="network", q=0)
+    assert str(info.value) == "need at least one Monte Carlo run"

@@ -449,3 +449,9 @@ def test_kernel_warns_as_often_as_the_per_stack_loop():
     alone = [with_orthant_exits(lambda: sphere.means([stack]))[1] for stack in stacks]
     assert alone == [count for _, count in looped]
     assert with_orthant_exits(lambda: sphere.means(stacks))[1] == sum(alone)
+
+
+def test_validate_rejects_a_point_of_one_coordinate():
+    with pytest.raises(InvariantViolationError) as info:
+        sphere.validate(np.ones((1, 1)))
+    assert str(info.value) == "sphere point needs >= 2 coordinates"

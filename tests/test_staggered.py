@@ -107,6 +107,16 @@ def test_inadmissible_anticipation_cell_refused():
         estimate_group_time_gatt(panel, cell)
 
 
+@pytest.mark.parametrize("t, delta", [(0, 0), (4, 0), (3, 1)], ids=["before-1", "past-T-1", "past-T-1-delta"])
+def test_cell_period_outside_one_to_the_last_period_less_delta_is_refused(t, delta):
+    panel = staggered_scalar_panel([(None, [0.0] * 4), (2, [0.0] * 4)], n_periods=4)
+    cell = GroupTimeCell(g=2, t=t, delta=delta)
+    assert not cell_admissible(panel, cell)
+    with pytest.raises(InadmissibleCellError) as info:
+        estimate_group_time_gatt(panel, cell)
+    assert str(info.value) == f"cell (g=2, t={t}, delta={delta}, never) is not admissible for this panel"
+
+
 POINT_ARRAY = {"wasserstein": "values", "sphere": "coords", "frobenius": "entries"}
 
 
