@@ -1,7 +1,8 @@
-"""The one DID step on arrays, `take_means` of `walk_keys` then `walk`, and
-the two-period estimator and placebo diagnostic that take it."""
+"""The DID step on arrays, `walks`, and the two-period estimator and placebo
+diagnostic that take it."""
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -67,13 +68,6 @@ def placebo_pretrend(panel, pre_periods=(0, 1), groups=None):
     return _gatt(panel, treated, (a, b))
 
 
-def walk_keys(treated, control, periods):
-    """The (unit mask, period) of each mean `walk` takes, in its order: the
-    treated group at the first and at the last of `periods`, then the control
-    group at each of them."""
-    return [(treated, periods[0]), (treated, periods[-1])] + [(control, p) for p in periods]
-
-
 def take_means(panel, keys):
     """The backend mean of the panel's units in each (unit mask, period) of `keys`.
 
@@ -91,30 +85,34 @@ def take_means(panel, keys):
     return [means[tag] for tag in tags]
 
 
-def walk(backend, base, trend):
-    """The one DID step on arrays: the transport path of `base` along the
-    consecutive pairs of `trend` (the control means), from `base` on."""
-    path = [base]
-    for prev, curr in zip(trend, trend[1:]):
-        path.append(backend.transport(prev, curr, path[-1]))
-    return path
-
-
-def gatt_arrays(panel, treated, periods):
-    """The `walk` of the `treated` mean at `periods[0]` along every other unit's means:
-    the backend, the path, the treated mean at `periods[-1]` and the control means."""
-    if not treated.any():
-        raise EmptyGroupError("no treated units")
-    if treated.all():
-        raise EmptyGroupError("no control units")
+def walks(panel, groups):
+    """The DID step on arrays for each (treated mask, control mask, periods) of
+    `groups`: (path, end, trend), the transport path of the treated mean at
+    `periods[0]` along the control means `trend` at each period, and the treated
+    mean at `periods[-1]`, every mean from one `take_means` call."""
+    keys = []
+    for treated, control, periods in groups:
+        if not treated.any():
+            raise EmptyGroupError("no treated units")
+        if not control.any():
+            raise EmptyGroupError("no control units")
+        keys += [(treated, periods[0]), (treated, periods[-1])] + [(control, p) for p in periods]
     backend = _BACKENDS[panel.space_id]
-    base, end, *trend = take_means(panel, walk_keys(treated, ~treated, periods))
-    return backend, walk(backend, base, trend), end, trend
+    means = iter(take_means(panel, keys))
+    results = []
+    for _, _, periods in groups:
+        base, end, *trend = islice(means, 2 + len(periods))
+        path = [base]
+        for prev, curr in zip(trend, trend[1:]):
+            path.append(backend.transport(prev, curr, path[-1]))
+        results.append((path, end, trend))
+    return results
 
 
 def _gatt(panel, treated, periods):
     """The estimate with `treated` units as the treated group, `periods` as (pre, post)."""
-    backend, (base, counterfactual), end, trend = gatt_arrays(panel, treated, periods)
+    backend = _BACKENDS[panel.space_id]
+    [((base, counterfactual), end, trend)] = walks(panel, [(treated, ~treated, periods)])
     arrays = {(0, 0): trend[0], (0, 1): trend[1], (1, 0): base, (1, 1): end}
     points = {key: backend.wrap(mean, **panel.fields) for key, mean in arrays.items()}
     # a transport keeps the fields of the point it moves (the Frobenius kind)

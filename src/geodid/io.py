@@ -34,8 +34,9 @@ _READ_CHUNK = 1 << 16
 # orjson.dumps call
 _BLOCK_FILES = 128
 # the bytes of a flat data file that the block parse reads: JSON's number
-# characters and the comma (line ends are turned into commas first)
-_NUMBER_BYTES = b"0123456789.eE+-,"
+# characters, the comma (line ends are turned into commas first) and the
+# space, which orjson reads as whitespace between tokens and `float` strips
+_NUMBER_BYTES = b"0123456789.eE+-, "
 # the bytes of a flat data file that may join a block: those and the line ends
 _FILE_BYTES = _NUMBER_BYTES + b"\r\n"
 # every aligned stretch of this many bytes of a block's JSON text must hold a
@@ -43,6 +44,9 @@ _FILE_BYTES = _NUMBER_BYTES + b"\r\n"
 # significant digits of a number and rounds as if any digits past them were
 # not all zeros, so a halfway number spelled in more can round the wrong way
 _COMMA_STRETCH = 384
+# so no cell of a block, brackets included, is longer than this many bytes,
+# and a csv field limit of at least this many admits every cell of any file
+_CELL_MAX = 2 * _COMMA_STRETCH - 2
 # the JSON types of a treatment indicator
 _INDICATOR_TYPES = frozenset((int, float, bool))
 
@@ -99,14 +103,15 @@ def _read_block(paths, limit):
     dropped, as the line reader skips blank lines, and any other turned into a
     comma. The block is the text `[[<file 1>],[<file 2>],...]`. A file may
     join it only if it holds nothing but `_NUMBER_BYTES`: no name such as
-    `nan` or `true`, no bracket, space, quote or byte-order mark. Every cell
+    `nan` or `true`, no bracket, tab, quote or byte-order mark. Every cell
     of such a block that parses is a JSON number, which orjson's correctly
     rounded parser reads to the double `float` gives, with two exceptions
     that the block is checked for: a number spelled in 767 bytes or more
     (see `_COMMA_STRETCH`), and the integer `-0`, which orjson reads as the
     int 0. The caller checks once per manifest that the locale's encoding
     spells these bytes as ASCII does (`_block_parse_applies`). `limit` is
-    csv's field limit, which a load looks up once per manifest.
+    csv's field limit, looked up once per manifest, past which a file may
+    join a block only if the limit admits every cell a block does (`_CELL_MAX`).
 
     Every check runs once on the block (`_parse_block`), unless it fails
     (`_parse_halves`). Returns a (k, d) array when every file parses to d
@@ -138,11 +143,12 @@ def _parse_halves(raws, limit):
 
 def _parse_block(raws, limit):
     """The cells of the files of bytes `raws`, by `_read_block`'s one parse: None
-    unless every file is within the field limit, is not blank and holds only
-    `_FILE_BYTES`, no cell is too long or `-0`, and the block parses (a cell
-    that is not a JSON number, or that overflows a double, fails it)."""
+    unless every file is within a field limit under `_CELL_MAX`, is not blank
+    and holds only `_FILE_BYTES`, no cell is too long or `-0`, and the block
+    parses (a cell that is not a JSON number, or that overflows a double, fails it)."""
     lines = [raw.rstrip(b"\r\n") for raw in raws]
-    if max(map(len, raws)) > limit or not all(lines):
+    # a file of spaces is blank to the line reader, and an empty row to orjson
+    if limit < _CELL_MAX and max(map(len, raws)) > limit or not all(map(bytes.strip, lines)):
         return None
     text = _block_text(lines)
     # with the number bytes gone (the comma among them), only the brackets
@@ -163,8 +169,8 @@ def _parse_block(raws, limit):
     sizes = list(map(len, lists))
     cells = np.fromiter(chain.from_iterable(lists), float, sum(sizes))
     # only a block with a zero can hold a -0 cell, which is followed by a
-    # comma or ends its file's row; the text is spelled again to look
-    if not cells.all() and (b"-0," in (text := _block_text(lines)) or b"-0]" in text):
+    # comma, a space or the end of its file's row; the text is spelled again to look
+    if not cells.all() and (b"-0," in (text := _block_text(lines)) or b"-0 " in text or b"-0]" in text):
         return None
     if len(set(sizes)) == 1:
         return cells.reshape(len(sizes), sizes[0])

@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtri
 
-from .did import gatt_arrays
+from .did import walks
 from .errors import GeodidError
-from .geometry import Geodesic
+from .geometry import _BACKENDS, Geodesic
 from .panel import PanelDataset
 from .spaces.matrix import SymmetricMatrixPoint, KIND_FREE, KIND_LAPLACIAN, row_sums
 from .spaces.wasserstein import QuantileCurve, _sample_quantiles, midpoint_grid
@@ -55,8 +55,7 @@ class SimConfig:
     m1: int = 5
     m2: int = 5
     p11: float = 0.5
-    p12: float = 0.2
-    p21: float = 0.2
+    p12: float = 0.2  # an edge joins its two blocks both ways
     p22: float = 0.5
 
     def __post_init__(self):
@@ -74,12 +73,9 @@ class SimConfig:
             raise ValueError("need at least 2 samples per distribution")
         if self.grid_size < 2:
             raise ValueError(f"grid_size must be >= 2, got {self.grid_size}")
-        for p in (self.p11, self.p12, self.p21, self.p22):
+        for p in (self.p11, self.p12, self.p22):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("edge probabilities must lie in [0, 1]")
-        # an edge joins its two blocks both ways: the DGP reads p12 for both
-        if self.p12 != self.p21:
-            raise ValueError(f"edge probabilities p12 = {self.p12} and p21 = {self.p21} differ")
         # a network needs at least one edge, so at least two nodes, and an
         # m x m Laplacian that numpy can index (which keeps m a float, too)
         m = self.m1 + self.m2
@@ -95,6 +91,11 @@ class SimConfig:
         # the size, an int that may not fit a float, is compared, not multiplied
         if not all(map(math.isfinite, (*coefs, bound, square))) or square and size > sys.float_info.max / square:
             raise ValueError(f"coefficients are not finite or overflow the {self.space} DGP or its error")
+
+    @property
+    def p21(self):
+        """The edge probability from block 2 to block 1, which is `p12`."""
+        return self.p12
 
 
 @dataclass(frozen=True)
@@ -147,14 +148,14 @@ def _draw_wasserstein(config, d, rng):
 def _block_probabilities(config):
     m = config.m1 + config.m2
     membership = np.array([0] * config.m1 + [1] * config.m2)
-    p = np.array([[config.p11, config.p12], [config.p21, config.p22]])
+    p = np.array([[config.p11, config.p12], [config.p12, config.p22]])
     probs = p[np.ix_(membership, membership)]
     np.fill_diagonal(probs, 0.0)
     return m, probs
 
 
 def _network_bound(config, a1, a2, a3, b):
-    if max(config.p11, config.p12, config.p21, config.p22) > 0.0:
+    if max(config.p11, config.p12, config.p22) > 0.0:
         # a degree sums m - 1 edge weights, each the trend plus noise in [-1, 1)
         m = config.m1 + config.m2
         return (m - 1) * (a1 + a2 + a3 + b + 1.0), m**2
@@ -270,19 +271,15 @@ def single_run_error(config, run):
     """
     rng = _run_rng(config, run)
     panel, truth = generate_panel(config, rng)
+    backend, treated = _BACKENDS[panel.space_id], panel.treatment[:, 1] == 1
     try:
-        backend, path, treated_end, _ = gatt_arrays(panel, panel.treatment[:, 1] == 1, (0, 1))
+        [(path, treated_end, _)] = walks(panel, [(treated, ~treated, (0, 1))])
         (start, end), _ = backend.unwrap((truth.start, truth.end))
         # `quotient_distance(estimate, truth, reference=truth.start)` on arrays
         moved = backend.transport(path[-1], treated_end, start)
         return backend.distance(moved, backend.transport(start, end, start))
     except GeodidError:
         return None
-
-
-def _run_job(args):
-    config, run = args
-    return single_run_error(config, run)
 
 
 def worker_count():
@@ -315,19 +312,19 @@ def run_monte_carlo(base, n_values, workers=None):
     if workers is None:
         workers = worker_count()
 
-    configs = [replace(base, n=n) for n in n_values]
-    jobs = [(config, run) for config in configs for run in range(base.q)]
+    configs = [config for n in n_values for config in [replace(base, n=n)] * base.q]
+    runs = list(range(base.q)) * len(n_values)
     # a fork-started pool starts all its processes at once, whatever the job count
-    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    workers = min(workers, len(configs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_job, jobs, chunksize=8))
+            results = list(pool.map(single_run_error, configs, runs, chunksize=8))
     else:
-        results = [_run_job(job) for job in jobs]
+        results = list(map(single_run_error, configs, runs))
 
     errors = {n: [] for n in n_values}
     excluded = {n: 0 for n in n_values}
-    for (config, _), err in zip(jobs, results):
+    for config, err in zip(configs, results):
         if err is None:
             excluded[config.n] += 1
         else:

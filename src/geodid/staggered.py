@@ -10,11 +10,10 @@ path-independent and is used there unless the cell asks for the recursion.
 
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
-from .did import take_means, walk, walk_keys
+from .did import walks
 from .errors import EmptyCohortError, InadmissibleCellError
 from .geometry import _BACKENDS, Geodesic
 
@@ -130,16 +129,14 @@ def _plan(panel, cell):
 
 def _estimate(panel, cells):
     """The GroupTimeGatt of each of `cells`, which are admissible: each cell
-    planned once, the means of every cell's `walk_keys` from one `take_means`
-    call (each distinct (unit set, period) averaged once), and a treated mean
-    that several cells share wrapped once; nothing is kept between calls."""
+    planned once, every cell's walk from one `did.walks` call (each distinct
+    (unit set, period) averaged once), and a treated mean that several cells
+    share wrapped once; nothing is kept between calls."""
     backend = _BACKENDS[panel.space_id]
     plans = [_plan(panel, cell) for cell in cells]
-    means = iter(take_means(panel, [key for plan in plans for key in walk_keys(*plan[1:])]))
+    arrays = walks(panel, [plan[1:] for plan in plans])
     points, results = {}, []
-    for cell, (form, treated, mask, periods) in zip(cells, plans):
-        base, end, *trend = islice(means, 2 + len(periods))
-        path = walk(backend, base, trend)
+    for cell, (form, _, _, periods), (path, end, _) in zip(cells, plans, arrays):
         for period, mean in ((periods[0], path[0]), (cell.t, end)):
             if (cell.g, period) not in points:
                 points[cell.g, period] = backend.wrap(mean, **panel.fields)

@@ -208,8 +208,8 @@ values = st.one_of(
 @st.composite
 def simulate_argv(draw):
     """`simulate` with every size knob tiny, and drawn values for up to two of
-    `treat_prob` and the coefficients, and for the edge probabilities: all four
-    one value (the DGP needs p12 == p21), or up to two of them."""
+    `treat_prob` and the coefficients, and for the edge probabilities: all three
+    one value, or up to two of them."""
     argv = ["simulate", "--space", draw(st.sampled_from(list(_DGPS)))]
     argv += ["--n", draw(st.sampled_from(["8,10", "6,8,10", "8"])), f"--q={draw(st.integers(1, 2))}"]
     argv += [f"--seed={draw(st.integers(0, 3))}", f"--grid-size={draw(st.integers(2, 4))}"]
@@ -217,7 +217,7 @@ def simulate_argv(draw):
     argv += [f"--m1={draw(st.integers(0, 2))}", f"--m2={draw(st.integers(1, 3))}"]
     coefs = ["treat-prob", "alpha1", "alpha2", "alpha3", "beta"]
     argv += [f"--{knob}={draw(values)!r}" for knob in draw(st.lists(st.sampled_from(coefs), max_size=2, unique=True))]
-    edges = ["p11", "p12", "p21", "p22"]
+    edges = ["p11", "p12", "p22"]
     shared = draw(st.none() | values)
     if shared is None:
         chosen = {edge: draw(values) for edge in draw(st.lists(st.sampled_from(edges), max_size=2, unique=True))}
@@ -237,7 +237,7 @@ def test_simulate_exits_0_2_or_3_with_one_json_error_line(argv):
     "knobs, expected",
     [
         # no edge can exist, yet the trend weights overflow: every error is 0
-        (["--p11=0", "--p12=0", "--p21=0", "--p22=0", "--alpha1=1e308", "--alpha2=1e308"], EXIT_OK),
+        (["--p11=0", "--p12=0", "--p22=0", "--alpha1=1e308", "--alpha2=1e308"], EXIT_OK),
         # a block size past the float range
         ([f"--m1={10**400}"], EXIT_INVALID_INPUT),
     ],

@@ -371,6 +371,50 @@ def test_cell_over_the_field_limit_is_left_to_csv(tmp_path, monkeypatch):
     assert block_of_one(path) is None
 
 
+def test_files_over_the_field_limit_with_short_cells_open_once_and_parse_a_block_per_call(
+    tmp_path, monkeypatch
+):
+    # a field limit of 1000 bytes, past every cell a block admits, and files of 2000
+    draws, _ = ragged_draws(300)
+    texts = [",".join(f"{x:.17f}" for x in row * 50) + "\n" for row in draws]
+    assert min(map(len, texts)) > 1000
+    limit = csv.field_size_limit(1000)
+    try:
+        manifest = curve_manifest(tmp_path, 100, 3, texts, FORMAT_SAMPLES)
+        panel = counted_load(manifest, monkeypatch)
+        assert outcome_or_error(lambda: panel.data) == line_by_line_load(manifest, monkeypatch)
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("limit, parsed", [(765, False), (766, True)])
+def test_a_cell_of_the_longest_length_a_block_admits_loads_as_the_line_reader_loads_it(
+    tmp_path, monkeypatch, limit, parsed
+):
+    # commas at bytes 384 and 1151 of the block's text, the start of one aligned
+    # stretch and the end of the next: a 766-byte cell between them, and the
+    # longest one a block admits, which a field limit of 765 refuses
+    cell = "1." + "0" * 763 + "1"
+    text = "1," * 190 + "11," + cell + ",2\n"
+    assert len(cell) == gio._CELL_MAX
+    manifest = curve_manifest(tmp_path, 1, 2, [text, text], FORMAT_SAMPLES)
+    old = csv.field_size_limit(limit)
+    try:
+        assert (block_of_one(tmp_path / "u0_t0.csv") is not None) == parsed
+        assert load_data_or_error(manifest) == line_by_line_load(manifest, monkeypatch)
+    finally:
+        csv.field_size_limit(old)
+
+
+def test_manifest_written_with_spaces_opens_each_file_once_and_parses_a_block_per_call(tmp_path, monkeypatch):
+    values, _ = clean_curves(300)
+    texts = [", ".join(map(repr, row)) + "\r\n" for row in values.tolist()]
+    manifest = curve_manifest(tmp_path, 100, 3, texts)
+    panel = counted_load(manifest, monkeypatch)
+    np.testing.assert_array_equal(panel.data.reshape(300, 5), values)
+    assert outcome_or_error(lambda: panel.data) == line_by_line_load(manifest, monkeypatch)
+
+
 def load_data_or_error(manifest):
     return outcome_or_error(lambda: gio.load_panel(manifest).data)
 
@@ -387,6 +431,8 @@ def line_by_line_load(manifest, monkeypatch):
 GATE_CASES = {
     "minus-zero": ("-0,1", False),
     "minus-zero-exponent": ("-0e5,1", True),
+    "minus-zero-space-mid-line": ("-0 ,1", False),
+    "minus-zero-space-line-end": ("-0 \r\n1", False),
     "true": ("true,1", False),
     "null": ("null,1", False),
     "bracketed": ("[1],2", False),
@@ -395,7 +441,11 @@ GATE_CASES = {
     "Infinity": ("0,Infinity", False),
     "nan": ("nan,1", False),
     "inf": ("0,inf", False),
-    "leading-space": (" 1.5,2", False),
+    "leading-space": (" 1.5,2", True),
+    "spaces-beside-commas": ("1.5 , 2", True),
+    "trailing-spaces": ("1.5,2   ", True),
+    "space-inside-a-cell": ("1 5,2", False),
+    "spaces-only": ("   ", False),
     "leading-zero": ("01,2", False),
     "no-integer-part": (".5,1", False),
     "no-fraction": ("1.,2", False),
@@ -415,7 +465,7 @@ def test_gate_case_loads_as_the_line_by_line_reader_loads_it(tmp_path, monkeypat
     assert (block_of_one(tmp_path / "u0_t1.csv") is not None) == parsed
     expected = line_by_line_load(manifest, monkeypatch)
     assert load_data_or_error(manifest) == expected
-    if case == "minus-zero":
+    if case.startswith("minus-zero"):
         assert np.signbit(gio.load_panel(manifest).data[0, 1, 0])
 
 

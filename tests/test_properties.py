@@ -3,8 +3,9 @@ each space: permutation invariance over units, the scalar DID formula on 1x1
 Frobenius panels, `estimate_all_cells` equal to the per-cell estimates, the
 shortcut equal to the recursion where transport is path-independent, and
 transport along a constant geodesic equal to the identity, every
-staggered estimate carried over by an isometry of the space, and a planted
-effect recovered in every staggered cell."""
+staggered estimate carried over by an isometry of the space, a planted
+effect recovered in every staggered cell, and each walk of one `did.walks`
+call the walk that call makes alone."""
 
 import json
 from dataclasses import replace
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodid.did import estimate_gatt
+from geodid.did import estimate_gatt, walks
+from geodid.errors import EmptyGroupError
 from geodid.geometry import _BACKENDS, distance
 from geodid.io import staggered_to_jsonable
 from geodid.panel import PanelDataset
@@ -126,6 +128,54 @@ def test_scalar_panel_gives_the_did_formula(control, treated):
     scale = 1.0 + np.abs(rows).max()
     assert est.effect.start.entries[0, 0] == pytest.approx(t0 + (c1 - c0), abs=SCALAR_TOL * scale)
     assert est.magnitude == pytest.approx(abs((t1 - t0) - (c1 - c0)), abs=SCALAR_TOL * scale)
+
+
+@st.composite
+def walk_groups(draw, n_units, n_periods):
+    """Up to four (treated mask, control mask, periods) of `did.walks`: masks of
+    at least one unit, a control mask that may be the complement or another
+    group's, periods a pair or a run, and groups that may repeat."""
+    masks = st.sets(st.integers(0, n_units - 1), min_size=1).map(lambda units: np.isin(np.arange(n_units), list(units)))
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        if groups and draw(st.booleans()):
+            groups.append(draw(st.sampled_from(groups)))
+            continue
+        treated = draw(masks)
+        choices = [draw(masks)] + [~treated] * (not treated.all()) + [group[1] for group in groups]
+        first, last = sorted(draw(st.lists(st.integers(0, n_periods - 1), min_size=2, max_size=2, unique=True)))
+        periods = (first, last) if draw(st.booleans()) else range(first, last + 1)
+        groups.append((treated, draw(st.sampled_from(choices)), periods))
+    return groups
+
+
+def walk_bits(walk):
+    path, end, trend = walk
+    return [a.tobytes() for a in path], end.tobytes(), [a.tobytes() for a in trend]
+
+
+@settings(PROPERTY, max_examples=60)
+@given(space=st.sampled_from(SPACES), seed=seeds, data=st.data())
+def test_each_walk_of_a_call_is_the_walk_alone(space, seed, data):
+    panel = staggered_panel(space, [], 5, 4, seed)
+    groups = data.draw(walk_groups(panel.n_units, panel.n_periods))
+    together = walks(panel, groups)
+    assert len(together) == len(groups)
+    for group, walk in zip(groups, together):
+        assert walk_bits(walk) == walk_bits(walks(panel, [group])[0])
+        assert len(walk[0]) == len(walk[2]) == len(group[2])
+
+
+@pytest.mark.parametrize("empty, message", [(0, "no treated units"), (1, "no control units")])
+def test_walks_refuses_an_empty_group(empty, message):
+    panel = staggered_panel("frobenius", [], 4, 2, seed=0)
+    good = (np.arange(4) < 2, np.arange(4) >= 2, (0, 1))
+    bad = list(good)
+    bad[empty] = np.zeros(4, dtype=bool)
+    # after a group that is whole, so that every group is checked
+    with pytest.raises(EmptyGroupError) as info:
+        walks(panel, [good, tuple(bad)])
+    assert str(info.value) == message
 
 
 staggered_designs = {

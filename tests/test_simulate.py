@@ -62,7 +62,7 @@ def test_config_rejects_block_sizes_without_an_edge(m1, m2, capsys):
         {"space": "network", "alpha1": 1e308, "alpha3": 1e308},
         {"space": "network", "alpha1": 1e307, "m1": 10, "m2": 10},
         {"space": "network", "beta": float("nan")},
-        {"space": "network", "alpha2": float("inf"), "p11": 0.0, "p12": 0.0, "p21": 0.0, "p22": 0.0},
+        {"space": "network", "alpha2": float("inf"), "p11": 0.0, "p12": 0.0, "p22": 0.0},
         {"space": "wasserstein", "alpha1": 1e308, "beta": 1e308},
         {"space": "wasserstein", "alpha1": 3e307},
         {"space": "wasserstein", "alpha2": float("inf")},
@@ -152,21 +152,21 @@ def test_config_accepts_coefficients_below_the_bounds():
     SimConfig(space="wasserstein", alpha1=5e150, beta=5e150, alpha2=-1e150)
 
 
-@pytest.mark.parametrize("space", ["wasserstein", "network"])
-def test_config_rejects_edge_probabilities_that_differ_by_direction(space, capsys):
-    with pytest.raises(ValueError, match="p12 = 0.9 and p21 = 0.1"):
-        SimConfig(space=space, p12=0.9, p21=0.1)
-    argv = ["simulate", "--space", space, "--n", "20", "--q", "2", "--p12", "0.9", "--p21", "0.1"]
+def test_p21_is_p12_and_not_a_flag(capsys):
+    # an edge joins its two blocks both ways, so one probability sets both
+    assert SimConfig(p12=0.7).p21 == 0.7
+    argv = ["simulate", "--space", "network", "--n", "20", "--q", "2", "--p21", "0.1"]
     assert main(argv) == EXIT_INVALID_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert json.loads(captured.err)["message"] == "edge probabilities p12 = 0.9 and p21 = 0.1 differ"
+    assert len(captured.err.splitlines()) == 1
+    assert "--p21" in json.loads(captured.err)["message"]
 
 
 def test_zero_mean_error_gives_no_slope(tmp_path, capsys):
     # without edges every Laplacian and every error is exactly 0, which has no log
     out = tmp_path / "r.json"
-    edges = ["--p11", "0", "--p12", "0", "--p21", "0", "--p22", "0"]
+    edges = ["--p11", "0", "--p12", "0", "--p22", "0"]
     argv = ["simulate", "--space", "network", "--n", "10,20", "--q", "2", *edges, "--out", str(out)]
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
@@ -310,7 +310,7 @@ def loop_network_panel(config, rng):
 
 @pytest.mark.parametrize(
     "knobs",
-    [{}, {"alpha1": -0.5}, {"m1": 3, "m2": 6, "p12": 0.7, "p21": 0.7, "treat_prob": 0.6}],
+    [{}, {"alpha1": -0.5}, {"m1": 3, "m2": 6, "p12": 0.7, "treat_prob": 0.6}],
     ids=["default", "negative weights", "uneven blocks"],
 )
 def test_network_panel_matches_per_unit_loop(knobs):
@@ -348,7 +348,7 @@ def bits(a):
     [
         {},
         {"alpha1": -0.5},
-        {"m1": 3, "m2": 6, "p12": 0.7, "p21": 0.7, "treat_prob": 0.6},
+        {"m1": 3, "m2": 6, "p12": 0.7, "treat_prob": 0.6},
         {"m1": 1, "m2": 1},
         {"m1": 0, "m2": 3},
         {"m1": 2, "m2": 0},
@@ -356,7 +356,7 @@ def bits(a):
         # absent: absent weights stay 0, not inf * 0 (the truth stays finite)
         {
             "alpha1": 0.0, "alpha2": 1e308, "alpha3": 1e308, "beta": -1e308,
-            "p11": 0.0, "p12": 0.0, "p21": 0.0, "p22": 0.0,
+            "p11": 0.0, "p12": 0.0, "p22": 0.0,
         },
         # two full blocks of units and a remainder
         {"n": 300},
@@ -486,8 +486,8 @@ def test_pool_is_no_larger_than_the_jobs_and_cores(monkeypatch, workers, cpus, s
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
