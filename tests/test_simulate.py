@@ -152,10 +152,13 @@ def test_config_accepts_coefficients_below_the_bounds():
     SimConfig(space="wasserstein", alpha1=5e150, beta=5e150, alpha2=-1e150)
 
 
-def test_p21_is_p12_and_not_a_flag(capsys):
+@pytest.mark.parametrize("space", ["wasserstein", "network"])
+def test_config_rejects_edge_probabilities_that_differ_by_direction(space, capsys):
     # an edge joins its two blocks both ways, so one probability sets both
-    assert SimConfig(p12=0.7).p21 == 0.7
-    argv = ["simulate", "--space", "network", "--n", "20", "--q", "2", "--p21", "0.1"]
+    assert SimConfig(space=space, p12=0.7).p21 == 0.7
+    with pytest.raises(TypeError, match="p21"):
+        SimConfig(space=space, p12=0.9, p21=0.1)
+    argv = ["simulate", "--space", space, "--n", "20", "--q", "2", "--p12", "0.9", "--p21", "0.1"]
     assert main(argv) == EXIT_INVALID_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
