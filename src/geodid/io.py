@@ -34,9 +34,8 @@ _READ_CHUNK = 1 << 16
 # orjson.dumps call
 _BLOCK_FILES = 128
 # the bytes of a flat data file that the block parse reads: JSON's number
-# characters, the comma (line ends are turned into commas first) and the
-# space, which orjson reads as whitespace between tokens and `float` strips
-_NUMBER_BYTES = b"0123456789.eE+-, "
+# characters and the comma (line ends are turned into commas first)
+_NUMBER_BYTES = b"0123456789.eE+-,"
 # the bytes of a flat data file that may join a block: those and the line ends
 _FILE_BYTES = _NUMBER_BYTES + b"\r\n"
 # every aligned stretch of this many bytes of a block's JSON text must hold a
@@ -45,7 +44,7 @@ _FILE_BYTES = _NUMBER_BYTES + b"\r\n"
 # not all zeros, so a halfway number spelled in more can round the wrong way
 _COMMA_STRETCH = 384
 # so no cell of a block, brackets included, is longer than this many bytes,
-# and a csv field limit of at least this many admits every cell of any file
+# and a csv field limit of at least this many admits every cell of any block
 _CELL_MAX = 2 * _COMMA_STRETCH - 2
 # the JSON types of a treatment indicator
 _INDICATOR_TYPES = frozenset((int, float, bool))
@@ -96,22 +95,21 @@ def _block_parse_applies(encoding):
         return False
 
 
-def _read_block(paths, limit):
+def _read_block(paths):
     """The numbers of each flat data file, parsed by `orjson.loads` a block of files at a time.
 
     Each file becomes one JSON array of its bytes: its line ends at the end
     dropped, as the line reader skips blank lines, and any other turned into a
     comma. The block is the text `[[<file 1>],[<file 2>],...]`. A file may
     join it only if it holds nothing but `_NUMBER_BYTES`: no name such as
-    `nan` or `true`, no bracket, tab, quote or byte-order mark. Every cell
+    `nan` or `true`, no bracket, space, quote or byte-order mark. Every cell
     of such a block that parses is a JSON number, which orjson's correctly
     rounded parser reads to the double `float` gives, with two exceptions
     that the block is checked for: a number spelled in 767 bytes or more
     (see `_COMMA_STRETCH`), and the integer `-0`, which orjson reads as the
     int 0. The caller checks once per manifest that the locale's encoding
-    spells these bytes as ASCII does (`_block_parse_applies`). `limit` is
-    csv's field limit, looked up once per manifest, past which a file may
-    join a block only if the limit admits every cell a block does (`_CELL_MAX`).
+    spells these bytes as ASCII does (`_block_parse_applies`) and that
+    csv's field limit admits every cell a block can hold (`_CELL_MAX`).
 
     Every check runs once on the block (`_parse_block`), unless it fails
     (`_parse_halves`). Returns a (k, d) array when every file parses to d
@@ -124,31 +122,30 @@ def _read_block(paths, limit):
             raws.append(_read_bytes(path))
         except (OSError, ValueError):  # a name with a NUL byte raises ValueError
             break
-    rows = _parse_halves(raws, limit) if raws else []
+    rows = _parse_halves(raws) if raws else []
     return rows if len(raws) == len(paths) else [*rows, *[None] * (len(paths) - len(raws))]
 
 
-def _parse_halves(raws, limit):
+def _parse_halves(raws):
     """`_parse_block` of `raws`, or where it fails, per file: None for a file that
     holds a byte outside `_FILE_BYTES` (it fails in any block) or fails alone,
     and the rows of each run of other files parsed again (in halves if it is all of `raws`)."""
-    rows = _parse_block(raws, limit)
+    rows = _parse_block(raws)
     if rows is not None or len(raws) == 1:
         return [None] if rows is None else rows
     runs = [(clean, list(run)) for clean, run in groupby(raws, lambda raw: not raw.translate(None, _FILE_BYTES))]
     if len(runs) == 1 and runs[0][0]:
         runs = [(True, raws[: len(raws) // 2]), (True, raws[len(raws) // 2 :])]
-    return [row for clean, run in runs for row in (_parse_halves(run, limit) if clean else [None] * len(run))]
+    return [row for clean, run in runs for row in (_parse_halves(run) if clean else [None] * len(run))]
 
 
-def _parse_block(raws, limit):
+def _parse_block(raws):
     """The cells of the files of bytes `raws`, by `_read_block`'s one parse: None
-    unless every file is within a field limit under `_CELL_MAX`, is not blank
-    and holds only `_FILE_BYTES`, no cell is too long or `-0`, and the block
-    parses (a cell that is not a JSON number, or that overflows a double, fails it)."""
+    unless every file is not blank and holds only `_FILE_BYTES`, no cell is too
+    long or `-0`, and the block parses (a cell that is not a JSON number, or
+    that overflows a double, fails it)."""
     lines = [raw.rstrip(b"\r\n") for raw in raws]
-    # a file of spaces is blank to the line reader, and an empty row to orjson
-    if limit < _CELL_MAX and max(map(len, raws)) > limit or not all(map(bytes.strip, lines)):
+    if not all(lines):
         return None
     text = _block_text(lines)
     # with the number bytes gone (the comma among them), only the brackets
@@ -169,8 +166,8 @@ def _parse_block(raws, limit):
     sizes = list(map(len, lists))
     cells = np.fromiter(chain.from_iterable(lists), float, sum(sizes))
     # only a block with a zero can hold a -0 cell, which is followed by a
-    # comma, a space or the end of its file's row; the text is spelled again to look
-    if not cells.all() and (b"-0," in (text := _block_text(lines)) or b"-0 " in text or b"-0]" in text):
+    # comma or ends its file's row; the text is spelled again to look
+    if not cells.all() and (b"-0," in (text := _block_text(lines)) or b"-0]" in text):
         return None
     if len(set(sizes)) == 1:
         return cells.reshape(len(sizes), sizes[0])
@@ -202,8 +199,7 @@ def _outcome_reader(fmt, base_dir):
     """
     # one curve or composition may run over several lines of any length
     flat = fmt in (FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_COMPOSITION)
-    fast = flat and _block_parse_applies(locale.getpreferredencoding(False))
-    limit = csv.field_size_limit()
+    fast = flat and csv.field_size_limit() >= _CELL_MAX and _block_parse_applies(locale.getpreferredencoding(False))
 
     def read(spec):
         if spec is None:
@@ -226,7 +222,7 @@ def _outcome_reader(fmt, base_dir):
             block = specs[start : start + _BLOCK_FILES]
             rows = None
             if fast and all(isinstance(spec, str) for spec in block):
-                rows = _read_block([os.path.join(base_dir, spec) for spec in block], limit)
+                rows = _read_block([os.path.join(base_dir, spec) for spec in block])
             if isinstance(rows, np.ndarray):
                 blocks.append(rows)
                 continue

@@ -312,19 +312,19 @@ def run_monte_carlo(base, n_values, workers=None):
     if workers is None:
         workers = worker_count()
 
-    configs = [config for n in n_values for config in [replace(base, n=n)] * base.q]
-    runs = list(range(base.q)) * len(n_values)
+    configs = [replace(base, n=n) for n in n_values]
+    jobs = [(config, run) for config in configs for run in range(base.q)]
     # a fork-started pool starts all its processes at once, whatever the job count
-    workers = min(workers, len(configs), os.cpu_count() or 1)
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(single_run_error, configs, runs, chunksize=8))
+            results = list(pool.map(single_run_error, *zip(*jobs), chunksize=8))
     else:
-        results = list(map(single_run_error, configs, runs))
+        results = list(map(single_run_error, *zip(*jobs)))
 
     errors = {n: [] for n in n_values}
     excluded = {n: 0 for n in n_values}
-    for config, err in zip(configs, results):
+    for (config, _), err in zip(jobs, results):
         if err is None:
             excluded[config.n] += 1
         else:
