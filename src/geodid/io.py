@@ -12,7 +12,7 @@ import locale
 import os
 from collections import Counter
 from io import StringIO
-from itertools import chain, groupby
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -21,7 +21,7 @@ import orjson
 
 from .errors import InvariantViolationError, MissingOutcomeError, ParseError
 from .geometry import _BACKENDS, backend_of
-from .panel import PanelDataset, locate
+from .panel import PanelDataset, label, locate
 from .spaces import FORMAT_INLINE
 from .spaces.matrix import FORMAT_MATRIX_JSON
 from .spaces.sphere import FORMAT_COMPOSITION
@@ -96,7 +96,7 @@ def _block_parse_applies(encoding):
 
 
 def _read_block(paths):
-    """The numbers of each flat data file, parsed by `orjson.loads` a block of files at a time.
+    """The numbers of each flat data file of a block, parsed by one `orjson.loads` call.
 
     Each file becomes one JSON array of its bytes: its line ends at the end
     dropped, as the line reader skips blank lines, and any other turned into a
@@ -111,40 +111,16 @@ def _read_block(paths):
     spells these bytes as ASCII does (`_block_parse_applies`) and that
     csv's field limit admits every cell a block can hold (`_CELL_MAX`).
 
-    Every check runs once on the block (`_parse_block`), unless it fails
-    (`_parse_halves`). Returns a (k, d) array when every file parses to d
-    numbers, else per file its 1-D array, or None for a file the caller reads
-    with the line reader: one that fails alone, or cannot be opened, and those after it.
+    Returns a (k, d) array when every file parses to d numbers, else per file
+    its 1-D array. Returns None, and the caller reads every file of the block
+    with the line reader, when a file cannot be opened, is blank or holds
+    another byte, when a cell is too long or `-0`, or when the parse fails (a
+    cell that is not a JSON number, or that overflows a double, fails it).
     """
-    raws = []
-    for path in paths:
-        try:
-            raws.append(_read_bytes(path))
-        except (OSError, ValueError):  # a name with a NUL byte raises ValueError
-            break
-    rows = _parse_halves(raws) if raws else []
-    return rows if len(raws) == len(paths) else [*rows, *[None] * (len(paths) - len(raws))]
-
-
-def _parse_halves(raws):
-    """`_parse_block` of `raws`, or where it fails, per file: None for a file that
-    holds a byte outside `_FILE_BYTES` (it fails in any block) or fails alone,
-    and the rows of each run of other files parsed again (in halves if it is all of `raws`)."""
-    rows = _parse_block(raws)
-    if rows is not None or len(raws) == 1:
-        return [None] if rows is None else rows
-    runs = [(clean, list(run)) for clean, run in groupby(raws, lambda raw: not raw.translate(None, _FILE_BYTES))]
-    if len(runs) == 1 and runs[0][0]:
-        runs = [(True, raws[: len(raws) // 2]), (True, raws[len(raws) // 2 :])]
-    return [row for clean, run in runs for row in (_parse_halves(run) if clean else [None] * len(run))]
-
-
-def _parse_block(raws):
-    """The cells of the files of bytes `raws`, by `_read_block`'s one parse: None
-    unless every file is not blank and holds only `_FILE_BYTES`, no cell is too
-    long or `-0`, and the block parses (a cell that is not a JSON number, or
-    that overflows a double, fails it)."""
-    lines = [raw.rstrip(b"\r\n") for raw in raws]
+    try:
+        lines = [_read_bytes(path).rstrip(b"\r\n") for path in paths]
+    except (OSError, ValueError):  # a name with a NUL byte raises ValueError
+        return None
     if not all(lines):
         return None
     text = _block_text(lines)
@@ -190,12 +166,12 @@ def _outcome_reader(fmt, base_dir):
     takes the outcomes and `where`, which names the i-th of them, and returns
     one array per outcome: a list of them, or, when every block of files
     parsed, all to one width, one (k, d) array whose rows they are. A block of
-    flat data files is parsed by `_read_block`; any other outcome, or a file
-    it gives up on, is read alone, a data file by the line reader, the
-    reference. An outcome it cannot read raises what `_outcome_error`
-    makes of MissingOutcomeError for a null outcome, OSError for a file it
-    cannot read, or TypeError, ValueError, OverflowError, RecursionError or
-    csv.Error for bad data.
+    flat data files is parsed by `_read_block`; any other outcome, and every
+    file of a block it refuses, is read alone, a data file by the line
+    reader, the reference. An outcome it cannot read raises what
+    `_outcome_error` makes of MissingOutcomeError for a null outcome, OSError
+    for a file it cannot read, or TypeError, ValueError, OverflowError,
+    RecursionError or csv.Error for bad data.
     """
     # one curve or composition may run over several lines of any length
     flat = fmt in (FORMAT_SAMPLES, FORMAT_QUANTILE, FORMAT_COMPOSITION)
@@ -223,19 +199,16 @@ def _outcome_reader(fmt, base_dir):
             rows = None
             if fast and all(isinstance(spec, str) for spec in block):
                 rows = _read_block([os.path.join(base_dir, spec) for spec in block])
-            if isinstance(rows, np.ndarray):
-                blocks.append(rows)
-                continue
-            # any other outcome is read alone, in order, so that each value
-            # and the first error are the ones a lone read gives
-            arrays = list(rows or [None] * len(block))
-            for i, spec in enumerate(block):
-                if arrays[i] is None:
+            if rows is None:
+                # read alone, in order, so that each value and the first
+                # error are the ones a lone read gives
+                rows = []
+                for i, spec in enumerate(block):
                     try:
-                        arrays[i] = read(spec)
+                        rows.append(read(spec))
                     except _OUTCOME_ERRORS as exc:
                         raise _outcome_error(exc, where(start + i)) from None
-            blocks.append(arrays)
+            blocks.append(rows)
         parsed = all(isinstance(block, np.ndarray) for block in blocks)
         if parsed and len({block.shape[1] for block in blocks}) == 1:
             return np.concatenate(blocks)
@@ -310,7 +283,7 @@ def load_panel(manifest_path):
 
     def where(i):
         # the label is built only for an error
-        return f"unit {ids[i // periods]} period {i % periods}"
+        return label(i, periods, ids)
 
     for k, unit in enumerate(units):
         try:

@@ -16,12 +16,17 @@ NEVER_TREATED = math.inf
 _VALIDATE_BLOCK_BYTES = 1 << 19
 
 
+def label(index, n_periods, unit_ids):
+    """`unit <id> period <t>`, naming row `index` of a panel's unit-major outcome stack."""
+    i, t = divmod(index, n_periods)
+    return f"unit {unit_ids[i]} period {t}"
+
+
 def locate(exc, n_periods, unit_ids):
     """`exc`, raised on a panel's unit-major outcome stack, prefixed with its unit and period."""
     if exc.index is None:
         return exc
-    i, t = divmod(exc.index, n_periods)
-    return InvariantViolationError(f"unit {unit_ids[i]} period {t}: {exc}")
+    return InvariantViolationError(f"{label(exc.index, n_periods, unit_ids)}: {exc}")
 
 
 def _validate(validate, stack, fields):

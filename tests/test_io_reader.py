@@ -90,7 +90,8 @@ def block_of_one(path):
     """A file's numbers as the block parse reads it alone, or None where a load reads it line by line."""
     if csv.field_size_limit() < gio._CELL_MAX:
         return None
-    return gio._read_block([str(path)])[0]
+    rows = gio._read_block([str(path)])
+    return None if rows is None else rows[0]
 
 
 def outcome_or_error(read, *args):
@@ -261,25 +262,39 @@ def test_ragged_samples_manifest_opens_each_file_once_and_parses_a_block_per_cal
     assert outcome_or_error(lambda: panel.data) == line_by_line_load(manifest, monkeypatch)
 
 
-def test_a_file_that_fails_the_gate_is_the_only_one_of_its_block_read_twice(tmp_path, monkeypatch):
+def test_a_block_holding_a_file_that_fails_the_gate_is_read_whole_by_the_line_reader(tmp_path, monkeypatch):
     values, texts = clean_curves(300)
-    # file 5 of each block fails: in the first a quoted cell, which the line
-    # reader unquotes, and in the others a leading zero, which JSON refuses
-    bad = [5, gio._BLOCK_FILES + 5, 2 * gio._BLOCK_FILES + 5]
-    first, rest = texts[bad[0]].split(",", 1)
-    texts[bad[0]] = f'"{first}",{rest}'
-    for i in bad[1:]:
-        texts[i] = "0" + texts[i]
+    # file 5 of the second block holds a quoted cell, which the line reader unquotes
+    bad = gio._BLOCK_FILES + 5
+    first, rest = texts[bad].split(",", 1)
+    texts[bad] = f'"{first}",{rest}'
     manifest = curve_manifest(tmp_path, 100, 3, texts)
-    # a quote is a byte no block may hold, so the files either side of the
-    # quoted one are parsed in one call each; the others' blocks are halved
-    # down to the bad file, a clean half parsed at each step: 7 halves of 64
-    # to 1 in a block of 128, and in the last block of 44 those of 22, 11,
-    # 5, 3 and 2 files
-    twice = [f"u{i // 3}_t{i % 3}.csv" for i in bad]
-    panel = counted_load(manifest, monkeypatch, parses=2 + 7 + 5, twice=twice)
+    # every file of that block is opened by the block read, then by the line
+    # reader; the other two blocks are parsed in one call each
+    block = range(gio._BLOCK_FILES, 2 * gio._BLOCK_FILES)
+    twice = [f"u{i // 3}_t{i % 3}.csv" for i in block]
+    panel = counted_load(manifest, monkeypatch, parses=2, twice=twice)
     np.testing.assert_array_equal(panel.data.reshape(300, 5), values)
     assert outcome_or_error(lambda: panel.data) == line_by_line_load(manifest, monkeypatch)
+
+
+@pytest.mark.parametrize("unreadable", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "kinds", [("good", "bad", "unreadable"), ("unreadable", "good", "bad")], ids=["bad-first", "unreadable-first"]
+)
+def test_block_holding_an_unreadable_file_reports_its_first_error(tmp_path, monkeypatch, unreadable, kinds):
+    texts = {"good": "0.5,1\r\n", "bad": "0.5,abc\r\n", "unreadable": "0.5,1\r\n"}
+    manifest = curve_manifest(tmp_path, 1, 3, [texts[kind] for kind in kinds])
+    path = tmp_path / f"u0_t{kinds.index('unreadable')}.csv"
+    path.unlink()
+    if unreadable == "directory":
+        path.mkdir()
+    # the line reader reads the block in order, so the first of the two bad files reports
+    first = "unreadable" if kinds[0] == "unreadable" else "bad"
+    kind = {"unreadable": MissingOutcomeError, "bad": ParseError}[first]
+    with pytest.raises(kind, match=f"^unit u0 period {kinds.index(first)}: "):
+        gio.load_panel(manifest)
+    assert load_data_or_error(manifest) == line_by_line_load(manifest, monkeypatch)
 
 
 def test_inline_outcome_among_files_loads_as_the_line_by_line_reader_loads_it(tmp_path, monkeypatch):
@@ -542,7 +557,7 @@ def test_block_parse_rounds_hard_decimals_as_float_does(cells):
         paths = [os.path.join(tmp, f"c{i}.csv") for i in range(len(cells))]
         for path, row in zip(paths, cells):
             Path(path).write_bytes((",".join(row) + "\r\n").encode())
-        rows = gio._read_block(paths)
+        rows = [block_of_one(path) for path in paths]
     for row, file_cells, file_expected in zip(rows, cells, expected):
         if row is None:
             # a number past DBL_MAX fails the parse, where `float` makes it
