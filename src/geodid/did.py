@@ -2,7 +2,6 @@
 diagnostic that take it."""
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -89,7 +88,11 @@ def walks(panel, groups):
     """The DID step on arrays for each (treated mask, control mask, periods) of
     `groups`: (path, end, trend), the transport path of the treated mean at
     `periods[0]` along the control means `trend` at each period, and the treated
-    mean at `periods[-1]`, every mean from one `take_means` call."""
+    mean at `periods[-1]`, every mean from one `take_means` call.
+
+    The walks advance one period at a time: step j of every walk that has one
+    is taken by one `transport` call on the stacks of those walks' points.
+    """
     keys = []
     for treated, control, periods in groups:
         if not treated.any():
@@ -98,14 +101,22 @@ def walks(panel, groups):
             raise EmptyGroupError("no control units")
         keys += [(treated, periods[0]), (treated, periods[-1])] + [(control, p) for p in periods]
     backend = _BACKENDS[panel.space_id]
-    means = iter(take_means(panel, keys))
-    results = []
+    means = take_means(panel, keys)
+    results, start = [], 0
     for _, _, periods in groups:
-        base, end, *trend = islice(means, 2 + len(periods))
-        path = [base]
-        for prev, curr in zip(trend, trend[1:]):
-            path.append(backend.transport(prev, curr, path[-1]))
-        results.append((path, end, trend))
+        base, end, *trend = means[start : start + 2 + len(periods)]
+        start += 2 + len(periods)
+        results.append(([base], end, trend))
+    running = results
+    for j in range(1, max((len(trend) for _, _, trend in results), default=0)):
+        running = [walk for walk in running if len(walk[2]) > j]
+        moved = backend.transport(
+            np.array([trend[j - 1] for _, _, trend in running]),
+            np.array([trend[j] for _, _, trend in running]),
+            np.array([path[-1] for path, _, _ in running]),
+        )
+        for (path, _, _), point in zip(running, moved):
+            path.append(point)
     return results
 
 
@@ -119,6 +130,6 @@ def _gatt(panel, treated, periods):
     start = backend.wrap(counterfactual, **backend.unwrap((points[(1, 0)],))[1])
     return GattEstimate(
         effect=Geodesic(start, points[(1, 1)]),
-        magnitude=backend.distance(counterfactual, end),
+        magnitude=float(backend.distance(counterfactual[None], end[None])[0]),
         means=points,
     )

@@ -37,14 +37,16 @@ def backend_of(*points):
 def distance(a, b):
     """Native metric of the points' common space."""
     backend = backend_of(a, b)
-    return backend.distance(*backend.unwrap((a, b))[0])
+    stack, _ = backend.unwrap((a, b))
+    return float(backend.distance(stack[:1], stack[1:])[0])
 
 
 def transport(alpha, beta, omega):
     """Geodesic transport of omega along the geodesic from alpha to beta (a point with omega's fields)."""
     backend = backend_of(alpha, beta, omega)
-    (a, b, w), _ = backend.unwrap((alpha, beta, omega))
-    return backend.wrap(backend.transport(a, b, w), **backend.unwrap((omega,))[1])
+    stack, _ = backend.unwrap((alpha, beta, omega))
+    moved = backend.transport(stack[:1], stack[1:2], stack[2:])[0]
+    return backend.wrap(moved, **backend.unwrap((omega,))[1])
 
 
 @dataclass(frozen=True)

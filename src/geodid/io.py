@@ -73,16 +73,21 @@ def _read_csv_lines(path):
     return rows
 
 
-def _read_bytes(path):
-    """A file's bytes, read with one `os.open`."""
-    fd = os.open(path, os.O_RDONLY)
+def _read_bytes(path, dir_fd):
+    """A file's bytes, read with one `os.open` of `path` relative to the folder
+    open as `dir_fd` (an absolute path ignores it)."""
+    fd = os.open(path, os.O_RDONLY, dir_fd=dir_fd)
     try:
-        chunks = []
-        while chunk := os.read(fd, _READ_CHUNK):
-            chunks.append(chunk)
+        data = os.read(fd, _READ_CHUNK)
+        # a file of one chunk, the common case, is read without a list of them
+        if data and (chunk := os.read(fd, _READ_CHUNK)):
+            chunks = [data, chunk]
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+            data = b"".join(chunks)
     finally:
         os.close(fd)
-    return b"".join(chunks)
+    return data
 
 
 def _block_parse_applies(encoding):
@@ -95,8 +100,9 @@ def _block_parse_applies(encoding):
         return False
 
 
-def _read_block(paths):
-    """The numbers of each flat data file of a block, parsed by one `orjson.loads` call.
+def _read_block(paths, dir_fd):
+    """The numbers of each flat data file of a block, its `paths` relative to the
+    folder open as `dir_fd`, parsed by one `orjson.loads` call.
 
     Each file becomes one JSON array of its bytes: its line ends at the end
     dropped, as the line reader skips blank lines, and any other turned into a
@@ -118,7 +124,7 @@ def _read_block(paths):
     cell that is not a JSON number, or that overflows a double, fails it).
     """
     try:
-        lines = [_read_bytes(path).rstrip(b"\r\n") for path in paths]
+        lines = [_read_bytes(path, dir_fd).rstrip(b"\r\n") for path in paths]
     except (OSError, ValueError):  # a name with a NUL byte raises ValueError
         return None
     if not all(lines):
@@ -193,22 +199,34 @@ def _outcome_reader(fmt, base_dir):
         return np.asarray(rows, dtype=float)
 
     def read_all(specs, where):
-        blocks = []
-        for start in range(0, len(specs), _BLOCK_FILES):
-            block = specs[start : start + _BLOCK_FILES]
-            rows = None
-            if fast and all(isinstance(spec, str) for spec in block):
-                rows = _read_block([os.path.join(base_dir, spec) for spec in block])
-            if rows is None:
-                # read alone, in order, so that each value and the first
-                # error are the ones a lone read gives
-                rows = []
-                for i, spec in enumerate(block):
-                    try:
-                        rows.append(read(spec))
-                    except _OUTCOME_ERRORS as exc:
-                        raise _outcome_error(exc, where(start + i)) from None
-            blocks.append(rows)
+        # a block's files are opened by name in the manifest's folder; a
+        # folder that cannot be opened sends every block to the line reader
+        folder = None
+        if fast:
+            try:
+                folder = os.open(base_dir, os.O_RDONLY)
+            except OSError:
+                pass
+        try:
+            blocks = []
+            for start in range(0, len(specs), _BLOCK_FILES):
+                block = specs[start : start + _BLOCK_FILES]
+                rows = None
+                if folder is not None and all(isinstance(spec, str) for spec in block):
+                    rows = _read_block(block, folder)
+                if rows is None:
+                    # read alone, in order, so that each value and the first
+                    # error are the ones a lone read gives
+                    rows = []
+                    for i, spec in enumerate(block):
+                        try:
+                            rows.append(read(spec))
+                        except _OUTCOME_ERRORS as exc:
+                            raise _outcome_error(exc, where(start + i)) from None
+                blocks.append(rows)
+        finally:
+            if folder is not None:
+                os.close(folder)
         parsed = all(isinstance(block, np.ndarray) for block in blocks)
         if parsed and len({block.shape[1] for block in blocks}) == 1:
             return np.concatenate(blocks)
@@ -510,9 +528,10 @@ def report_to_jsonable(report):
 
 
 def write_errors_csv(report, fh):
-    """Write every run's error as `n,run,error` rows to `fh`, a text file opened with newline=""."""
+    """Write each replicate's error as an `n,run,error` row to `fh`, a text file
+    opened with newline="": its run number, and no row for an excluded one."""
     writer = csv.writer(fh)
     writer.writerow(["n", "run", "error"])
     for n in sorted(report.errors):
-        for run, err in enumerate(report.errors[n]):
+        for run, err in zip(report.runs[n], report.errors[n]):
             writer.writerow([n, run, repr(err)])

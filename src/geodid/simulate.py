@@ -109,6 +109,7 @@ class SimReport:
     excluded: dict          # n -> count of failed runs
     slope: float            # None when fewer than two sizes, or a mean error is 0
     intercept: float
+    runs: dict              # n -> run number of each entry of errors[n]
 
 
 def _run_rng(config, run):
@@ -275,9 +276,11 @@ def single_run_error(config, run):
     try:
         [(path, treated_end, _)] = walks(panel, [(treated, ~treated, (0, 1))])
         (start, end), _ = backend.unwrap((truth.start, truth.end))
-        # `quotient_distance(estimate, truth, reference=truth.start)` on arrays
-        moved = backend.transport(path[-1], treated_end, start)
-        return backend.distance(moved, backend.transport(start, end, start))
+        # `quotient_distance(estimate, truth, reference=truth.start)` on
+        # stacks of one (two calls: stacking the pairs costs more than a call)
+        start = start[None]
+        moved = backend.transport(path[-1][None], treated_end[None], start)
+        return float(backend.distance(moved, backend.transport(start, end[None], start))[0])
     except GeodidError:
         return None
 
@@ -323,12 +326,14 @@ def run_monte_carlo(base, n_values, workers=None):
         results = list(map(single_run_error, *zip(*jobs)))
 
     errors = {n: [] for n in n_values}
+    runs = {n: [] for n in n_values}
     excluded = {n: 0 for n in n_values}
-    for (config, _), err in zip(jobs, results):
+    for (config, run), err in zip(jobs, results):
         if err is None:
             excluded[config.n] += 1
         else:
             errors[config.n].append(float(err))
+            runs[config.n].append(run)
     mean_error = {
         n: float(np.mean(errs)) for n, errs in errors.items() if errs
     }
@@ -349,4 +354,5 @@ def run_monte_carlo(base, n_values, workers=None):
         excluded=excluded,
         slope=slope,
         intercept=intercept,
+        runs=runs,
     )

@@ -1,9 +1,9 @@
 """Space backends: Wasserstein, positive-orthant sphere, Frobenius matrices.
 
-Each module defines `distance`, `interpolate`, `transport` and `means` (the
-Frechet mean and iteration count of each stack of an iterable: batched
-Karcher iterations on the sphere, `closed_form_means` of the module's
-`_mean` on the other two) on arrays, `wrap` and `unwrap` between arrays and
+Each module defines `distance` and `transport` (on (k, *shape) stacks, row
+by row), `interpolate` and `means` (the Frechet mean and iteration count of
+each stack of an iterable: batched Karcher iterations on the sphere,
+`closed_form_means` of the module's `_mean` on the other two) on arrays, `wrap` and `unwrap` between arrays and
 points, `validate`, `from_data`, `to_data`, `to_jsonable`, `manifest_fields`,
 `FORMATS` and `PATH_INDEPENDENT` (see the README's package layout), and is
 registered in `geometry._BACKENDS`.

@@ -138,8 +138,13 @@ class SymmetricMatrixPoint:
 
 
 def distance(a, b):
-    """Frobenius distance ||a - b||_F."""
-    return float(np.linalg.norm(a - b))
+    """Frobenius distance ||a - b||_F of each matrix of two (k, m, m) stacks.
+
+    Each is the square root of numpy's `dot` of a flat difference with itself
+    (a (1, m*m) by (m*m, 1) matmul), as `np.linalg.norm` of one matrix takes it.
+    """
+    diff = (a - b).reshape(len(a), 1, -1)
+    return np.sqrt(diff @ diff.swapaxes(-1, -2))[:, 0, 0]
 
 
 def interpolate(a, b, t):
@@ -150,15 +155,15 @@ def interpolate(a, b, t):
 
 
 def transport(alpha, beta, omega):
-    """Additive transport: omega + (beta - alpha)."""
+    """Additive transport of each matrix of (k, m, m) stacks: omega + (beta - alpha)."""
     with np.errstate(over="ignore", invalid="ignore"):
         entries = omega + beta - alpha
         return _symmetric(entries)
 
 
 def _symmetric(entries):
-    """`entries` made exactly symmetric, checked finite (under the caller's np.errstate)."""
-    entries = 0.5 * (entries + entries.T)
+    """`entries`, a matrix or a stack, made exactly symmetric, checked finite (under the caller's np.errstate)."""
+    entries = 0.5 * (entries + entries.swapaxes(-1, -2))
     check_overflow(entries, "matrix result")
     return entries
 

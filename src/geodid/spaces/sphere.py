@@ -60,9 +60,18 @@ def _angle(x, y):
     return 2.0 * np.arcsin(np.minimum(half_chord, 1.0))
 
 
+def _row_dot(x, y):
+    """The dot product of each row of two (k, d) stacks.
+
+    A matmul of (1, d) by (d, 1) is numpy's `dot` of the two rows, so a row's
+    product has the bits of `np.dot` of the two points, whatever the stack.
+    """
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
 def distance(z1, z2):
-    """Great-circle distance arccos(z1'z2), evaluated as `_angle`."""
-    return float(_angle(z1, z2))
+    """Great-circle distance arccos(z1'z2) of each row of two (k, d) stacks, evaluated as `_angle`."""
+    return _angle(z1, z2)
 
 
 def interpolate(z1, z2, t):
@@ -77,25 +86,30 @@ def _warn_exits(points):
 
 
 def _finish(coords):
-    coords = coords / np.linalg.norm(coords)
-    if np.any(coords < -ORTHANT_SLACK):
-        _warn_exits(coords[None])
+    """Each row of a (k, d) stack normalised, with one OrthantExitWarning per row off the orthant."""
+    coords = coords / np.sqrt(_row_dot(coords, coords))[:, None]
+    _warn_exits(coords)
     return coords
 
 
 def transport(alpha, beta, omega):
-    """Rotate omega along the geodesic direction determined by alpha and beta."""
+    """Rotate each row of omega along the geodesic direction of the rows of
+    alpha and beta ((k, d) stacks); a row whose alpha and beta lie within
+    1e-14 of each other keeps its omega."""
     theta = _angle(alpha, beta)
-    if theta < 1e-14:
-        return omega
-    v_ab = beta - np.dot(alpha, beta) * alpha
-    v = v_ab - np.dot(omega, v_ab) * omega
-    nv = np.linalg.norm(v)
-    if nv < 1e-12:
+    moving = theta >= 1e-14
+    if not moving.all():
+        out = omega.copy()
+        out[moving] = transport(alpha[moving], beta[moving], omega[moving])
+        return out
+    v_ab = beta - _row_dot(alpha, beta)[:, None] * alpha
+    v = v_ab - _row_dot(omega, v_ab)[:, None] * omega
+    nv = np.sqrt(_row_dot(v, v))[:, None]
+    if (nv < 1e-12).any():
         raise DegenerateTangentError(
             "tangent projection vanished; transport direction undefined at omega"
         )
-    coords = np.cos(theta) * omega + np.sin(theta) * v / nv
+    coords = np.cos(theta)[:, None] * omega + np.sin(theta)[:, None] * v / nv
     return _finish(coords)
 
 

@@ -62,9 +62,9 @@ class QuantileCurve:
 
 
 def distance(a, b):
-    """Wasserstein-2 distance via midpoint-rule quadrature of the quantile gap."""
+    """Wasserstein-2 distance of each row of two (k, M) stacks, by midpoint-rule quadrature of the quantile gap."""
     diff = a - b
-    return float(np.sqrt(np.mean(diff * diff)))
+    return np.sqrt(np.mean(diff * diff, axis=-1))
 
 
 def interpolate(a, b, t):
@@ -93,40 +93,46 @@ def _mean(stack):
 
 
 def cdf_eval(values, x):
-    """Evaluate the CDF implied by quantile curve values at points x.
+    """Evaluate the CDF implied by each quantile curve of a (k, M) stack at the
+    points of the same row of a (k, N) stack x.
 
     Monotone linear interpolation of the inverse of the curve; flat segments
     resolve to the leftmost grid probability and output is clamped to
-    [p_0, p_{M-1}].
+    [p_0, p_{M-1}]. `np.searchsorted` takes one curve, so it runs row by row.
     """
-    grid = midpoint_grid(len(values))
-    idx = np.searchsorted(values, x, side="left")
+    m = values.shape[-1]
+    grid = midpoint_grid(m)
+    idx = np.array([np.searchsorted(v, row, side="left") for v, row in zip(values, x)])
     out = np.empty(x.shape)
     below = idx == 0
-    above = idx == len(values)
+    above = idx == m
     out[below] = grid[0]
     out[above] = grid[-1]
     inner = ~(below | above)
     i = idx[inner]
-    lo, hi = values[i - 1], values[i]
-    exact = hi == x[inner]
-    frac = np.where(hi > lo, (x[inner] - lo) / np.where(hi > lo, hi - lo, 1.0), 1.0)
+    rows = np.nonzero(inner)[0]
+    lo, hi = values[rows, i - 1], values[rows, i]
+    xs = x[inner]
+    exact = hi == xs
+    frac = np.where(hi > lo, (xs - lo) / np.where(hi > lo, hi - lo, 1.0), 1.0)
     out[inner] = np.where(exact, grid[i], grid[i - 1] + frac * (grid[i] - grid[i - 1]))
     return out
 
 
 def transport(alpha, beta, omega):
-    """Optimal-transport push of omega along the geodesic from alpha to beta.
+    """Optimal-transport push of each row of omega along the geodesic from the
+    row of alpha to the row of beta ((k, M) stacks).
 
     The output quantile function is the composition of beta's quantile
-    function, alpha's CDF and omega's quantile function.
+    function, alpha's CDF and omega's quantile function. `np.interp` takes one
+    curve, so it runs row by row.
     """
-    if alpha[-1] - alpha[0] < POINT_TOL:
+    if (alpha[:, -1] - alpha[:, 0] < POINT_TOL).any():
         raise DegenerateTransportError("alpha is a constant curve; its CDF has no spread")
-    p = cdf_eval(alpha, omega)
-    out = np.interp(p, midpoint_grid(len(beta)), beta)
+    grid = midpoint_grid(beta.shape[-1])
+    out = np.array([np.interp(p, grid, b) for p, b in zip(cdf_eval(alpha, omega), beta)])
     # monotone compositions stay monotone; cummax guards against fp dust
-    return np.maximum.accumulate(out)
+    return np.maximum.accumulate(out, axis=-1)
 
 
 def _check_draws(draws):

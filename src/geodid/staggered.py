@@ -130,21 +130,31 @@ def _plan(panel, cell):
 def _estimate(panel, cells):
     """The GroupTimeGatt of each of `cells`, which are admissible: each cell
     planned once, every cell's walk from one `did.walks` call (each distinct
-    (unit set, period) averaged once), and a treated mean that several cells
-    share wrapped once; nothing is kept between calls."""
+    (unit set, period) averaged once), every magnitude from one `distance`
+    call, and a treated mean that several cells share wrapped once; nothing is
+    kept between calls."""
+    if not cells:
+        return []
     backend = _BACKENDS[panel.space_id]
     plans = [_plan(panel, cell) for cell in cells]
     arrays = walks(panel, [plan[1:] for plan in plans])
+    magnitudes = backend.distance(
+        np.array([path[-1] for path, _, _ in arrays]), np.array([end for _, end, _ in arrays])
+    ).tolist()
     points, results = {}, []
-    for cell, (form, _, _, periods), (path, end, _) in zip(cells, plans, arrays):
+    for cell, (form, _, _, periods), (path, end, _), magnitude in zip(cells, plans, arrays, magnitudes):
         for period, mean in ((periods[0], path[0]), (cell.t, end)):
             if (cell.g, period) not in points:
                 points[cell.g, period] = backend.wrap(mean, **panel.fields)
         beta_path = [points[cell.g, periods[0]]]
+        # a transport keeps the fields of the point it moves (the Frobenius
+        # kind, which a point that breaks it gives up); the other spaces have none
+        fields = panel.fields
         for beta in path[1:]:
-            beta_path.append(backend.wrap(beta, **backend.unwrap(beta_path[-1:])[1]))
+            if fields:
+                fields = backend.unwrap(beta_path[-1:])[1]
+            beta_path.append(backend.wrap(beta, **fields))
         effect = Geodesic(beta_path[-1], points[cell.g, cell.t])
-        magnitude = backend.distance(path[-1], end)
         results.append(GroupTimeGatt(replace(cell, estimator_form=form), effect, magnitude, tuple(beta_path)))
     return results
 

@@ -124,7 +124,7 @@ def planted_panel(space, cohorts, units_per_group, n_periods, seed, anticipation
     for r, g in enumerate(groups):
         path = [trend[0] if shared else bases[r]]
         for s in range(n_periods - 1):
-            path.append(transport(trend[s], trend[s + 1], path[-1]))
+            path.append(transport(trend[s][None], trend[s + 1][None], path[-1][None])[0])
         untreated[g] = np.array(path)
         rows.append([effect(u, r) if s >= g - anticipation else u for s, u in enumerate(path)])
         treatment.append([int(s >= g) for s in range(n_periods)])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from geodid.did import estimate_gatt, placebo_pretrend
+from geodid.did import estimate_gatt, placebo_pretrend, walks
 from geodid.errors import EmptyGroupError, InvariantViolationError
+from geodid.geometry import _BACKENDS
 from geodid.panel import PanelDataset
 from geodid.spaces.matrix import SymmetricMatrixPoint
 
@@ -231,3 +232,44 @@ def test_placebo_rejects_a_pre_period_pair_out_of_order_or_range(pre_periods):
     with pytest.raises(InvariantViolationError) as info:
         placebo_pretrend(panel, pre_periods=pre_periods, groups=[0, 0, 1, 1])
     assert str(info.value) == f"invalid pre-period pair {pre_periods}"
+
+
+@pytest.mark.parametrize("space", ["sphere", "wasserstein", "frobenius"])
+def test_walks_of_mixed_depth_are_each_walk_alone_and_advance_one_depth_per_call(space, monkeypatch):
+    # walks of 5, 2, 3 and 4 periods (4, 1, 2 and 3 steps), two of them on one
+    # group, so that depth 1 moves four walks, depth 2 three and so on
+    rng = np.random.default_rng(4)
+    points = {
+        "sphere": lambda: random_composition(rng, dim=4),
+        "wasserstein": lambda: random_curve(rng, grid_size=12),
+        "frobenius": lambda: random_matrix(rng, size=3),
+    }[space]
+    labels = np.arange(12) % 4
+    panel = PanelDataset(tuple((points(), points(), points(), points(), points()) for _ in labels),
+                         np.zeros((12, 5), dtype=int))
+    groups = [
+        (labels == 0, labels != 0, range(0, 5)),
+        (labels == 1, labels == 2, (1, 3)),
+        (labels == 0, labels != 0, range(2, 5)),
+        (labels == 3, labels == 2, range(1, 5)),
+    ]
+    backend = _BACKENDS[space]
+    calls = []
+
+    def counting_transport(alpha, beta, omega):
+        calls.append(len(omega))
+        return transport(alpha, beta, omega)
+
+    transport = backend.transport
+    monkeypatch.setattr(backend, "transport", counting_transport)
+    together = walks(panel, groups)
+    assert calls == [4, 3, 2, 1]
+    for group, (path, end, trend) in zip(groups, together):
+        [(alone_path, alone_end, alone_trend)] = walks(panel, [group])
+        assert [a.tobytes() for a in path] == [a.tobytes() for a in alone_path]
+        assert (end.tobytes(), [a.tobytes() for a in trend]) == (alone_end.tobytes(), [a.tobytes() for a in alone_trend])
+        assert len(path) == len(trend) == len(group[2])
+        # each step is the transport of the step before it, a stack of one
+        for j in range(1, len(path)):
+            step = transport(trend[j - 1][None], trend[j][None], path[j - 1][None])[0]
+            assert path[j].tobytes() == step.tobytes()

@@ -14,6 +14,7 @@ from geodid.errors import (
 )
 from geodid.geometry import _BACKENDS, distance
 from geodid.panel import PanelDataset
+from geodid.simulate import SimConfig, single_run_error
 from geodid.spaces.matrix import SymmetricMatrixPoint
 from geodid.spaces.sphere import embed_composition
 from geodid.spaces.wasserstein import QuantileCurve, quantile_from_samples
@@ -770,6 +771,27 @@ def test_cli_simulate_errors_csv(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "n,run,error"
     assert len(lines) >= 2
+
+
+@pytest.mark.filterwarnings("ignore::geodid.errors.KindViolationWarning")
+def test_cli_simulate_errors_csv_names_each_row_by_its_run(tmp_path):
+    # at this seed replicates 0, 2 and 4 at n=4 and 2, 3 and 4 at n=8 have no
+    # treated unit; a row's run is the replicate it holds, not its position
+    csv_path = tmp_path / "errs.csv"
+    args = [
+        "simulate", "--space", "network", "--n", "4,8", "--q", "6", "--treat-prob", "0.2",
+        "--seed", "3", "--out", str(tmp_path / "r.json"), "--errors-csv", str(csv_path),
+    ]
+    assert main(args) == EXIT_OK
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "n,run,error"
+    expected = []
+    for n in (4, 8):
+        config = SimConfig(space="network", n=n, q=6, treat_prob=0.2, seed=3)
+        errors = [single_run_error(config, run) for run in range(6)]
+        expected += [f"{n},{run},{err!r}" for run, err in enumerate(errors) if err is not None]
+    assert lines[1:] == expected
+    assert [row.split(",")[1] for row in lines[1:]] == ["1", "3", "5", "0", "1", "5"]
 
 
 def test_point_json_floats_round_trip():

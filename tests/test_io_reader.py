@@ -90,7 +90,7 @@ def block_of_one(path):
     """A file's numbers as the block parse reads it alone, or None where a load reads it line by line."""
     if csv.field_size_limit() < gio._CELL_MAX:
         return None
-    rows = gio._read_block([str(path)])
+    rows = gio._read_block([str(path)], None)
     return None if rows is None else rows[0]
 
 
@@ -297,6 +297,85 @@ def test_block_holding_an_unreadable_file_reports_its_first_error(tmp_path, monk
     assert load_data_or_error(manifest) == line_by_line_load(manifest, monkeypatch)
 
 
+def folder_tracking_load(manifest, monkeypatch, folder, refuse=False):
+    """`load_panel(manifest)` (or its error) with the block parses it made and
+    whether every descriptor of `folder` it opened was closed; with `refuse`,
+    opening `folder` fails."""
+    os_open, os_close, read_block = os.open, os.close, gio._read_block
+    folder_fds, parses = set(), []
+
+    def tracking_open(path, *args, **kwargs):
+        if path == str(folder):
+            if refuse:
+                raise PermissionError(13, "Permission denied", path)
+            fd = os_open(path, *args, **kwargs)
+            folder_fds.add(fd)
+            return fd
+        return os_open(path, *args, **kwargs)
+
+    def tracking_close(fd):
+        folder_fds.discard(fd)
+        os_close(fd)
+
+    def tracking_read_block(paths, dir_fd):
+        rows = read_block(paths, dir_fd)
+        parses.append(rows is not None)
+        return rows
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "open", tracking_open)
+        patch.setattr(os, "close", tracking_close)
+        patch.setattr(gio, "_read_block", tracking_read_block)
+        result = load_data_or_error(manifest)
+    return result, parses, not folder_fds
+
+
+@pytest.mark.parametrize("refuse", [False, True], ids=["opened", "refused"])
+def test_the_manifest_folder_is_opened_once_per_read_and_closed(tmp_path, monkeypatch, refuse):
+    values, texts = clean_curves(300)
+    manifest = curve_manifest(tmp_path, 100, 3, texts)
+    result, parses, closed = folder_tracking_load(manifest, monkeypatch, tmp_path, refuse)
+    assert result == outcome_or_error(lambda: values.reshape(100, 3, 5))
+    # a folder that cannot be opened sends every block to the line reader
+    assert parses == ([] if refuse else [True] * 3)
+    assert closed
+    # a bad cell in the last block: the load raises, and the folder is closed
+    texts[-1] = "0.5,abc\r\n"
+    manifest = curve_manifest(tmp_path, 100, 3, texts)
+    result, parses, closed = folder_tracking_load(manifest, monkeypatch, tmp_path, refuse)
+    assert result == line_by_line_load(manifest, monkeypatch)
+    assert result[:2] == ("error", ParseError)
+    assert parses == ([] if refuse else [True, True, False])
+    assert closed
+
+
+def test_absolute_data_file_paths_join_the_block_parse(tmp_path, monkeypatch):
+    values, texts = clean_curves(6)
+    data = tmp_path / "data"
+    data.mkdir()
+    relative = curve_manifest(data, 2, 3, texts)
+    manifest = json.loads(relative.read_text())
+    for unit in manifest["units"]:
+        unit["outcomes"] = [str(data / name) for name in unit["outcomes"]]
+    (tmp_path / "elsewhere").mkdir()
+    absolute = tmp_path / "elsewhere" / "m.json"
+    absolute.write_text(json.dumps(manifest))
+    result, parses, closed = folder_tracking_load(absolute, monkeypatch, absolute.parent)
+    assert result == outcome_or_error(lambda: values.reshape(2, 3, 5))
+    assert parses == [True] and closed
+
+
+@pytest.mark.parametrize("size", [0, 1, gio._READ_CHUNK, gio._READ_CHUNK + 1, 2 * gio._READ_CHUNK + 7])
+def test_read_bytes_reads_every_chunk(tmp_path, size):
+    raw = bytes(np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8))
+    (tmp_path / "f.csv").write_bytes(raw)
+    folder = os.open(tmp_path, os.O_RDONLY)
+    try:
+        assert gio._read_bytes("f.csv", folder) == raw
+    finally:
+        os.close(folder)
+
+
 def test_inline_outcome_among_files_loads_as_the_line_by_line_reader_loads_it(tmp_path, monkeypatch):
     values, texts = clean_curves(300)
     manifest = curve_manifest(tmp_path, 100, 3, texts)
@@ -429,7 +508,7 @@ def load_data_or_error(manifest):
 def line_by_line_load(manifest, monkeypatch):
     """What `load_panel` gives when every data file is read by the line-by-line reader."""
     with monkeypatch.context() as patch:
-        patch.setattr(gio, "_read_block", lambda paths: None)
+        patch.setattr(gio, "_read_block", lambda paths, dir_fd: None)
         return load_data_or_error(manifest)
 
 

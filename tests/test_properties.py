@@ -224,7 +224,11 @@ def test_shortcut_equals_recursion_on_path_independent_spaces(
 def test_transport_along_a_constant_geodesic_is_the_identity(space, scale, seed):
     rng = np.random.default_rng(seed)
     alpha, omega = random_data(rng, space, 2, 1)[:, 0]
-    transport = _BACKENDS[space].transport
+
+    def transport(alpha, beta, omega):
+        """The backend's transport of one point, a stack of one."""
+        return _BACKENDS[space].transport(alpha[None], beta[None], omega[None])[0]
+
     if space == "sphere":
         out = transport(alpha, alpha.copy(), omega)
         assert out.tobytes() == omega.tobytes()
@@ -319,5 +323,5 @@ def test_effect_planted_one_period_early_is_missed_without_anticipation(space, c
     comparisons = [COMPARISON_NEVER] if space == "sphere" else [COMPARISON_NEVER, COMPARISON_NOT_YET]
     for comparison in comparisons:
         for r in estimate_all_cells(panel, delta=0, comparison=comparison):
-            miss = backend.distance(point_array(r.effect.start), untreated[r.cell.g][r.cell.t])
+            miss = backend.distance(point_array(r.effect.start)[None], untreated[r.cell.g][r.cell.t][None])[0]
             assert miss > NEGATIVE_CONTROL_MIN

@@ -150,7 +150,7 @@ def test_exp_log_round_trip():
         v = log_map(base.coords, target.coords)
         assert np.linalg.norm(v) == pytest.approx(distance(base, target), abs=1e-10)
         back = exp_map(base.coords, v)
-        assert sphere.distance(back, target.coords) < 1e-10
+        assert sphere.distance(back[None], target.coords[None])[0] < 1e-10
 
 
 def loop_mean(points):
@@ -162,7 +162,7 @@ def loop_mean(points):
         # near-degenerate configuration; start from the first point instead
         current = coords[0]
     else:
-        current = sphere._finish(extrinsic)
+        current = sphere._finish(extrinsic[None])[0]
     for iteration in range(1, sphere.MEAN_MAX_ITER + 1):
         tangent = np.zeros(len(current))
         for x, wi in zip(coords, w):
@@ -233,12 +233,12 @@ def test_mean_matches_loop_when_a_point_is_the_start():
     q = p.sum() / 2 - p
     points = [c, c, UnitCompositionPoint(p), UnitCompositionPoint(q)]
     stack = np.array([x.coords for x in points])
-    start = sphere._finish(np.full(4, 0.25) @ stack)
+    start = sphere._finish((np.full(4, 0.25) @ stack)[None])[0]
     np.testing.assert_array_equal(start, c.coords)
     assert np.arccos(min(c.coords @ start, 1.0)) < 1e-14
     assert_mean_matches_loop(points)
     mean, _ = sphere.means([stack])[0]
-    assert sphere.distance(mean, c.coords) < 1e-12
+    assert sphere.distance(mean[None], c.coords[None])[0] < 1e-12
 
 
 def test_mean_raises_when_iterations_run_out(monkeypatch):
@@ -307,7 +307,7 @@ def stack_mean(coords):
         # near-degenerate configuration; start from the first point instead
         current = coords[0]
     else:
-        current = sphere._finish(extrinsic)
+        current = sphere._finish(extrinsic[None])[0]
     for iteration in range(1, sphere.MEAN_MAX_ITER + 1):
         tangent = w @ log_map(current, coords)
         step = float(np.linalg.norm(tangent))

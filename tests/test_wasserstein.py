@@ -137,13 +137,13 @@ def test_cdf_quantile_round_trip():
     rng = np.random.default_rng(5)
     for _ in range(20):
         curve = random_curve(rng)
-        p = cdf_eval(curve.values, curve.values)
+        p = cdf_eval(curve.values[None], curve.values[None])[0]
         np.testing.assert_allclose(p, curve.grid, atol=1e-8)
 
 
 def test_cdf_flat_segment_leftmost():
     curve = QuantileCurve([0.0, 1.0, 1.0, 1.0, 2.0])
-    p = cdf_eval(curve.values, np.array([1.0]))
+    p = cdf_eval(curve.values[None], np.array([[1.0]]))[0]
     assert p[0] == pytest.approx(curve.grid[1])
 
 
