@@ -1,5 +1,5 @@
-"""The DID step on arrays, `walks`, and the two-period estimator and placebo
-diagnostic that take it."""
+"""The DID step on arrays, `walks`, the same step as points, `effects`, and the
+two-period estimator and placebo diagnostic that take it."""
 
 from dataclasses import dataclass
 
@@ -120,16 +120,37 @@ def walks(panel, groups):
     return results
 
 
+def effects(panel, groups):
+    """`walks` as points: for each group, (effect, magnitude, path, trend), the
+    transport path as points, the geodesic from its last point to the treated
+    mean at `periods[-1]`, its length (every one from one `distance` call), and
+    the control means as arrays. A mean that several groups share, one array of
+    `take_means`, is wrapped once with the panel's fields."""
+    backend = _BACKENDS[panel.space_id]
+    arrays = walks(panel, groups)
+    magnitudes = backend.distance(
+        np.array([path[-1] for path, _, _ in arrays]), np.array([end for _, end, _ in arrays])
+    ).tolist()
+    wrapped, results = {}, []
+    for (path, end, trend), magnitude in zip(arrays, magnitudes):
+        for mean in (path[0], end):
+            if id(mean) not in wrapped:
+                wrapped[id(mean)] = backend.wrap(mean, **panel.fields)
+        points, fields = [wrapped[id(path[0])]], panel.fields
+        # a transport keeps the fields of the point it moves (the Frobenius
+        # kind, which a point that breaks it gives up); the other spaces have none
+        for beta in path[1:]:
+            if fields:
+                fields = backend.unwrap(points[-1:])[1]
+            points.append(backend.wrap(beta, **fields))
+        results.append((Geodesic(points[-1], wrapped[id(end)]), magnitude, tuple(points), trend))
+    return results
+
+
 def _gatt(panel, treated, periods):
     """The estimate with `treated` units as the treated group, `periods` as (pre, post)."""
     backend = _BACKENDS[panel.space_id]
-    [((base, counterfactual), end, trend)] = walks(panel, [(treated, ~treated, periods)])
-    arrays = {(0, 0): trend[0], (0, 1): trend[1], (1, 0): base, (1, 1): end}
-    points = {key: backend.wrap(mean, **panel.fields) for key, mean in arrays.items()}
-    # a transport keeps the fields of the point it moves (the Frobenius kind)
-    start = backend.wrap(counterfactual, **backend.unwrap((points[(1, 0)],))[1])
-    return GattEstimate(
-        effect=Geodesic(start, points[(1, 1)]),
-        magnitude=float(backend.distance(counterfactual[None], end[None])[0]),
-        means=points,
-    )
+    [(effect, magnitude, (base, _), trend)] = effects(panel, [(treated, ~treated, periods)])
+    control = [backend.wrap(mean, **panel.fields) for mean in trend]
+    means = {(0, 0): control[0], (0, 1): control[1], (1, 0): base, (1, 1): effect.end}
+    return GattEstimate(effect=effect, magnitude=magnitude, means=means)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .did import walks
+from .did import effects
 from .errors import EmptyCohortError, InadmissibleCellError
 from .geometry import _BACKENDS, Geodesic
 
@@ -21,6 +21,16 @@ COMPARISON_NEVER = "never"
 COMPARISON_NOT_YET = "notyet"
 FORM_RECURSIVE = "recursive"
 FORM_SHORTCUT = "shortcut"
+
+
+def _check_scheme(delta, comparison, estimator_form=None):
+    """Raise ValueError for an unknown comparison, then form, then a negative delta."""
+    if comparison not in (COMPARISON_NEVER, COMPARISON_NOT_YET):
+        raise ValueError(f"unknown comparison scheme {comparison!r}")
+    if estimator_form not in (None, FORM_RECURSIVE, FORM_SHORTCUT):
+        raise ValueError(f"unknown estimator form {estimator_form!r}")
+    if delta < 0:
+        raise ValueError("anticipation horizon must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -32,12 +42,7 @@ class GroupTimeCell:
     estimator_form: str = None
 
     def __post_init__(self):
-        if self.comparison not in (COMPARISON_NEVER, COMPARISON_NOT_YET):
-            raise ValueError(f"unknown comparison scheme {self.comparison!r}")
-        if self.estimator_form not in (None, FORM_RECURSIVE, FORM_SHORTCUT):
-            raise ValueError(f"unknown estimator form {self.estimator_form!r}")
-        if self.delta < 0:
-            raise ValueError("anticipation horizon must be >= 0")
+        _check_scheme(self.delta, self.comparison, self.estimator_form)
 
 
 @dataclass(frozen=True)
@@ -52,45 +57,31 @@ class GroupTimeGatt:
         return self.cell.estimator_form
 
 
-def _group_structure(panel):
-    """Observed finite groups, and the latest-adopter marker g-bar."""
+def _pairs(panel, delta, comparison):
+    """The (g, t) of every admissible cell, by g and then t. g is an observed
+    cohort with g > delta, other than g-bar, the latest adopters, when no unit
+    is never treated (they are the comparison pool). t runs from g - delta (the
+    effect is zero by construction before it) to T - 1 - delta, and under the
+    not-yet-treated comparison stays below g-bar - delta."""
     labels = panel.group_label_array
-    finite = [int(g) for g in np.unique(labels[np.isfinite(labels)])]
-    gbar = math.inf if np.isinf(labels).any() else max(finite)
-    return [g for g in finite if g != gbar], gbar
+    cohorts = [int(g) for g in np.unique(labels[np.isfinite(labels)])]
+    gbar = math.inf if np.isinf(labels).any() else cohorts.pop()
+    last = panel.n_periods - 1 - delta
+    if comparison == COMPARISON_NOT_YET:
+        last = min(last, gbar - delta - 1)
+    return [(g, t) for g in cohorts if g > delta for t in range(g - delta, last + 1)]
 
 
 def cell_admissible(panel, cell):
     """Check the side conditions for identification of the (g, t) cell."""
-    return _admissible(cell, *_group_structure(panel), panel.n_periods - 1)
-
-
-def _admissible(cell, groups, gbar, horizon):
-    """`cell_admissible` on a panel of `_group_structure` (groups, gbar) and horizon T - 1."""
-    g, t, delta = cell.g, cell.t, cell.delta
-    if g not in groups or not (1 + delta <= g <= horizon + delta):
-        return False
-    if not (1 <= t <= horizon - delta):
-        return False
-    if t < g - delta:
-        # anticipation window: the effect is zero by construction, refuse
-        return False
-    if cell.comparison == COMPARISON_NOT_YET and not t < gbar - delta:
-        return False
-    return True
+    return (cell.g, cell.t) in _pairs(panel, cell.delta, cell.comparison)
 
 
 def enumerate_cells(panel, delta=0, comparison=COMPARISON_NEVER):
     """All admissible (g, t) cells for the given anticipation horizon."""
-    # built first, so that delta and comparison are checked whatever the panel
-    template = GroupTimeCell(g=0, t=0, delta=delta, comparison=comparison)
-    groups, gbar = _group_structure(panel)
-    cells = [
-        replace(template, g=g, t=t)
-        for g in groups
-        for t in range(1, panel.n_periods - delta)
-    ]
-    return [cell for cell in cells if _admissible(cell, groups, gbar, panel.n_periods - 1)]
+    # checked first, so that a bad value raises whatever the panel
+    _check_scheme(delta, comparison)
+    return [GroupTimeCell(g, t, delta, comparison) for g, t in _pairs(panel, delta, comparison)]
 
 
 def _cohort_mask(panel, cell):
@@ -101,19 +92,22 @@ def _cohort_mask(panel, cell):
     return labels > cell.t + cell.delta
 
 
-def _plan(panel, cell):
-    """An admissible cell's form (its `estimator_form`, or if that is None the
-    shortcut on path-independent spaces and else the recursion), its treated
-    and comparison unit masks, and the periods of its walk."""
-    backend = _BACKENDS[panel.space_id]
-    form = cell.estimator_form
-    if form is None:
-        form = FORM_SHORTCUT if backend.PATH_INDEPENDENT else FORM_RECURSIVE
-    if form == FORM_SHORTCUT and not backend.PATH_INDEPENDENT:
+def _form(panel, estimator_form):
+    """`estimator_form`, or if it is None the shortcut on path-independent spaces and else the recursion."""
+    independent = _BACKENDS[panel.space_id].PATH_INDEPENDENT
+    if estimator_form is None:
+        return FORM_SHORTCUT if independent else FORM_RECURSIVE
+    if estimator_form == FORM_SHORTCUT and not independent:
         raise InadmissibleCellError(
             f"shortcut form requires a path-independent transport map; "
             f"space {panel.space_id!r} does not provide one"
         )
+    return estimator_form
+
+
+def _plan(panel, cell):
+    """An admissible cell's treated and comparison unit masks and the periods
+    of its walk in its `estimator_form`, which `_form` has resolved."""
     mask = _cohort_mask(panel, cell)
     base = cell.g - cell.delta - 1
     if not mask.any():
@@ -123,40 +117,21 @@ def _plan(panel, cell):
             period=base,
         )
     # the shortcut is the recursion's walk in one step from base to t
-    periods = (base, cell.t) if form == FORM_SHORTCUT else range(base, cell.t + 1)
-    return form, panel.group_label_array == cell.g, mask, periods
+    periods = (base, cell.t) if cell.estimator_form == FORM_SHORTCUT else range(base, cell.t + 1)
+    return panel.group_label_array == cell.g, mask, periods
 
 
 def _estimate(panel, cells):
-    """The GroupTimeGatt of each of `cells`, which are admissible: each cell
-    planned once, every cell's walk from one `did.walks` call (each distinct
-    (unit set, period) averaged once), every magnitude from one `distance`
-    call, and a treated mean that several cells share wrapped once; nothing is
-    kept between calls."""
-    if not cells:
-        return []
-    backend = _BACKENDS[panel.space_id]
-    plans = [_plan(panel, cell) for cell in cells]
-    arrays = walks(panel, [plan[1:] for plan in plans])
-    magnitudes = backend.distance(
-        np.array([path[-1] for path, _, _ in arrays]), np.array([end for _, end, _ in arrays])
-    ).tolist()
-    points, results = {}, []
-    for cell, (form, _, _, periods), (path, end, _), magnitude in zip(cells, plans, arrays, magnitudes):
-        for period, mean in ((periods[0], path[0]), (cell.t, end)):
-            if (cell.g, period) not in points:
-                points[cell.g, period] = backend.wrap(mean, **panel.fields)
-        beta_path = [points[cell.g, periods[0]]]
-        # a transport keeps the fields of the point it moves (the Frobenius
-        # kind, which a point that breaks it gives up); the other spaces have none
-        fields = panel.fields
-        for beta in path[1:]:
-            if fields:
-                fields = backend.unwrap(beta_path[-1:])[1]
-            beta_path.append(backend.wrap(beta, **fields))
-        effect = Geodesic(beta_path[-1], points[cell.g, cell.t])
-        results.append(GroupTimeGatt(replace(cell, estimator_form=form), effect, magnitude, tuple(beta_path)))
-    return results
+    """The GroupTimeGatt of each of `cells`, which are admissible and have a
+    resolved form: each cell planned once, and every cell's estimate from one
+    `did.effects` call (each distinct (unit set, period) averaged once, and a
+    treated mean that several cells share wrapped once); nothing is kept
+    between calls."""
+    estimates = effects(panel, [_plan(panel, cell) for cell in cells])
+    return [
+        GroupTimeGatt(cell, effect, magnitude, path)
+        for cell, (effect, magnitude, path, _) in zip(cells, estimates)
+    ]
 
 
 def estimate_group_time_gatt(panel, cell):
@@ -167,15 +142,15 @@ def estimate_group_time_gatt(panel, cell):
             f"cell (g={cell.g}, t={cell.t}, delta={cell.delta}, "
             f"{cell.comparison}) is not admissible for this panel"
         )
-    return _estimate(panel, [cell])[0]
+    return _estimate(panel, [replace(cell, estimator_form=_form(panel, cell.estimator_form))])[0]
 
 
 def estimate_all_cells(panel, delta=0, comparison=COMPARISON_NEVER, estimator_form=None):
     """Estimate every admissible cell in `estimator_form` (`_estimate`); returns a list of GroupTimeGatt."""
-    # built first, so that the form is checked whatever the panel
-    GroupTimeCell(g=0, t=0, estimator_form=estimator_form)
-    cells = [
-        replace(cell, estimator_form=estimator_form)
-        for cell in enumerate_cells(panel, delta=delta, comparison=comparison)
-    ]
-    return _estimate(panel, cells)
+    # checked first, so that a bad value raises whatever the panel
+    _check_scheme(delta, comparison, estimator_form)
+    pairs = _pairs(panel, delta, comparison)
+    if not pairs:
+        return []
+    form = _form(panel, estimator_form)
+    return _estimate(panel, [GroupTimeCell(g, t, delta, comparison, form) for g, t in pairs])

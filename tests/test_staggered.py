@@ -1,4 +1,7 @@
+import itertools
 import json
+import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +9,11 @@ import pytest
 
 from geodid import staggered
 from geodid.did import estimate_gatt
-from geodid.errors import EmptyCohortError, InadmissibleCellError
+from geodid.errors import EmptyCohortError, InadmissibleCellError, KindViolationWarning
 from geodid.geometry import _BACKENDS, distance
 from geodid.io import staggered_to_jsonable
 from geodid.panel import PanelDataset
-from geodid.spaces.matrix import SymmetricMatrixPoint
+from geodid.spaces.matrix import KIND_FREE, KIND_LAPLACIAN, SymmetricMatrixPoint
 from geodid.staggered import (
     COMPARISON_NEVER,
     COMPARISON_NOT_YET,
@@ -346,3 +349,119 @@ def test_not_yet_treated_cells_with_one_unit_cohorts():
         results = estimate_all_cells(panel, comparison=COMPARISON_NOT_YET)
         assert len(results) == 6
         assert all(np.isfinite(r.magnitude) for r in results)
+
+
+def oracle_group_structure(panel):
+    """Observed finite groups, and the latest-adopter marker g-bar (the
+    package's rule before it listed the admissible cells from ranges)."""
+    labels = panel.group_label_array
+    finite = [int(g) for g in np.unique(labels[np.isfinite(labels)])]
+    gbar = math.inf if np.isinf(labels).any() else max(finite)
+    return [g for g in finite if g != gbar], gbar
+
+
+def oracle_admissible(cell, groups, gbar, horizon):
+    """The side conditions of the (g, t) cell, one at a time, on a panel of
+    `oracle_group_structure` (groups, gbar) and horizon T - 1."""
+    g, t, delta = cell.g, cell.t, cell.delta
+    if g not in groups or not (1 + delta <= g <= horizon + delta):
+        return False
+    if not (1 <= t <= horizon - delta):
+        return False
+    if t < g - delta:
+        return False
+    if cell.comparison == COMPARISON_NOT_YET and not t < gbar - delta:
+        return False
+    return True
+
+
+def test_admissible_cells_match_the_per_cell_oracle_on_every_cohort_design():
+    started = time.perf_counter()
+    designs = 0
+    for n_periods in range(2, 7):
+        for k, never in itertools.product(range(n_periods), (False, True)):
+            for cohorts in itertools.combinations(range(1, n_periods), k):
+                if not cohorts and not never:
+                    continue
+                first = np.array(list(cohorts) + [n_periods] * never)
+                treatment = (np.arange(n_periods)[None, :] >= first[:, None]).astype(int)
+                panel = PanelDataset.from_array(
+                    np.zeros((len(first), n_periods, 1, 1)), treatment, "frobenius", {"kind": "free"}
+                )
+                groups, gbar = oracle_group_structure(panel)
+                for delta, comparison in itertools.product((0, 1, 2), (COMPARISON_NEVER, COMPARISON_NOT_YET)):
+                    expected = [
+                        cell
+                        for g in groups
+                        for t in range(1, n_periods - delta)
+                        if oracle_admissible(cell := GroupTimeCell(g, t, delta, comparison), groups, gbar, n_periods - 1)
+                    ]
+                    assert enumerate_cells(panel, delta=delta, comparison=comparison) == expected
+                    for g, t in itertools.product({*cohorts, 0, n_periods}, range(-1, n_periods + 1)):
+                        cell = GroupTimeCell(g, t, delta, comparison)
+                        assert cell_admissible(panel, cell) == oracle_admissible(cell, groups, gbar, n_periods - 1)
+                designs += 1
+    assert designs == 2 * (2 + 4 + 8 + 16 + 32) - 5
+    assert time.perf_counter() - started < 1.0
+
+
+def laplacian_panel(weights, groups):
+    """A panel of 2 x 2 Laplacians [[w, -w], [-w, w]], one unit per row of
+    `weights` (w at each period), first treated at the unit's entry of `groups`
+    (None = never treated)."""
+    weights = np.array(weights, dtype=float)
+    data = weights[..., None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    treatment = np.array([treatment_row(g, weights.shape[1]) for g in groups])
+    return PanelDataset.from_array(data, treatment, "frobenius", {"kind": KIND_LAPLACIAN})
+
+
+def weight(point):
+    return point.entries[0, 0]
+
+
+def test_a_transport_that_breaks_the_laplacian_kind_leaves_the_rest_of_the_walk_free():
+    # the control trend 5 -> 1 carries the treated weight 1 to -3: a positive
+    # off-diagonal entry, so that point and every point moved from it are
+    # free; the next steps (+5, +1) bring the weight back to 2 and 3, which
+    # pass the Laplacian check on their own
+    two = laplacian_panel([[1.0, 2.0], [5.0, 1.0]], [1, None])
+    with pytest.warns(KindViolationWarning) as record:
+        estimate = estimate_gatt(two)
+    assert len([w for w in record if w.category is KindViolationWarning]) == 1
+    assert (weight(estimate.effect.start), estimate.effect.start.kind) == (-3.0, KIND_FREE)
+    assert {key: p.kind for key, p in estimate.means.items()} == dict.fromkeys(estimate.means, KIND_LAPLACIAN)
+
+    panel = laplacian_panel([[1.0, 1.0, 1.0, 2.0], [5.0, 1.0, 6.0, 7.0]], [1, None])
+    cell = GroupTimeCell(g=1, t=3, estimator_form=FORM_RECURSIVE)
+    with pytest.warns(KindViolationWarning) as record:
+        result = estimate_group_time_gatt(panel, cell)
+    assert len([w for w in record if w.category is KindViolationWarning]) == 1
+    assert [(weight(p), p.kind) for p in result.beta_path] == [
+        (1.0, KIND_LAPLACIAN), (-3.0, KIND_FREE), (2.0, KIND_FREE), (3.0, KIND_FREE)
+    ]
+    assert result.effect.start is result.beta_path[-1]
+    assert result.effect.end.kind == KIND_LAPLACIAN
+    # every cell of the call breaks at its first step, once
+    with pytest.warns(KindViolationWarning) as record:
+        results = estimate_all_cells(panel, estimator_form=FORM_RECURSIVE)
+    assert len([w for w in record if w.category is KindViolationWarning]) == 3
+    assert [[p.kind for p in r.beta_path] for r in results] == [
+        [KIND_LAPLACIAN] + [KIND_FREE] * r.cell.t for r in results
+    ]
+
+
+def test_a_bad_comparison_is_named_before_a_bad_form():
+    panel = staggered_scalar_panel([(None, [0.0, 1.0]), (1, [0.0, 1.0])], n_periods=2)
+    with pytest.raises(ValueError, match="unknown comparison scheme 'bogus'"):
+        estimate_all_cells(panel, comparison="bogus", estimator_form="bogus")
+    with pytest.raises(ValueError, match="unknown comparison scheme 'bogus'"):
+        GroupTimeCell(g=1, t=1, comparison="bogus", estimator_form="bogus")
+
+
+def test_sphere_shortcut_is_refused_only_where_a_cell_is_admissible():
+    rng = np.random.default_rng(59)
+    without = random_staggered_panel(rng, "sphere", [None, None], n_periods=3)
+    assert estimate_all_cells(without, estimator_form=FORM_SHORTCUT) == []
+    with_cells = random_staggered_panel(rng, "sphere", [None, 1, 2], n_periods=3)
+    with pytest.raises(InadmissibleCellError, match="shortcut form requires a path-independent"):
+        estimate_all_cells(with_cells, estimator_form=FORM_SHORTCUT)
